@@ -13,7 +13,8 @@
 //!   table1     CPU-cost comparison (the paper's 4.9 s vs 15.2 s result)
 //!   modelcheck extracted vs assigned parameters (§2.4)
 //!   validity   range-of-validity scan (§2.4)
-//!   ablation   transient tolerance / integration-method cost sweep
+//!   ablation   transient tolerance / integration-method cost sweep, and
+//!              dense vs sparse LU on RC ladders of 8–512 unknowns
 //!   bode       open-loop Bode of the behavioural opamp vs the analytic pole
 //!   fasvm      FAS interpreter vs bytecode VM vs CMOS (writes BENCH_fasvm.json)
 //!   parchar    parallel characterization + LU reuse (writes BENCH_parchar.json)
@@ -47,7 +48,7 @@ use std::time::Instant;
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // The flag parsers are shared with `gabm` (gabm_trace::cli) so both
+    // The trace flag parser is shared with `gabm` (gabm_trace::cli) so both
     // binaries reject bad values with identical flag-naming messages.
     let trace_cfg = match gabm_trace::cli::take_trace_flags(&mut argv) {
         Ok(cfg) => cfg,
@@ -164,6 +165,27 @@ fn save_svg(d: &FunctionalDiagram, file: &str) {
     if std::fs::write(&path, svg).is_ok() {
         println!("  [svg written to {path}]");
     }
+}
+
+/// Runs `setup` and then times `run` on its output, `reps` times, and
+/// returns the fastest time in seconds with the last run's result. Set-up
+/// and every drop stay outside the timer; the runs are milliseconds long,
+/// so the minimum is the run least disturbed by the host.
+fn best_of<S, R>(
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S) -> R,
+) -> (f64, R) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..reps {
+        let mut state = setup();
+        let t0 = Instant::now();
+        let r = run(&mut state);
+        best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(r);
+    }
+    (best, last.expect("at least one repetition"))
 }
 
 /// E1 / Fig. 1 — the model development steps.
@@ -397,31 +419,30 @@ fn table1() {
     let tstop = 60.0e-6;
     const REPS: usize = 7;
 
-    let mut t_beh = f64::INFINITY;
-    let mut rb = None;
-    let mut beh_unknowns = 0;
-    for _ in 0..REPS {
-        let (mut beh, _) = behavioural_comparator_circuit(&stim).expect("behavioural bench");
-        beh_unknowns = beh.n_unknowns();
-        let t0 = Instant::now();
-        let r = beh.tran(&TranSpec::new(tstop)).expect("behavioural tran");
-        t_beh = t_beh.min(t0.elapsed().as_secs_f64());
-        rb = Some(r);
-    }
-    let rb = rb.expect("at least one repetition");
-
-    let mut t_cmos = f64::INFINITY;
-    let mut rc = None;
-    let mut cmos_unknowns = 0;
-    for _ in 0..REPS {
-        let (mut cmos, _) = cmos_comparator_circuit(&stim).expect("cmos bench");
-        cmos_unknowns = cmos.n_unknowns();
-        let t0 = Instant::now();
-        let r = cmos.tran(&TranSpec::new(tstop)).expect("cmos tran");
-        t_cmos = t_cmos.min(t0.elapsed().as_secs_f64());
-        rc = Some(r);
-    }
-    let rc = rc.expect("at least one repetition");
+    let (t_beh, (beh_unknowns, rb)) = best_of(
+        REPS,
+        || {
+            behavioural_comparator_circuit(&stim)
+                .expect("behavioural bench")
+                .0
+        },
+        |beh| {
+            (
+                beh.n_unknowns(),
+                beh.tran(&TranSpec::new(tstop)).expect("behavioural tran"),
+            )
+        },
+    );
+    let (t_cmos, (cmos_unknowns, rc)) = best_of(
+        REPS,
+        || cmos_comparator_circuit(&stim).expect("cmos bench").0,
+        |cmos| {
+            (
+                cmos.n_unknowns(),
+                cmos.tran(&TranSpec::new(tstop)).expect("cmos tran"),
+            )
+        },
+    );
 
     println!(
         "{:<24} {:>9} {:>8} {:>9} {:>10} {:>10}",
@@ -598,7 +619,7 @@ fn bode() {
 /// Ablation: accuracy vs cost of the transient engine on the behavioural
 /// comparator — LTE tolerance and integration method sweeps. Quantifies the
 /// "variable time intervals" design point of §3.3 and the discontinuity
-/// handling of §4.
+/// handling of §4. Ends with the LU-kernel crossover ([`lu_ladder`]).
 fn ablation() {
     banner("Ablation — transient tolerance & integration method (behavioural comparator)");
     let stim = ComparatorStimulus::default();
@@ -641,6 +662,69 @@ fn ablation() {
         println!(
             "{label:<26} {:>8} {:>10} {:>14.4e}",
             r.stats.accepted_steps, r.stats.newton_iterations, rms
+        );
+    }
+    lu_ladder();
+}
+
+/// Dense vs sparse LU (factor + solve) on the tridiagonal MNA matrix of
+/// an n-stage RC ladder: the evidence for `Options::sparse_threshold`.
+/// The sparse left-looking LU pulls ahead as the ladder grows; a ladder
+/// is the sparsest MNA pattern, so its crossover is a lower bound.
+fn lu_ladder() {
+    use gabm_numeric::{DenseMatrix, LuFactor, SparseLu, TripletBuilder};
+    use std::hint::black_box;
+
+    const REPS: usize = 9;
+    println!(
+        "\n{:<10} {:>14} {:>14} {:>13}",
+        "LU ladder", "dense [us]", "sparse [us]", "dense/sparse"
+    );
+    for n in [8usize, 32, 128, 512] {
+        let mut dense = DenseMatrix::zeros(n, n);
+        let mut triplets = TripletBuilder::new(n, n);
+        for i in 0..n {
+            let mut set = |j: usize, v: f64| {
+                dense[(i, j)] = v;
+                triplets.push(i, j, v);
+            };
+            set(i, 2.0);
+            if i > 0 {
+                set(i - 1, -1.0);
+            }
+            if i + 1 < n {
+                set(i + 1, -1.0);
+            }
+        }
+        let sparse = triplets.to_csc();
+        let rhs = vec![1.0; n];
+        // Small systems factor in well under a microsecond, so each timed
+        // sample runs a batch.
+        let batch = (1024 / n).max(1);
+        let (t_dense, _) = best_of(
+            REPS,
+            || (),
+            |_| {
+                for _ in 0..batch {
+                    let lu = LuFactor::new(&dense).expect("factorizes");
+                    black_box(lu.solve(&rhs).expect("solves"));
+                }
+            },
+        );
+        let (t_sparse, _) = best_of(
+            REPS,
+            || (),
+            |_| {
+                for _ in 0..batch {
+                    let lu = SparseLu::new(&sparse).expect("factorizes");
+                    black_box(lu.solve(&rhs).expect("solves"));
+                }
+            },
+        );
+        let (us_dense, us_sparse) = (t_dense / batch as f64 * 1e6, t_sparse / batch as f64 * 1e6);
+        println!(
+            "n={n:<8} {us_dense:>14.2} {us_sparse:>14.2} {:>12.2}x",
+            us_dense / us_sparse
         );
     }
 }
@@ -687,19 +771,18 @@ fn fasvm() {
     );
 
     let run = |backend: FasBackend| {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..REPS {
-            let (mut ckt, nodes) =
-                behavioural_comparator_circuit_with(&stim, backend).expect("bench builds");
-            let t0 = Instant::now();
-            let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
-            best = best.min(t0.elapsed().as_secs_f64());
-            let outp = nodes[3];
-            out = Some((r.stats, r.voltage_waveform(outp).expect("outp waveform")));
-        }
-        let (stats, w) = out.expect("at least one repetition");
-        (best, stats, w)
+        let (best, (r, outp)) = best_of(
+            REPS,
+            || behavioural_comparator_circuit_with(&stim, backend).expect("bench builds"),
+            |(ckt, nodes)| {
+                (
+                    ckt.tran(&TranSpec::new(tstop)).expect("tran runs"),
+                    nodes[3],
+                )
+            },
+        );
+        let w = r.voltage_waveform(outp).expect("outp waveform");
+        (best, r.stats, w)
     };
     let (t_interp, s_interp, w_interp) = run(FasBackend::Interp);
     let (t_vm, s_vm, w_vm) = run(FasBackend::Vm);
@@ -714,13 +797,11 @@ fn fasvm() {
         "interpreter and VM transient outputs diverge: rms {rms:e}"
     );
 
-    let mut t_cmos = f64::INFINITY;
-    for _ in 0..REPS {
-        let (mut ckt, _) = cmos_comparator_circuit(&stim).expect("cmos bench");
-        let t0 = Instant::now();
-        ckt.tran(&TranSpec::new(tstop)).expect("cmos tran");
-        t_cmos = t_cmos.min(t0.elapsed().as_secs_f64());
-    }
+    let (t_cmos, _) = best_of(
+        REPS,
+        || cmos_comparator_circuit(&stim).expect("cmos bench").0,
+        |ckt| ckt.tran(&TranSpec::new(tstop)).expect("cmos tran"),
+    );
 
     let speedup = t_interp / t_vm;
     println!("{:<24} {:>10} {:>12}", "engine", "NR iters", "time [s]");
@@ -798,15 +879,11 @@ fn parchar() {
         Ok(rigs::response_time(&dut, "strobe", "outp", &bias, -1.0, 1.0, 1.0, 40.0e-6)?.value)
     };
     let mc_run = |pool: &ThreadPool| {
-        let mut best = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let r = monte_carlo_on(pool, &scatters, SAMPLES, SEED, measure).expect("MC runs");
-            best = best.min(t0.elapsed().as_secs_f64());
-            result = Some(r);
-        }
-        let (dist, failures) = result.expect("at least one repetition");
+        let (best, (dist, failures)) = best_of(
+            REPS,
+            || (),
+            |_| monte_carlo_on(pool, &scatters, SAMPLES, SEED, measure).expect("MC runs"),
+        );
         (best, dist, failures)
     };
     println!(
@@ -874,21 +951,20 @@ fn parchar() {
     let tstop = 60.0e-6;
     const LU_REPS: usize = 7;
     let lu_run = |force_sparse: bool, reuse: bool| {
-        let mut best = f64::INFINITY;
-        let mut stats = None;
-        for _ in 0..LU_REPS {
-            let (mut ckt, _) =
-                behavioural_comparator_circuit_with(&stim, FasBackend::Vm).expect("bench builds");
-            if force_sparse {
-                ckt.options.sparse_threshold = 1;
-            }
-            ckt.options.reuse_lu = reuse;
-            let t0 = Instant::now();
-            let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
-            best = best.min(t0.elapsed().as_secs_f64());
-            stats = Some(r.stats);
-        }
-        (best, stats.expect("at least one repetition"))
+        let (best, r) = best_of(
+            LU_REPS,
+            || {
+                let (mut ckt, _) = behavioural_comparator_circuit_with(&stim, FasBackend::Vm)
+                    .expect("bench builds");
+                if force_sparse {
+                    ckt.options.sparse_threshold = 1;
+                }
+                ckt.options.reuse_lu = reuse;
+                ckt
+            },
+            |ckt| ckt.tran(&TranSpec::new(tstop)).expect("tran runs"),
+        );
+        (best, r.stats)
     };
     let (t_off, s_off) = lu_run(true, false);
     let (t_on, s_on) = lu_run(true, true);
@@ -968,16 +1044,16 @@ fn traceov() {
     let stim = ComparatorStimulus::default();
     let tstop = 60.0e-6;
     const REPS: usize = 5;
-    let (mut t_disabled, mut stats) = (f64::INFINITY, None);
-    for _ in 0..REPS {
-        let (mut ckt, _) =
-            behavioural_comparator_circuit_with(&stim, FasBackend::Vm).expect("bench builds");
-        let t0 = Instant::now();
-        let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
-        t_disabled = t_disabled.min(t0.elapsed().as_secs_f64());
-        stats = Some(r.stats);
-    }
-    let stats = stats.expect("at least one repetition");
+    let (t_disabled, r) = best_of(
+        REPS,
+        || {
+            behavioural_comparator_circuit_with(&stim, FasBackend::Vm)
+                .expect("bench builds")
+                .0
+        },
+        |ckt| ckt.tran(&TranSpec::new(tstop)).expect("tran runs"),
+    );
+    let stats = r.stats;
 
     // Disabled probe cost: constructing and dropping a span with tracing
     // off is the exact code the hot paths execute.

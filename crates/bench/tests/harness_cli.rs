@@ -1,6 +1,6 @@
-//! CLI surface of the `harness` binary: the shared `--threads` /
-//! `--trace` flag parsers must reject bad values with the same
-//! flag-naming messages as `gabm`, and `--trace` must record the
+//! CLI surface of the `harness` binary: the `--threads` and `--trace`
+//! flag parsers must reject bad values with flag-naming messages (the
+//! `--trace` parser is shared with `gabm`), and `--trace` must record the
 //! instrumented layers of whatever experiment ran.
 
 use std::process::{Command, Output};

@@ -39,7 +39,9 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// [`SimError::BadAnalysis`] on malformed numbers.
+/// [`SimError::BadAnalysis`] on malformed numbers and on values that are
+/// not finite (`1e400`, `infinity`, `1e308meg`): a circuit holding one
+/// would otherwise simulate to NaN.
 pub fn parse_value(text: &str) -> Result<f64, SimError> {
     let lower = text.to_ascii_lowercase();
     let (mantissa, scale): (&str, f64) = if let Some(stripped) = lower.strip_suffix("meg") {
@@ -59,10 +61,24 @@ pub fn parse_value(text: &str) -> Result<f64, SimError> {
             _ => (lower.as_str(), 1.0),
         }
     };
-    mantissa
+    let value = mantissa
         .parse::<f64>()
         .map(|v| v * scale)
-        .map_err(|_| SimError::BadAnalysis(format!("malformed number '{text}'")))
+        .map_err(|_| SimError::BadAnalysis(format!("malformed number '{text}'")))?;
+    if !value.is_finite() {
+        return Err(SimError::BadAnalysis(format!("non-finite value '{text}'")));
+    }
+    Ok(value)
+}
+
+/// Prefixes a card's error with its line number, keeping one
+/// "bad analysis spec" prefix when the card error already is one.
+fn at_line(line_no: usize, err: SimError) -> SimError {
+    let msg = match err {
+        SimError::BadAnalysis(msg) => msg,
+        other => other.to_string(),
+    };
+    SimError::BadAnalysis(format!("line {line_no}: {msg}"))
 }
 
 #[derive(Debug, Clone)]
@@ -259,16 +275,12 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
     for (line_no, card) in &cards {
         let fields: Vec<&str> = card.split_whitespace().collect();
         if fields[0].eq_ignore_ascii_case(".model") {
-            let (name, model) = parse_model_card(&fields)
-                .map_err(|e| SimError::BadAnalysis(format!("line {line_no}: {e}")))?;
+            let (name, model) = parse_model_card(&fields).map_err(|e| at_line(*line_no, e))?;
             models.insert(name, model);
         }
     }
 
     let mut ckt = Circuit::new();
-    let err_at = |line_no: usize, msg: String| -> SimError {
-        SimError::BadAnalysis(format!("line {line_no}: {msg}"))
-    };
     for (line_no, card) in &cards {
         let fields: Vec<&str> = card.split_whitespace().collect();
         let head = fields[0];
@@ -276,9 +288,9 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
             match head.to_ascii_lowercase().as_str() {
                 ".model" | ".end" => continue,
                 other => {
-                    return Err(err_at(
+                    return Err(at_line(
                         *line_no,
-                        format!("unsupported control card '{other}'"),
+                        SimError::BadAnalysis(format!("unsupported control card '{other}'")),
                     ))
                 }
             }
@@ -291,10 +303,9 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
             .unwrap_or(' ');
         let need = |n: usize| -> Result<(), SimError> {
             if fields.len() < n + 1 {
-                Err(err_at(
-                    *line_no,
-                    format!("{name} needs at least {n} fields"),
-                ))
+                Err(SimError::BadAnalysis(format!(
+                    "{name} needs at least {n} fields"
+                )))
             } else {
                 Ok(())
             }
@@ -429,7 +440,7 @@ pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
                 "unknown element type '{other}'"
             ))),
         })();
-        result.map_err(|e| err_at(*line_no, e.to_string()))?;
+        result.map_err(|e| at_line(*line_no, e))?;
     }
     Ok(ckt)
 }
@@ -577,6 +588,33 @@ C1 out 0 1u
         assert!(
             err.to_string().contains("unsupported control card"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        for text in ["1e400", "inf", "nan", "1e308meg", "-infinity"] {
+            let err = parse_value(text).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{text}'")), "{text}: {err}");
+        }
+        let err = parse_netlist("t\nV1 a 0 DC 1e400\nR1 a 0 1k").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 2: non-finite value '1e400'"
+        );
+    }
+
+    #[test]
+    fn card_errors_carry_one_prefix() {
+        let err = parse_netlist("t\nV1 a 0 DC 1\nR1 a 0 1zz\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 3: malformed number '1zz'"
+        );
+        let err = parse_netlist("t\n.model D1 D IS=1q\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad analysis spec: line 2: malformed number '1q'"
         );
     }
 

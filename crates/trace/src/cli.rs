@@ -70,8 +70,7 @@ pub fn take_trace_flags(argv: &mut Vec<String>) -> Result<TraceConfig, String> {
 }
 
 /// Removes every `--threads <n>` occurrence from `argv` and returns the
-/// last value. Shared by `gabm` and `harness` so both report unknown
-/// values with identical flag-naming messages.
+/// last value (`harness` sizes its worker pool with it).
 ///
 /// # Errors
 ///

@@ -6,6 +6,16 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+ROOT=$(pwd)
+
+# The gate must leave every tracked file as it found it; the harness
+# experiments below write their BENCH_*.json / TRACE_*.json into
+# target/ci-bench/, never over the committed baselines.
+tracked_state() {
+    git status --porcelain --untracked-files=no
+    git diff --no-ext-diff | cksum
+}
+tracked_before=$(tracked_state)
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -26,7 +36,7 @@ cargo test --workspace --quiet
 echo "==> gabm lint --fix --dry-run smoke"
 GABM=target/release/gabm
 for f in tests/fixtures/*.fas; do
-    out=$("$GABM" lint "$f" --fix --dry-run --no-cache --format json) || status=$?
+    out=$("$GABM" lint "$f" --fix --dry-run --format json) || status=$?
     status=${status:-0}
     if [ "$status" -ge 2 ]; then
         echo "FAIL: gabm lint --fix --dry-run $f exited $status" >&2
@@ -39,7 +49,7 @@ for f in tests/fixtures/*.fas; do
     status=0
 done
 for c in input-stage output-stage power-supply slew-rate; do
-    out=$("$GABM" lint --construct "$c" --fix --dry-run --no-cache --format json) || {
+    out=$("$GABM" lint --construct "$c" --fix --dry-run --format json) || {
         echo "FAIL: gabm lint --fix --dry-run --construct $c failed" >&2
         exit 1
     }
@@ -58,9 +68,13 @@ cargo test -q -p gabm-fasvm --test differential --test disasm_golden
 # Perf row: interpreter vs VM vs CMOS on the comparator transient.
 # The harness asserts the backends agree and writes BENCH_fasvm.json;
 # check the speedup field made it to disk.
-echo "==> harness fasvm (BENCH_fasvm.json)"
-target/release/harness fasvm
-case "$(cat BENCH_fasvm.json)" in
+BENCH_DIR=target/ci-bench
+HARNESS="$ROOT/target/release/harness"
+rm -rf "$BENCH_DIR"
+mkdir -p "$BENCH_DIR"
+echo "==> harness fasvm ($BENCH_DIR/BENCH_fasvm.json)"
+(cd "$BENCH_DIR" && "$HARNESS" fasvm)
+case "$(cat "$BENCH_DIR/BENCH_fasvm.json")" in
     *'"speedup_vm_over_interp"'*) ;;
     *) echo "FAIL: BENCH_fasvm.json missing speedup field" >&2; exit 1 ;;
 esac
@@ -69,21 +83,20 @@ esac
 # must be bitwise identical whatever GABM_THREADS says (the harness also
 # asserts this in-process across pools of 1/2/4/8 workers, and asserts the
 # LU-reuse run retraces the full-factorization Newton trajectory).
-echo "==> harness parchar (BENCH_parchar.json)"
-rm -f BENCH_parchar.json
-dist1=$(GABM_THREADS=1 target/release/harness parchar | grep '^PARCHAR-DIST')
-dist4=$(GABM_THREADS=4 target/release/harness parchar | grep '^PARCHAR-DIST')
+echo "==> harness parchar ($BENCH_DIR/BENCH_parchar.json)"
+dist1=$(cd "$BENCH_DIR" && GABM_THREADS=1 "$HARNESS" parchar | grep '^PARCHAR-DIST')
+dist4=$(cd "$BENCH_DIR" && GABM_THREADS=4 "$HARNESS" parchar | grep '^PARCHAR-DIST')
 if [ "$dist1" != "$dist4" ]; then
     echo "FAIL: Monte-Carlo distribution depends on GABM_THREADS:" >&2
     echo "  GABM_THREADS=1: $dist1" >&2
     echo "  GABM_THREADS=4: $dist4" >&2
     exit 1
 fi
-if [ ! -f BENCH_parchar.json ]; then
+if [ ! -f "$BENCH_DIR/BENCH_parchar.json" ]; then
     echo "FAIL: BENCH_parchar.json not regenerated" >&2
     exit 1
 fi
-case "$(cat BENCH_parchar.json)" in
+case "$(cat "$BENCH_DIR/BENCH_parchar.json")" in
     *'"speedup_lu_reuse"'*) ;;
     *) echo "FAIL: BENCH_parchar.json missing speedup_lu_reuse" >&2; exit 1 ;;
 esac
@@ -92,14 +105,13 @@ esac
 # must stay within 2% (asserted in-process by the harness — a violation
 # aborts the run), and the traced phase must produce a valid Chrome
 # trace covering all four instrumented layers.
-echo "==> harness traceov (BENCH_traceov.json + TRACE_traceov.json)"
-rm -f BENCH_traceov.json TRACE_traceov.json
-target/release/harness traceov
-case "$(cat BENCH_traceov.json)" in
+echo "==> harness traceov ($BENCH_DIR/BENCH_traceov.json + TRACE_traceov.json)"
+(cd "$BENCH_DIR" && "$HARNESS" traceov)
+case "$(cat "$BENCH_DIR/BENCH_traceov.json")" in
     *'"overhead_disabled_pct"'*) ;;
     *) echo "FAIL: BENCH_traceov.json missing overhead_disabled_pct" >&2; exit 1 ;;
 esac
-trace_report=$("$GABM" trace TRACE_traceov.json) || {
+trace_report=$("$GABM" trace "$BENCH_DIR/TRACE_traceov.json") || {
     echo "FAIL: gabm trace rejected TRACE_traceov.json" >&2
     exit 1
 }
@@ -113,9 +125,15 @@ done
 # A traced end-to-end run through the gabm CLI round-trips its own
 # validator (the --trace plumbing is shared with the harness).
 echo "==> gabm --trace smoke"
-rm -f TRACE_lint.json
-"$GABM" lint --construct slew-rate --no-cache --trace TRACE_lint.json
-"$GABM" trace TRACE_lint.json > /dev/null
-rm -f TRACE_lint.json
+"$GABM" lint --construct slew-rate --trace "$BENCH_DIR/TRACE_lint.json"
+"$GABM" trace "$BENCH_DIR/TRACE_lint.json" > /dev/null
+
+echo "==> tracked files unchanged"
+tracked_after=$(tracked_state)
+if [ "$tracked_before" != "$tracked_after" ]; then
+    echo "FAIL: CI modified tracked files:" >&2
+    git status --porcelain --untracked-files=no >&2
+    exit 1
+fi
 
 echo "CI OK"

@@ -109,68 +109,19 @@ fn help_subcommand_shows_command_usage() {
 }
 
 #[test]
-fn threads_flag_is_accepted_anywhere() {
-    // Before the subcommand...
-    let out = gabm(&[
-        "--threads",
-        "2",
-        "compile",
-        fixture("clean.fas").to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("clean: 2 pins"),
-        "{out:?}"
-    );
-    // ...and after it.
-    let out = gabm(&[
-        "compile",
-        fixture("clean.fas").to_str().unwrap(),
-        "--threads",
-        "2",
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-}
-
-#[test]
-fn threads_flag_rejects_bad_values() {
-    for bad in ["zero", "0", "-3", "1.5"] {
-        let out = gabm(&["--threads", bad, "compile", "x.fas"]);
-        assert_eq!(exit_code(&out), 2, "value {bad:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!(
-                "invalid value '{bad}' for --threads: expected a positive integer"
-            )),
-            "value {bad:?}: {stderr}"
-        );
-    }
-    let out = gabm(&["compile", "x.fas", "--threads"]);
+fn threads_flag_is_unknown_to_gabm() {
+    // No gabm command runs the worker pool, so the flag does not exist.
+    let out = gabm(&["--threads", "2", "compile", "x.fas"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--threads requires a value"),
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag '--threads'"),
         "{out:?}"
     );
-}
-
-#[test]
-fn threads_env_is_validated() {
-    let out = Command::new(env!("CARGO_BIN_EXE_gabm"))
-        .args(["--version"])
-        .env("GABM_THREADS", "banana")
-        .output()
-        .expect("gabm binary runs");
-    assert_eq!(exit_code(&out), 2, "{out:?}");
+    let help = gabm(&["--help"]);
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid GABM_THREADS value 'banana'"),
-        "{out:?}"
+        !String::from_utf8_lossy(&help.stdout).contains("--threads"),
+        "{help:?}"
     );
-    let out = Command::new(env!("CARGO_BIN_EXE_gabm"))
-        .args(["--version"])
-        .env("GABM_THREADS", "3")
-        .output()
-        .expect("gabm binary runs");
-    assert_eq!(exit_code(&out), 0, "{out:?}");
 }
 
 #[test]
@@ -182,12 +133,12 @@ fn trace_flag_rejects_bad_values_naming_the_flag() {
         "{out:?}"
     );
     // A flag where the path should be is a missing value, not a file
-    // named "--threads" — and the message names both flags.
-    let out = gabm(&["--trace", "--threads", "2", "compile", "x.fas"]);
+    // named "--deny-warnings" — and the message names both flags.
+    let out = gabm(&["--trace", "--deny-warnings", "lint", "x.fas"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("invalid value '--threads' for --trace"),
+        stderr.contains("invalid value '--deny-warnings' for --trace"),
         "{stderr}"
     );
 }
@@ -253,14 +204,13 @@ fn trace_env_fallback_and_summary_flag() {
 }
 
 #[test]
-fn threads_and_trace_flags_compose_across_positions() {
+fn trace_and_command_flags_compose_across_positions() {
     let dir = std::env::temp_dir().join("gabm_trace_cli_compose");
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("composed.json");
     let out = gabm(&[
-        "--threads",
-        "2",
-        "compile",
+        "lint",
+        "--deny-warnings",
         fixture("clean.fas").to_str().unwrap(),
         "--trace",
         trace.to_str().unwrap(),
