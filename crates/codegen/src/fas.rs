@@ -7,6 +7,7 @@
 use crate::ir::{CodeIr, IrRhs, IrStatement, PinQuantity};
 use crate::CodegenError;
 use gabm_core::symbol::format_number;
+use std::fmt::Write;
 
 /// Stiff conductance used to impose across quantities (voltage generators).
 const GBIG: &str = "1.0e6";
@@ -23,91 +24,88 @@ impl PinQuantity {
     }
 }
 
-fn render_rhs(rhs: &IrRhs) -> String {
-    match rhs {
-        IrRhs::Gain { a, input } => format!("{a} * {input}"),
+fn render_rhs(out: &mut String, rhs: &IrRhs) {
+    // Writing into a `String` cannot fail.
+    let _ = match rhs {
+        IrRhs::Gain { a, input } => write!(out, "{a} * {input}"),
         IrRhs::Sum { terms } => {
-            let mut s = String::new();
             for (k, (pos, term)) in terms.iter().enumerate() {
-                if k == 0 {
-                    if *pos {
-                        s.push_str(term);
-                    } else {
-                        s.push_str(&format!("-{term}"));
-                    }
-                } else if *pos {
-                    s.push_str(&format!(" + {term}"));
-                } else {
-                    s.push_str(&format!(" - {term}"));
-                }
+                let sign = match (k, pos) {
+                    (0, true) => "",
+                    (0, false) => "-",
+                    (_, true) => " + ",
+                    (_, false) => " - ",
+                };
+                out.push_str(sign);
+                out.push_str(term);
             }
-            s
+            Ok(())
         }
         IrRhs::Prod { factors } => {
-            let mut s = String::new();
             for (k, (mul, factor)) in factors.iter().enumerate() {
-                if k == 0 {
-                    if *mul {
-                        s.push_str(factor);
-                    } else {
-                        s.push_str(&format!("1.0 / {factor}"));
-                    }
-                } else if *mul {
-                    s.push_str(&format!(" * {factor}"));
-                } else {
-                    s.push_str(&format!(" / {factor}"));
-                }
+                let op = match (k, mul) {
+                    (0, true) => "",
+                    (0, false) => "1.0 / ",
+                    (_, true) => " * ",
+                    (_, false) => " / ",
+                };
+                out.push_str(op);
+                out.push_str(factor);
             }
-            s
+            Ok(())
         }
-        IrRhs::Limit { input, lo, hi } => format!("limit({input}, {lo}, {hi})"),
-        IrRhs::PosPart { input } => format!("max({input}, 0.0)"),
-        IrRhs::NegPart { input } => format!("min({input}, 0.0)"),
-        IrRhs::Func { func, args } => format!("{}({})", func.code_name(), args.join(", ")),
-        IrRhs::Copy { input } => input.clone(),
-    }
+        IrRhs::Limit { input, lo, hi } => write!(out, "limit({input}, {lo}, {hi})"),
+        IrRhs::PosPart { input } => write!(out, "max({input}, 0.0)"),
+        IrRhs::NegPart { input } => write!(out, "min({input}, 0.0)"),
+        IrRhs::Func { func, args } => {
+            out.push_str(func.code_name());
+            out.push('(');
+            for (k, arg) in args.iter().enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(arg);
+            }
+            out.push(')');
+            Ok(())
+        }
+        IrRhs::Copy { input } => {
+            out.push_str(input);
+            Ok(())
+        }
+    };
 }
 
 pub(crate) fn render(ir: &CodeIr) -> Result<String, CodegenError> {
     let mut out = String::new();
-    out.push_str(&format!(
-        "* {} -- generated from a functional diagram by gabm-codegen\n",
-        ir.model_name
-    ));
-    let pins = ir.pins.join(", ");
-    let params = ir
-        .params
-        .iter()
-        .map(|p| format!("{}={}", p.name, format_number(p.default)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!("model {} pin ({pins})", ir.model_name));
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "* {} -- generated from a functional diagram by gabm-codegen\nmodel {} pin ({})",
+        ir.model_name,
+        ir.model_name,
+        ir.pins.join(", ")
+    );
+    for (k, p) in ir.params.iter().enumerate() {
+        let sep = if k == 0 { " param (" } else { ", " };
+        let _ = write!(out, "{sep}{}={}", p.name, format_number(p.default));
+    }
     if !ir.params.is_empty() {
-        out.push_str(&format!(" param ({params})"));
+        out.push(')');
     }
     out.push('\n');
     out.push_str("analog\n");
     for stmt in &ir.statements {
-        match stmt {
+        let _ = match stmt {
             IrStatement::Probe {
                 var, pin, quantity, ..
-            } => {
-                out.push_str(&format!(
-                    "make {var} = {}.value({pin})\n",
-                    quantity.fas_prefix()
-                ));
-            }
+            } => writeln!(out, "make {var} = {}.value({pin})", quantity.fas_prefix()),
             IrStatement::Impose {
                 pin,
                 quantity,
                 expr,
                 ..
-            } => {
-                out.push_str(&format!(
-                    "make {}.on({pin}) = {expr}\n",
-                    quantity.fas_prefix()
-                ));
-            }
+            } => writeln!(out, "make {}.on({pin}) = {expr}", quantity.fas_prefix()),
             IrStatement::ImposeAcross { pin, target, .. } => {
                 // Across quantities are imposed through a stiff conductance
                 // (the "simulation expertise" of §4's note: a hard voltage
@@ -115,41 +113,38 @@ pub(crate) fn render(ir: &CodeIr) -> Result<String, CodegenError> {
                 // hazard, a stiff Norton source is not).
                 let across = PinQuantity::Volt.fas_prefix();
                 let through = PinQuantity::Volt.through_counterpart().fas_prefix();
-                out.push_str(&format!(
-                    "make {through}.on({pin}) = {GBIG} * ({across}.value({pin}) - ({target}))\n"
-                ));
+                writeln!(
+                    out,
+                    "make {through}.on({pin}) = {GBIG} * ({across}.value({pin}) - ({target}))"
+                )
             }
-            IrStatement::Derivative { var, input, .. } => {
-                out.push_str("if (mode=dc) then\n");
-                out.push_str(&format!("make {var} = 0\n"));
-                out.push_str("else\n");
-                out.push_str(&format!("make {var} = state.dt({input})\n"));
-                out.push_str("endif\n");
-            }
+            IrStatement::Derivative { var, input, .. } => writeln!(
+                out,
+                "if (mode=dc) then\nmake {var} = 0\nelse\nmake {var} = state.dt({input})\nendif"
+            ),
             IrStatement::Integral { var, input, .. } => {
-                out.push_str(&format!("make {var} = state.idt({input})\n"));
+                writeln!(out, "make {var} = state.idt({input})")
             }
             IrStatement::Assign { var, rhs, .. } => {
-                out.push_str(&format!("make {var} = {}\n", render_rhs(rhs)));
+                let _ = write!(out, "make {var} = ");
+                render_rhs(&mut out, rhs);
+                writeln!(out)
             }
             IrStatement::UnitDelay { var, input, .. } => {
-                out.push_str(&format!("make {var} = state.delay({input})\n"));
+                writeln!(out, "make {var} = state.delay({input})")
             }
             IrStatement::FixedDelay { var, input, td, .. } => {
-                out.push_str(&format!("make {var} = state.delayt({input}, {td})\n"));
+                writeln!(out, "make {var} = state.delayt({input}, {td})")
             }
             IrStatement::FirstOrderLag {
                 var, input, k, tau, ..
-            } => {
-                out.push_str("if (mode=dc) then\n");
-                out.push_str(&format!("make {var} = {k} * {input}\n"));
-                out.push_str("else\n");
-                out.push_str(&format!(
-                    "make {var} = (state.delay({var}) + (timestep / {tau}) * {k} * {input}) / (1.0 + timestep / {tau})\n"
-                ));
-                out.push_str("endif\n");
-            }
-        }
+            } => writeln!(
+                out,
+                "if (mode=dc) then\nmake {var} = {k} * {input}\nelse\n\
+                 make {var} = (state.delay({var}) + (timestep / {tau}) * {k} * {input}) / (1.0 + timestep / {tau})\n\
+                 endif"
+            ),
+        };
     }
     out.push_str("endanalog\n");
     out.push_str("endmodel\n");

@@ -6,13 +6,16 @@
 //! signal flow. The backends then only render syntax.
 
 use crate::CodegenError;
-use gabm_core::check::check_diagram;
+use gabm_core::check::check_indexed;
 use gabm_core::diagram::{FunctionalDiagram, PortRef, SymbolId};
+use gabm_core::index::DiagramIndex;
 use gabm_core::quantity::Dimension;
 use gabm_core::symbol::{
     format_number, FuncKind, PortDirection, PropertyValue, Symbol, SymbolKind,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Kind of pin access of a probe or generator, mapped from the quantity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -323,77 +326,57 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
     } else {
         d
     };
-    let report = check_diagram(d);
+    let index = DiagramIndex::new(d);
+    let report = check_indexed(&index);
     if !report.is_consistent() {
         return Err(CodegenError::Inconsistent(report));
     }
 
     // --- connection information -----------------------------------------
-    // Expression delivered on each net (from its driving output port).
-    let mut net_expr: HashMap<usize, String> = HashMap::new();
-    // Pin name on each net (for probe/generator resolution).
-    let mut net_pin: HashMap<usize, String> = HashMap::new();
+    // Expression delivered on each net (from its driving output port), and
+    // the pin name on each net (for probe/generator resolution).
+    let mut net_expr: Vec<Option<String>> = vec![None; index.net_count()];
+    let mut net_pin: Vec<Option<&str>> = vec![None; index.net_count()];
     for net in d.nets() {
         for p in &net.ports {
             let sym = d.symbol(p.symbol)?;
-            let ports = sym.ports();
-            let spec = &ports[p.port];
-            match spec.direction {
-                PortDirection::Output => {
-                    net_expr.insert(net.id.0, output_var(sym, &spec.name));
+            match index.slot(*p).map(|slot| slot.direction) {
+                Some(PortDirection::Output) => {
+                    let name = sym.kind.port(p.port).map(|spec| spec.name);
+                    net_expr[net.id.0] = Some(output_var(sym, name.as_deref().unwrap_or("")));
                 }
-                PortDirection::Bidir => {
+                Some(PortDirection::Bidir) => {
                     if let SymbolKind::Pin { name } = &sym.kind {
-                        net_pin.insert(net.id.0, name.clone());
+                        net_pin[net.id.0] = Some(name);
                     }
                 }
-                PortDirection::Input => {}
+                _ => {}
             }
         }
     }
     // Open interface inputs become parameters referenced by name.
-    let mut open_inputs: Vec<String> = Vec::new();
-    let mut open_input_expr: HashMap<PortRef, String> = HashMap::new();
-    for itf in d.interface() {
-        if itf.direction == PortDirection::Input && d.net_of(itf.inner).is_none() {
-            open_inputs.push(itf.name.clone());
-            open_input_expr.insert(itf.inner, itf.name.clone());
-        }
-    }
+    let open_inputs: Vec<(PortRef, &str)> = d
+        .interface()
+        .iter()
+        .filter(|itf| itf.direction == PortDirection::Input && d.net_of(itf.inner).is_none())
+        .map(|itf| (itf.inner, itf.name.as_str()))
+        .collect();
 
     // Expression consumed by an input port.
-    let input_expr =
-        |sym: &Symbol, port_name: &str| -> Result<String, CodegenError> {
-            let idx = sym.port_index(port_name).ok_or(CodegenError::Core(
-                gabm_core::CoreError::NotFound(format!("port {port_name}")),
-            ))?;
-            let pr = PortRef {
-                symbol: SymbolId(sym.id),
-                port: idx,
-            };
-            if let Some(net) = d.net_of(pr) {
-                net_expr.get(&net.id.0).cloned().ok_or_else(|| {
-                    CodegenError::Unsupported(format!("net {} has no driving expression", net.id.0))
-                })
-            } else if let Some(name) = open_input_expr.get(&pr) {
-                Ok(name.clone())
-            } else {
-                Err(CodegenError::Unsupported(format!(
-                    "input '{port_name}' of symbol {} is unconnected",
-                    sym.id
-                )))
-            }
-        };
+    let input_expr = |sym: &Symbol, port_name: &str| -> Result<String, CodegenError> {
+        let port = sym.port_index(port_name).ok_or_else(|| {
+            CodegenError::Core(gabm_core::CoreError::NotFound(format!("port {port_name}")))
+        })?;
+        input_at(&index, &net_expr, &open_inputs, sym, port)
+    };
 
     // Pin of a probe/generator symbol.
     let pin_of = |sym: &Symbol| -> Result<String, CodegenError> {
-        let idx = sym.port_index("pin").expect("probe/generator has pin port");
-        let pr = PortRef {
-            symbol: SymbolId(sym.id),
-            port: idx,
-        };
-        d.net_of(pr)
-            .and_then(|net| net_pin.get(&net.id.0).cloned())
+        let port = sym.port_index("pin").expect("probe/generator has pin port");
+        index
+            .net(SymbolId(sym.id), port)
+            .and_then(|net| net_pin[net.0])
+            .map(str::to_string)
             .ok_or_else(|| {
                 CodegenError::Unsupported(format!(
                     "symbol {} is not attached to a pin symbol",
@@ -403,13 +386,16 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
     };
 
     // --- code segments per symbol ----------------------------------------
-    let mut segments: BTreeMap<usize, Vec<IrStatement>> = BTreeMap::new();
+    // All segments go into one list; `spans[id]` is symbol `id`'s range.
+    let mut segments: Vec<IrStatement> = Vec::new();
+    let mut spans = vec![0..0; d.symbol_count() + 1];
     for sym in d.symbols() {
-        let stmts: Vec<IrStatement> = match &sym.kind {
+        let begin = segments.len();
+        match &sym.kind {
             SymbolKind::Pin { .. }
             | SymbolKind::Parameter { .. }
             | SymbolKind::SimVariable { .. }
-            | SymbolKind::Constant { .. } => Vec::new(),
+            | SymbolKind::Constant { .. } => {}
             SymbolKind::Probe { quantity } => {
                 let q = PinQuantity::from_dimension(*quantity, sym.id)?;
                 if !q.is_across() {
@@ -418,40 +404,40 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
                         sym.id
                     )));
                 }
-                vec![IrStatement::Probe {
+                segments.push(IrStatement::Probe {
                     id: sym.id,
                     var: output_var(sym, "out"),
                     pin: pin_of(sym)?,
                     quantity: q,
-                }]
+                });
             }
             SymbolKind::Generator { quantity } => {
                 let q = PinQuantity::from_dimension(*quantity, sym.id)?;
                 let expr = input_expr(sym, "in")?;
-                if q.is_across() {
-                    vec![IrStatement::ImposeAcross {
+                segments.push(if q.is_across() {
+                    IrStatement::ImposeAcross {
                         id: sym.id,
                         pin: pin_of(sym)?,
                         target: expr,
-                    }]
+                    }
                 } else {
-                    vec![IrStatement::Impose {
+                    IrStatement::Impose {
                         id: sym.id,
                         pin: pin_of(sym)?,
                         quantity: q,
                         expr,
-                    }]
-                }
+                    }
+                });
             }
-            SymbolKind::Gain => vec![IrStatement::Assign {
+            SymbolKind::Gain => segments.push(IrStatement::Assign {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 rhs: IrRhs::Gain {
                     a: property_expr(sym, "a")?,
                     input: input_expr(sym, "in")?,
                 },
-            }],
-            SymbolKind::Limiter => vec![IrStatement::Assign {
+            }),
+            SymbolKind::Limiter => segments.push(IrStatement::Assign {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 rhs: IrRhs::Limit {
@@ -459,39 +445,39 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
                     lo: property_expr(sym, "min")?,
                     hi: property_expr(sym, "max")?,
                 },
-            }],
-            SymbolKind::Differentiator => vec![IrStatement::Derivative {
+            }),
+            SymbolKind::Differentiator => segments.push(IrStatement::Derivative {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 input: input_expr(sym, "in")?,
-            }],
-            SymbolKind::Integrator => vec![IrStatement::Integral {
+            }),
+            SymbolKind::Integrator => segments.push(IrStatement::Integral {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 input: input_expr(sym, "in")?,
-            }],
-            SymbolKind::Delay => vec![IrStatement::FixedDelay {
+            }),
+            SymbolKind::Delay => segments.push(IrStatement::FixedDelay {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 input: input_expr(sym, "in")?,
                 td: property_expr(sym, "td")?,
-            }],
-            SymbolKind::UnitDelay => vec![IrStatement::UnitDelay {
+            }),
+            SymbolKind::UnitDelay => segments.push(IrStatement::UnitDelay {
                 id: sym.id,
                 var: output_var(sym, "out"),
                 input: input_expr(sym, "in")?,
-            }],
+            }),
             SymbolKind::TransferFunction { num, den } => {
                 if num.len() == 1 && den.len() == 2 {
                     let k = format_number(num[0] / den[0]);
                     let tau = format_number(den[1] / den[0]);
-                    vec![IrStatement::FirstOrderLag {
+                    segments.push(IrStatement::FirstOrderLag {
                         id: sym.id,
                         var: output_var(sym, "out"),
                         input: input_expr(sym, "in")?,
                         k,
                         tau,
-                    }]
+                    });
                 } else {
                     return Err(CodegenError::Unsupported(format!(
                         "symbol {}: only first-order transfer functions are generated",
@@ -499,74 +485,74 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
                     )));
                 }
             }
+            // Numbered inputs `in0…` are ports 0… in canonical order.
             SymbolKind::Adder { signs } => {
                 let mut terms = Vec::with_capacity(signs.len());
                 for (k, sign) in signs.iter().enumerate() {
-                    terms.push((*sign, input_expr(sym, &format!("in{k}"))?));
+                    terms.push((*sign, input_at(&index, &net_expr, &open_inputs, sym, k)?));
                 }
-                vec![IrStatement::Assign {
+                segments.push(IrStatement::Assign {
                     id: sym.id,
                     var: output_var(sym, "out"),
                     rhs: IrRhs::Sum { terms },
-                }]
+                });
             }
             SymbolKind::Multiplier { ops } => {
                 let mut factors = Vec::with_capacity(ops.len());
                 for (k, op) in ops.iter().enumerate() {
-                    factors.push((*op, input_expr(sym, &format!("in{k}"))?));
+                    factors.push((*op, input_at(&index, &net_expr, &open_inputs, sym, k)?));
                 }
-                vec![IrStatement::Assign {
+                segments.push(IrStatement::Assign {
                     id: sym.id,
                     var: output_var(sym, "out"),
                     rhs: IrRhs::Prod { factors },
-                }]
+                });
             }
             SymbolKind::Separator => {
                 let input = input_expr(sym, "in")?;
-                vec![
-                    IrStatement::Assign {
-                        id: sym.id,
-                        var: output_var(sym, "pos"),
-                        rhs: IrRhs::PosPart {
-                            input: input.clone(),
-                        },
+                segments.push(IrStatement::Assign {
+                    id: sym.id,
+                    var: output_var(sym, "pos"),
+                    rhs: IrRhs::PosPart {
+                        input: input.clone(),
                     },
-                    IrStatement::Assign {
-                        id: sym.id,
-                        var: output_var(sym, "neg"),
-                        rhs: IrRhs::NegPart { input },
-                    },
-                ]
+                });
+                segments.push(IrStatement::Assign {
+                    id: sym.id,
+                    var: output_var(sym, "neg"),
+                    rhs: IrRhs::NegPart { input },
+                });
             }
             SymbolKind::Function { func } => {
                 let mut args = Vec::with_capacity(func.arity());
                 for k in 0..func.arity() {
-                    args.push(input_expr(sym, &format!("in{k}"))?);
+                    args.push(input_at(&index, &net_expr, &open_inputs, sym, k)?);
                 }
-                vec![IrStatement::Assign {
+                segments.push(IrStatement::Assign {
                     id: sym.id,
                     var: output_var(sym, "out"),
                     rhs: IrRhs::Func { func: *func, args },
-                }]
+                });
             }
             SymbolKind::Hierarchical { name, .. } => {
                 return Err(CodegenError::Unsupported(format!(
                     "hierarchical symbol '{name}' must be flattened before code generation"
                 )));
             }
-        };
-        if !stmts.is_empty() {
-            segments.insert(sym.id, stmts);
         }
+        spans[sym.id] = begin..segments.len();
     }
 
     // --- ordering by signal flow (§4.1) ----------------------------------
-    let order = topological_order(d, &segments)?;
-    let mut statements = Vec::new();
+    let order = topological_order(&index, &spans)?;
+    let mut segments: Vec<Option<IrStatement>> = segments.into_iter().map(Some).collect();
+    let mut statements = Vec::with_capacity(segments.len());
     for id in order {
-        if let Some(stmts) = segments.get(&id) {
-            statements.extend(stmts.iter().cloned());
-        }
+        statements.extend(
+            segments[spans[id].clone()]
+                .iter_mut()
+                .map(|stmt| stmt.take().expect("each segment is emitted once")),
+        );
     }
 
     // --- parameters -------------------------------------------------------
@@ -579,10 +565,10 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
             from_open_input: false,
         })
         .collect();
-    for name in open_inputs {
+    for (_, name) in open_inputs {
         if !params.iter().any(|p| p.name == name) {
             params.push(IrParam {
-                name,
+                name: name.to_string(),
                 default: 0.0,
                 from_open_input: true,
             });
@@ -597,66 +583,74 @@ pub(crate) fn lower(d: &FunctionalDiagram) -> Result<CodeIr, CodegenError> {
     })
 }
 
+/// Expression consumed by input port `port` of `sym`: the driving
+/// expression of its net, or the parameter standing for an open interface
+/// input.
+fn input_at(
+    index: &DiagramIndex<'_>,
+    net_expr: &[Option<String>],
+    open_inputs: &[(PortRef, &str)],
+    sym: &Symbol,
+    port: usize,
+) -> Result<String, CodegenError> {
+    let pr = PortRef {
+        symbol: SymbolId(sym.id),
+        port,
+    };
+    if let Some(net) = index.net(pr.symbol, port) {
+        net_expr[net.0].clone().ok_or_else(|| {
+            CodegenError::Unsupported(format!("net {} has no driving expression", net.0))
+        })
+    } else if let Some((_, name)) = open_inputs.iter().rev().find(|(inner, _)| *inner == pr) {
+        Ok(name.to_string())
+    } else {
+        let name = sym
+            .kind
+            .port(port)
+            .map(|spec| spec.name)
+            .unwrap_or_default();
+        Err(CodegenError::Unsupported(format!(
+            "input '{name}' of symbol {} is unconnected",
+            sym.id
+        )))
+    }
+}
+
 /// Kahn's algorithm over the signal-flow graph, smallest symbol id first so
 /// the emission order is deterministic and mirrors the paper's listing.
+/// Only symbols that emit statements (non-empty `spans`) take part; sources
+/// without statements (params, constants) impose no order.
 fn topological_order(
-    d: &FunctionalDiagram,
-    segments: &BTreeMap<usize, Vec<IrStatement>>,
+    index: &DiagramIndex<'_>,
+    spans: &[Range<usize>],
 ) -> Result<Vec<usize>, CodegenError> {
-    let mut indegree: BTreeMap<usize, usize> = segments.keys().map(|&k| (k, 0)).collect();
-    let mut out_edges: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for net in d.nets() {
-        let mut driver: Option<usize> = None;
-        let mut consumers: Vec<usize> = Vec::new();
-        for p in &net.ports {
-            let sym = d.symbol(p.symbol)?;
-            match sym.ports()[p.port].direction {
-                PortDirection::Output => driver = Some(sym.id),
-                PortDirection::Input => {
-                    // Pure delays read committed state only — no ordering
-                    // dependency on their input.
-                    if !matches!(sym.kind, SymbolKind::UnitDelay | SymbolKind::Delay) {
-                        consumers.push(sym.id);
-                    }
-                }
-                PortDirection::Bidir => {}
-            }
-        }
-        if let Some(drv) = driver {
-            // Only edges between statement-emitting symbols matter; sources
-            // without statements (params, constants) impose no order.
-            if segments.contains_key(&drv) {
-                for c in consumers {
-                    if segments.contains_key(&c) {
-                        out_edges.entry(drv).or_default().push(c);
-                        *indegree.entry(c).or_insert(0) += 1;
-                    }
-                }
+    let emits = |id: usize| spans.get(id).is_some_and(|span| !span.is_empty());
+    let flow = index.flow_graph();
+    let mut indegree = vec![0usize; spans.len()];
+    for from in (0..spans.len()).filter(|&id| emits(id)) {
+        for &to in flow.successors(from) {
+            if emits(to) {
+                indegree[to] += 1;
             }
         }
     }
-    let mut ready: Vec<usize> = indegree
-        .iter()
-        .filter(|(_, deg)| **deg == 0)
-        .map(|(id, _)| *id)
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..spans.len())
+        .filter(|&id| emits(id) && indegree[id] == 0)
+        .map(Reverse)
         .collect();
-    ready.sort_unstable();
-    let mut order = Vec::with_capacity(indegree.len());
-    while let Some(&next) = ready.first() {
-        ready.remove(0);
+    let mut order = Vec::with_capacity(spans.len());
+    while let Some(Reverse(next)) = ready.pop() {
         order.push(next);
-        if let Some(targets) = out_edges.get(&next) {
-            for &t in targets {
-                let deg = indegree.get_mut(&t).expect("edge target tracked");
-                *deg -= 1;
-                if *deg == 0 {
-                    let pos = ready.partition_point(|&x| x < t);
-                    ready.insert(pos, t);
+        for &to in flow.successors(next) {
+            if emits(to) {
+                indegree[to] -= 1;
+                if indegree[to] == 0 {
+                    ready.push(Reverse(to));
                 }
             }
         }
     }
-    if order.len() != indegree.len() {
+    if order.len() != (0..spans.len()).filter(|&id| emits(id)).count() {
         return Err(CodegenError::Unsupported(
             "signal-flow cycle not broken by a delay element".to_string(),
         ));

@@ -17,12 +17,20 @@
 //! 4. **liveness** — symbols whose outputs never reach a generator or the
 //!    diagram interface (GABM009) and parameters referenced nowhere
 //!    (GABM010) are flagged as diagram dead code.
+//!
+//! Every pass reads one [`DiagramIndex`] built at the start of the check,
+//! and diagnostic text is rendered only when a diagnostic is emitted, so a
+//! clean check costs time linear in the diagram's size.
 
 use crate::diag::{Code, Diagnostic, Fix, FixEdit, Location, Severity};
 use crate::diagram::{FunctionalDiagram, NetId, PortRef, SymbolId};
+use crate::index::{DiagramIndex, PortSlot};
 use crate::quantity::Dimension;
-use crate::symbol::{PortDirection, PropertyValue, SymbolKind};
-use std::collections::{HashMap, HashSet};
+use crate::symbol::{PortDirection, PropertyValue, Symbol, SymbolKind};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::fmt;
 
 /// The outcome of [`check_diagram`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -61,7 +69,7 @@ impl CheckReport {
 }
 
 /// One diagram-level analysis pass.
-pub type DiagramPass = fn(&FunctionalDiagram, &mut CheckReport);
+pub type DiagramPass = fn(&DiagramIndex<'_>, &mut CheckReport);
 
 /// All diagram-level passes in execution order, with stable names. The
 /// `gabm-lint` registry reuses this table; [`check_diagram`] (and through
@@ -80,9 +88,15 @@ pub const DIAGRAM_PASSES: &[(&str, DiagramPass)] = &[
 
 /// Runs the full consistency test on a diagram.
 pub fn check_diagram(d: &FunctionalDiagram) -> CheckReport {
+    check_indexed(&DiagramIndex::new(d))
+}
+
+/// Runs the full consistency test on an already indexed diagram (the code
+/// generator indexes once for both the check and the lowering).
+pub fn check_indexed(index: &DiagramIndex<'_>) -> CheckReport {
     let mut report = CheckReport::default();
     for (_, pass) in DIAGRAM_PASSES {
-        pass(d, &mut report);
+        pass(index, &mut report);
     }
     report
 }
@@ -117,29 +131,32 @@ fn property_value(d: &FunctionalDiagram, value: &PropertyValue) -> Option<f64> {
     }
 }
 
+/// Name of port `port` of `sym`.
+fn port_name(sym: &Symbol, port: usize) -> Cow<'_, str> {
+    sym.kind
+        .port(port)
+        .map(|spec| spec.name)
+        .unwrap_or_default()
+}
+
+/// Display text of a symbol referenced by id.
+fn describe(d: &FunctionalDiagram, id: SymbolId) -> String {
+    d.symbol(id)
+        .map(Symbol::to_string)
+        .unwrap_or_else(|_| format!("symbol {}", id.0))
+}
+
 /// Output ports that drive nothing — neither wired to a net nor exposed
 /// on the diagram interface. These are the candidate sources offered by
-/// the GABM002/GABM003 connection suggestions: (owning symbol id,
-/// human-readable port description, fixed dimension if the symbol's
-/// semantics pin one).
-fn dangling_outputs(d: &FunctionalDiagram) -> Vec<(usize, String, Option<Dimension>)> {
-    let exposed: Vec<PortRef> = d.interface().iter().map(|itf| itf.inner).collect();
+/// the GABM002/GABM003 connection suggestions: (owning symbol, port index,
+/// fixed dimension if the symbol's semantics pin one).
+fn dangling_outputs(ix: &DiagramIndex<'_>) -> Vec<(SymbolId, usize, Option<Dimension>)> {
     let mut out = Vec::new();
-    for sym in d.symbols() {
-        for (idx, spec) in sym.ports().iter().enumerate() {
-            if spec.direction != PortDirection::Output {
-                continue;
-            }
-            let pr = PortRef {
-                symbol: SymbolId(sym.id),
-                port: idx,
-            };
-            if d.net_of(pr).is_none() && !exposed.contains(&pr) {
-                out.push((
-                    sym.id,
-                    format!("output port '{}' of {sym}", spec.name),
-                    spec.dimension,
-                ));
+    for sym in ix.diagram().symbols() {
+        let id = SymbolId(sym.id);
+        for (port, slot) in ix.ports(id).iter().enumerate() {
+            if slot.direction == PortDirection::Output && !slot.is_connected() {
+                out.push((id, port, slot.dimension));
             }
         }
     }
@@ -157,59 +174,69 @@ fn dimensions_compatible(want: Option<Dimension>, have: Option<Dimension>) -> bo
     }
 }
 
-/// Renders a candidate connection as a `help:` suggestion — advisory
+/// Renders candidate connections as `help:` suggestions — advisory
 /// only, never an autofix: picking among several plausible sources is a
 /// design decision the tool must not make (§3.2 leaves repair to the
-/// editor).
+/// editor). The candidates are gathered on first use.
 fn suggest_candidates(
+    ix: &DiagramIndex<'_>,
     mut diag: Diagnostic,
-    candidates: &[(usize, String, Option<Dimension>)],
-    exclude_symbol: Option<usize>,
+    candidates: &mut Option<Vec<(SymbolId, usize, Option<Dimension>)>>,
+    exclude_symbol: Option<SymbolId>,
     want: Option<Dimension>,
     verb: &str,
 ) -> Diagnostic {
-    for (_, name, have) in candidates
+    let candidates = candidates.get_or_insert_with(|| dangling_outputs(ix));
+    for &(owner, port, have) in candidates
         .iter()
         .filter(|(owner, _, _)| Some(*owner) != exclude_symbol)
         .filter(|(_, _, have)| dimensions_compatible(want, *have))
         .take(3)
     {
-        let dim = match have {
-            Some(dimension) => format!(" (carries {dimension})"),
-            None => String::new(),
+        let Ok(sym) = ix.diagram().symbol(owner) else {
+            continue;
         };
-        diag = diag.with_help(format!("{verb} the unconnected {name}{dim}"));
+        let name = port_name(sym, port);
+        diag = diag.with_help(match have {
+            Some(dimension) => format!(
+                "{verb} the unconnected output port '{name}' of {sym} (carries {dimension})"
+            ),
+            None => format!("{verb} the unconnected output port '{name}' of {sym}"),
+        });
     }
     diag
 }
 
 /// GABM001/GABM002 — the net driver rule: "a net must be bound to one and
 /// only one output port".
-fn check_net_drivers(d: &FunctionalDiagram, report: &mut CheckReport) {
+fn check_net_drivers(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
+    let mut candidates = None;
+    let direction = |p: &PortRef| ix.slot(*p).map(|slot| slot.direction);
     for net in d.nets() {
-        let mut drivers: Vec<String> = Vec::new();
+        let mut drivers = 0usize;
         let mut inputs = 0usize;
         for p in &net.ports {
-            if let Ok(sym) = d.symbol(p.symbol) {
-                match sym.ports()[p.port].direction {
-                    PortDirection::Output => drivers.push(sym.to_string()),
-                    PortDirection::Input => inputs += 1,
-                    PortDirection::Bidir => {}
-                }
+            match direction(p) {
+                Some(PortDirection::Output) => drivers += 1,
+                Some(PortDirection::Input) => inputs += 1,
+                _ => {}
             }
         }
-        if drivers.len() > 1 {
+        if drivers > 1 {
             let mut diag = Diagnostic::new(
                 Code::MultipleDrivers,
-                format!("net {} driven by {} output ports", net.id.0, drivers.len()),
+                format!("net {} driven by {drivers} output ports", net.id.0),
                 Location::Net(net.id),
             );
-            for drv in &drivers {
-                diag = diag.with_note(format!("driven by {drv}"));
+            for p in &net.ports {
+                if direction(p) == Some(PortDirection::Output) {
+                    diag = diag.with_note(format!("driven by {}", describe(d, p.symbol)));
+                }
             }
             report.push(diag);
         }
-        if inputs > 0 && drivers.is_empty() {
+        if inputs > 0 && drivers == 0 {
             let diag = Diagnostic::new(
                 Code::UndrivenNet,
                 format!(
@@ -221,17 +248,17 @@ fn check_net_drivers(d: &FunctionalDiagram, report: &mut CheckReport) {
             // What the net's consumers require, when any of their input
             // ports fixes a dimension.
             let want = net.ports.iter().find_map(|p| {
-                let sym = d.symbol(p.symbol).ok()?;
-                let spec = &sym.ports()[p.port];
-                if spec.direction == PortDirection::Input {
-                    spec.dimension
+                let slot = ix.slot(*p)?;
+                if slot.direction == PortDirection::Input {
+                    slot.dimension
                 } else {
                     None
                 }
             });
             report.push(suggest_candidates(
+                ix,
                 diag,
-                &dangling_outputs(d),
+                &mut candidates,
                 None,
                 want,
                 "candidate driver: connect",
@@ -243,87 +270,79 @@ fn check_net_drivers(d: &FunctionalDiagram, report: &mut CheckReport) {
 /// GABM003–GABM005 — the port connection rule. Ports exposed on the
 /// diagram interface count as connected: they are wired from the outside
 /// once the diagram is used hierarchically.
-fn check_port_connections(d: &FunctionalDiagram, report: &mut CheckReport) {
-    let exposed: Vec<PortRef> = d.interface().iter().map(|itf| itf.inner).collect();
-    let candidates = dangling_outputs(d);
-    for sym in d.symbols() {
-        let ports = sym.ports();
-        // Pass 1: per-port connectivity, so GABM004 below can tell
-        // whether the whole symbol drives anything.
-        let connected: Vec<bool> = (0..ports.len())
-            .map(|idx| {
-                let pr = PortRef {
-                    symbol: SymbolId(sym.id),
-                    port: idx,
-                };
-                d.net_of(pr).is_some() || exposed.contains(&pr)
-            })
-            .collect();
-        let any_connected = connected.iter().any(|&c| c);
+fn check_port_connections(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let mut candidates = None;
+    for sym in ix.diagram().symbols() {
+        let id = SymbolId(sym.id);
+        let slots = ix.ports(id);
+        let any_connected = slots.iter().any(PortSlot::is_connected);
         // A symbol whose every output dangles is dead weight: nothing
         // downstream can observe it, so removing it is safe. (When no
         // port at all is connected, GABM005 below carries the removal
         // fix instead.)
-        let fully_dead = ports
-            .iter()
-            .any(|spec| spec.direction == PortDirection::Output)
-            && ports
+        let is_output = |slot: &PortSlot| slot.direction == PortDirection::Output;
+        let fully_dead = slots.iter().any(is_output)
+            && slots
                 .iter()
-                .zip(&connected)
-                .all(|(spec, &conn)| spec.direction != PortDirection::Output || !conn);
-        for (spec, &conn) in ports.iter().zip(&connected) {
-            if !conn && spec.direction == PortDirection::Input {
-                let diag = Diagnostic::new(
-                    Code::UnconnectedInput,
-                    format!("input port '{}' of {sym} is unconnected", spec.name),
-                    Location::Port {
-                        symbol: SymbolId(sym.id),
-                        port: spec.name.clone(),
-                    },
-                );
-                // Same-symbol outputs are excluded: wiring a symbol's
-                // output straight back into its own input is an
-                // algebraic loop (GABM008), not a repair.
-                report.push(suggest_candidates(
-                    diag,
-                    &candidates,
-                    Some(sym.id),
-                    spec.dimension,
-                    "candidate source: connect",
-                ));
+                .all(|slot| !is_output(slot) || !slot.is_connected());
+        for (port, slot) in slots.iter().enumerate() {
+            if slot.is_connected() {
+                continue;
             }
-            if !conn && spec.direction == PortDirection::Output {
-                let mut diag = Diagnostic::new(
-                    Code::UnconnectedOutput,
-                    format!("output port '{}' of {sym} is unconnected", spec.name),
-                    Location::Port {
-                        symbol: SymbolId(sym.id),
-                        port: spec.name.clone(),
-                    },
-                );
-                if fully_dead && any_connected {
-                    diag = diag.with_fix(Fix::new(
-                        format!("remove {sym}: none of its outputs drive anything"),
-                        vec![FixEdit::RemoveSymbol {
-                            symbol: SymbolId(sym.id),
-                        }],
+            match slot.direction {
+                PortDirection::Input => {
+                    let name = port_name(sym, port);
+                    let diag = Diagnostic::new(
+                        Code::UnconnectedInput,
+                        format!("input port '{name}' of {sym} is unconnected"),
+                        Location::Port {
+                            symbol: id,
+                            port: name.into_owned(),
+                        },
+                    );
+                    // Same-symbol outputs are excluded: wiring a symbol's
+                    // output straight back into its own input is an
+                    // algebraic loop (GABM008), not a repair.
+                    report.push(suggest_candidates(
+                        ix,
+                        diag,
+                        &mut candidates,
+                        Some(id),
+                        slot.dimension,
+                        "candidate source: connect",
                     ));
                 }
-                report.push(diag);
+                PortDirection::Output => {
+                    let name = port_name(sym, port);
+                    let mut diag = Diagnostic::new(
+                        Code::UnconnectedOutput,
+                        format!("output port '{name}' of {sym} is unconnected"),
+                        Location::Port {
+                            symbol: id,
+                            port: name.into_owned(),
+                        },
+                    );
+                    if fully_dead && any_connected {
+                        diag = diag.with_fix(Fix::new(
+                            format!("remove {sym}: none of its outputs drive anything"),
+                            vec![FixEdit::RemoveSymbol { symbol: id }],
+                        ));
+                    }
+                    report.push(diag);
+                }
+                PortDirection::Bidir => {}
             }
         }
-        if !any_connected && !ports.is_empty() {
+        if !any_connected && !slots.is_empty() {
             report.push(
                 Diagnostic::new(
                     Code::DisconnectedSymbol,
                     format!("{sym} is not connected at all"),
-                    Location::Symbol(SymbolId(sym.id)),
+                    Location::Symbol(id),
                 )
                 .with_fix(Fix::new(
                     format!("remove the disconnected {sym}"),
-                    vec![FixEdit::RemoveSymbol {
-                        symbol: SymbolId(sym.id),
-                    }],
+                    vec![FixEdit::RemoveSymbol { symbol: id }],
                 )),
             );
         }
@@ -331,8 +350,8 @@ fn check_port_connections(d: &FunctionalDiagram, report: &mut CheckReport) {
 }
 
 /// GABM006 — required property presence.
-fn check_required_properties(d: &FunctionalDiagram, report: &mut CheckReport) {
-    for sym in d.symbols() {
+fn check_required_properties(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    for sym in ix.diagram().symbols() {
         let missing: &[&str] = match &sym.kind {
             SymbolKind::Gain if sym.property("a").is_none() => &["a"],
             SymbolKind::Limiter => match (sym.property("min"), sym.property("max")) {
@@ -359,7 +378,8 @@ fn check_required_properties(d: &FunctionalDiagram, report: &mut CheckReport) {
 
 /// GABM011 — interval sanity: a limiter whose resolved lower bound exceeds
 /// its upper bound clips to an empty interval.
-fn check_limiter_bounds(d: &FunctionalDiagram, report: &mut CheckReport) {
+fn check_limiter_bounds(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
     for sym in d.symbols() {
         if !matches!(sym.kind, SymbolKind::Limiter) {
             continue;
@@ -392,263 +412,374 @@ fn check_limiter_bounds(d: &FunctionalDiagram, report: &mut CheckReport) {
     }
 }
 
-/// GABM007/GABM012 — propagates dimensions over nets to a fixpoint,
-/// reporting conflicts together with the inference chain that led to each
-/// contradictory assignment.
-fn infer_dimensions(d: &FunctionalDiagram, report: &mut CheckReport) {
-    struct Infer {
-        dims: HashMap<NetId, Dimension>,
-        /// How each net got its dimension, one human-readable step per hop.
-        chains: HashMap<NetId, Vec<String>>,
-        /// (net, established, conflicting, chain of the conflicting side).
-        conflicts: Vec<(NetId, Dimension, Dimension, Vec<String>)>,
+/// How one symbol gave a net its dimension. Kept as data and rendered to
+/// text only when a diagnostic quotes the inference chain.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The symbol's port `port` fixes the dimension.
+    Fixed { port: usize, dim: Dimension },
+    /// A gain scaled `from` into `to`.
+    Scaled { from: Dimension, to: Dimension },
+    /// `from` inferred backwards through the symbol yields `to`.
+    Back { from: Dimension, to: Dimension },
+    /// `dim` passes forwards through the symbol unchanged.
+    Passes(Dimension),
+    /// `dim` passes backwards through the symbol unchanged.
+    PassesBack(Dimension),
+    /// A differentiator turned `from` into `to`.
+    Differentiated { from: Dimension, to: Dimension },
+    /// An integrator turned `from` into `to`.
+    Integrated { from: Dimension, to: Dimension },
+    /// An adder carries `dim` on every port.
+    Carries(Dimension),
+    /// A multiplier combined its inputs into `dim`.
+    Combines(Dimension),
+}
+
+impl Step {
+    /// The dimension the step gives its net.
+    fn yields(self) -> Dimension {
+        match self {
+            Step::Fixed { dim, .. }
+            | Step::Passes(dim)
+            | Step::PassesBack(dim)
+            | Step::Carries(dim)
+            | Step::Combines(dim) => dim,
+            Step::Scaled { to, .. }
+            | Step::Back { to, .. }
+            | Step::Differentiated { to, .. }
+            | Step::Integrated { to, .. } => to,
+        }
+    }
+}
+
+/// One hop of an inference chain: the step, the symbol that took it, and
+/// the net whose dimension it started from (`None` for a fixed port).
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    step: Step,
+    symbol: SymbolId,
+    from: Option<NetId>,
+}
+
+/// A hop rendered against its diagram.
+struct HopText<'a>(&'a FunctionalDiagram, Hop);
+
+impl fmt::Display for HopText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let HopText(d, hop) = self;
+        let Ok(sym) = d.symbol(hop.symbol) else {
+            return write!(f, "symbol {}", hop.symbol.0);
+        };
+        match hop.step {
+            Step::Fixed { port, dim } => write!(
+                f,
+                "port '{}' of {sym} is fixed to {dim}",
+                port_name(sym, port)
+            ),
+            Step::Scaled { from, to } => write!(f, "{from} scaled by {sym} yields {to}"),
+            Step::Back { from, to } => write!(f, "{from} back through {sym} yields {to}"),
+            Step::Passes(dim) => write!(f, "{dim} passes through {sym} unchanged"),
+            Step::PassesBack(dim) => write!(f, "{dim} back through {sym} unchanged"),
+            Step::Differentiated { from, to } => {
+                write!(f, "{from} differentiated by {sym} yields {to}")
+            }
+            Step::Integrated { from, to } => write!(f, "{from} integrated by {sym} yields {to}"),
+            Step::Carries(dim) => write!(f, "{sym} carries one quantity ({dim}) on every port"),
+            Step::Combines(dim) => write!(f, "{sym} combines its input quantities into {dim}"),
+        }
+    }
+}
+
+/// Dimension inference state. Every net is assigned at most once; the
+/// hop that assigned it links back to the net it came from, so a chain
+/// is recovered by walking the links instead of being copied per net.
+struct Infer {
+    dims: Vec<Option<Dimension>>,
+    origin: Vec<Option<Hop>>,
+    /// (net, established, conflicting, hop that conflicted) — the first
+    /// conflict per net.
+    conflicts: Vec<(NetId, Dimension, Dimension, Hop)>,
+    conflicted: Vec<bool>,
+    /// Nets assigned since the worklist last looked.
+    fresh: Vec<NetId>,
+}
+
+impl Infer {
+    fn dim(&self, net: NetId) -> Option<Dimension> {
+        self.dims[net.0]
     }
 
-    impl Infer {
-        fn assign(
-            &mut self,
-            net: NetId,
-            dim: Dimension,
-            step: String,
-            from: Option<NetId>,
-        ) -> bool {
-            let chain_from = |s: &Self| {
-                let mut chain = from
-                    .and_then(|f| s.chains.get(&f).cloned())
-                    .unwrap_or_default();
-                chain.push(step.clone());
-                chain
-            };
-            match self.dims.get(&net) {
-                Some(existing) if *existing != dim => {
-                    if !self.conflicts.iter().any(|(n, _, _, _)| *n == net) {
-                        let chain = chain_from(self);
-                        self.conflicts.push((net, *existing, dim, chain));
-                    }
-                    false
+    fn assign(&mut self, net: NetId, hop: Hop) {
+        let dim = hop.step.yields();
+        match self.dims[net.0] {
+            Some(existing) if existing != dim => {
+                if !self.conflicted[net.0] {
+                    self.conflicted[net.0] = true;
+                    self.conflicts.push((net, existing, dim, hop));
                 }
-                Some(_) => false,
-                None => {
-                    let chain = chain_from(self);
-                    self.chains.insert(net, chain);
-                    self.dims.insert(net, dim);
-                    true
-                }
+            }
+            Some(_) => {}
+            None => {
+                self.dims[net.0] = Some(dim);
+                self.origin[net.0] = Some(hop);
+                self.fresh.push(net);
             }
         }
     }
 
-    let mut inf = Infer {
-        dims: HashMap::new(),
-        chains: HashMap::new(),
-        conflicts: Vec::new(),
-    };
-    // GABM012 violations: (net, offending dimension, function symbol).
-    let mut func_violations: Vec<(NetId, Dimension, SymbolId)> = Vec::new();
+    /// A two-port element between nets `io`: propagates forwards when
+    /// the input is known, otherwise backwards when the output is.
+    fn two_port(
+        &mut self,
+        symbol: SymbolId,
+        io: Option<(NetId, NetId)>,
+        forward: impl Fn(Dimension) -> Step,
+        backward: impl Fn(Dimension) -> Step,
+    ) {
+        let Some((i, o)) = io else { return };
+        if let Some(di) = self.dim(i) {
+            let step = forward(di);
+            self.assign(
+                o,
+                Hop {
+                    step,
+                    symbol,
+                    from: Some(i),
+                },
+            );
+        } else if let Some(doo) = self.dim(o) {
+            let step = backward(doo);
+            self.assign(
+                i,
+                Hop {
+                    step,
+                    symbol,
+                    from: Some(o),
+                },
+            );
+        }
+    }
 
-    // Seed from fixed port dimensions.
-    for sym in d.symbols() {
-        for (idx, spec) in sym.ports().iter().enumerate() {
-            if let Some(dim) = spec.dimension {
-                let pr = PortRef {
-                    symbol: SymbolId(sym.id),
-                    port: idx,
-                };
-                if let Some(net) = d.net_of(pr) {
-                    inf.assign(
-                        net.id,
-                        dim,
-                        format!("port '{}' of {sym} is fixed to {dim}", spec.name),
-                        None,
+    /// The hops that established `net`'s dimension, root first.
+    fn chain(&self, net: Option<NetId>) -> Vec<Hop> {
+        let mut hops = Vec::new();
+        let mut at = net;
+        while let Some(hop) = at.and_then(|n| self.origin[n.0]) {
+            hops.push(hop);
+            at = hop.from;
+        }
+        hops.reverse();
+        hops
+    }
+
+    /// Applies one symbol's semantics to the current net dimensions.
+    fn visit(
+        &mut self,
+        ix: &DiagramIndex<'_>,
+        sym: &Symbol,
+        func_violations: &mut Vec<(NetId, Dimension, SymbolId)>,
+        violated: &mut [bool],
+    ) {
+        let d = ix.diagram();
+        let id = SymbolId(sym.id);
+        let net_at = |port: usize| ix.net(id, port);
+        let net_named = |name: &str| sym.kind.port_index(name).and_then(net_at);
+        let hop = |step: Step, from: NetId| Hop {
+            step,
+            symbol: id,
+            from: Some(from),
+        };
+        let io = net_named("in").zip(net_named("out"));
+        match &sym.kind {
+            SymbolKind::Gain => {
+                let k = property_dimension(d, sym.property("a"));
+                self.two_port(
+                    id,
+                    io,
+                    |from| Step::Scaled { from, to: from * k },
+                    |from| Step::Back { from, to: from / k },
+                );
+            }
+            SymbolKind::Limiter
+            | SymbolKind::Delay
+            | SymbolKind::UnitDelay
+            | SymbolKind::TransferFunction { .. } => {
+                self.two_port(id, io, Step::Passes, Step::PassesBack);
+            }
+            SymbolKind::Differentiator => self.two_port(
+                id,
+                io,
+                |from| Step::Differentiated {
+                    from,
+                    to: from.per_time(),
+                },
+                |from| Step::Back {
+                    from,
+                    to: from.times_time(),
+                },
+            ),
+            SymbolKind::Integrator => self.two_port(
+                id,
+                io,
+                |from| Step::Integrated {
+                    from,
+                    to: from.times_time(),
+                },
+                |from| Step::Back {
+                    from,
+                    to: from.per_time(),
+                },
+            ),
+            SymbolKind::Adder { .. } => {
+                let ports = 0..sym.kind.port_count();
+                let known = ports
+                    .clone()
+                    .filter_map(net_at)
+                    .find_map(|n| self.dim(n).map(|dim| (n, dim)));
+                if let Some((src, dim)) = known {
+                    for n in ports.filter_map(net_at) {
+                        self.assign(n, hop(Step::Carries(dim), src));
+                    }
+                }
+            }
+            SymbolKind::Multiplier { ops } => {
+                let mut acc = Dimension::NONE;
+                for (k, mul) in ops.iter().enumerate() {
+                    let Some(dim) = net_at(k).and_then(|n| self.dim(n)) else {
+                        return;
+                    };
+                    acc = if *mul { acc * dim } else { acc / dim };
+                }
+                if let Some(o) = net_named("out") {
+                    // The chain continues from the first input.
+                    let from = (0..ops.len()).find_map(net_at);
+                    let step = Step::Combines(acc);
+                    self.assign(
+                        o,
+                        Hop {
+                            step,
+                            symbol: id,
+                            from,
+                        },
                     );
                 }
             }
+            SymbolKind::Separator => {
+                if let Some(i) = net_named("in") {
+                    if let Some(di) = self.dim(i) {
+                        for name in ["pos", "neg"] {
+                            if let Some(o) = net_named(name) {
+                                self.assign(o, hop(Step::Passes(di), i));
+                            }
+                        }
+                    }
+                }
+            }
+            SymbolKind::Function { func } => {
+                for k in 0..func.arity() {
+                    if let Some(i) = net_at(k) {
+                        if let Some(di) = self.dim(i) {
+                            if !di.is_none() && !violated[i.0] {
+                                violated[i.0] = true;
+                                func_violations.push((i, di, id));
+                            }
+                        }
+                    }
+                }
+            }
+            _ => {}
         }
     }
+}
 
-    // Fixpoint propagation through symbol semantics.
-    let net_at = |sym: &crate::symbol::Symbol, name: &str| -> Option<NetId> {
-        sym.port_index(name).and_then(|idx| {
-            d.net_of(PortRef {
-                symbol: SymbolId(sym.id),
-                port: idx,
-            })
-            .map(|n| n.id)
-        })
+/// GABM007/GABM012 — propagates dimensions over nets to a fixpoint,
+/// reporting conflicts together with the inference chain that led to each
+/// contradictory assignment.
+///
+/// Symbols are applied in rounds of ascending id, each seeing the effects
+/// of the symbols applied before it; a round applies only the symbols one
+/// of whose nets was assigned since they were last applied (applying any
+/// other is a no-op), and the fixpoint is reached when a round assigns
+/// nothing. Each net is assigned at most once, so the work grows with the
+/// number of ports (times a heap's logarithm), not with the number of
+/// rounds.
+fn infer_dimensions(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
+    let nets = ix.net_count();
+    let mut inf = Infer {
+        dims: vec![None; nets],
+        origin: vec![None; nets],
+        conflicts: Vec::new(),
+        conflicted: vec![false; nets],
+        fresh: Vec::new(),
     };
+    // GABM012 violations: (net, offending dimension, function symbol).
+    let mut func_violations: Vec<(NetId, Dimension, SymbolId)> = Vec::new();
+    let mut violated = vec![false; nets];
 
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed && rounds < 64 {
-        changed = false;
-        rounds += 1;
-        for sym in d.symbols() {
-            match &sym.kind {
-                SymbolKind::Gain => {
-                    let prop_dim = property_dimension(d, sym.property("a"));
-                    if let (Some(i), Some(o)) = (net_at(sym, "in"), net_at(sym, "out")) {
-                        if let Some(di) = inf.dims.get(&i).copied() {
-                            let dim = di * prop_dim;
-                            changed |= inf.assign(
-                                o,
-                                dim,
-                                format!("{di} scaled by {sym} yields {dim}"),
-                                Some(i),
-                            );
-                        } else if let Some(doo) = inf.dims.get(&o).copied() {
-                            let dim = doo / prop_dim;
-                            changed |= inf.assign(
-                                i,
-                                dim,
-                                format!("{doo} back through {sym} yields {dim}"),
-                                Some(o),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Limiter
-                | SymbolKind::Delay
-                | SymbolKind::UnitDelay
-                | SymbolKind::TransferFunction { .. } => {
-                    if let (Some(i), Some(o)) = (net_at(sym, "in"), net_at(sym, "out")) {
-                        if let Some(di) = inf.dims.get(&i).copied() {
-                            changed |= inf.assign(
-                                o,
-                                di,
-                                format!("{di} passes through {sym} unchanged"),
-                                Some(i),
-                            );
-                        } else if let Some(doo) = inf.dims.get(&o).copied() {
-                            changed |= inf.assign(
-                                i,
-                                doo,
-                                format!("{doo} back through {sym} unchanged"),
-                                Some(o),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Differentiator => {
-                    if let (Some(i), Some(o)) = (net_at(sym, "in"), net_at(sym, "out")) {
-                        if let Some(di) = inf.dims.get(&i).copied() {
-                            let dim = di.per_time();
-                            changed |= inf.assign(
-                                o,
-                                dim,
-                                format!("{di} differentiated by {sym} yields {dim}"),
-                                Some(i),
-                            );
-                        } else if let Some(doo) = inf.dims.get(&o).copied() {
-                            let dim = doo.times_time();
-                            changed |= inf.assign(
-                                i,
-                                dim,
-                                format!("{doo} back through {sym} yields {dim}"),
-                                Some(o),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Integrator => {
-                    if let (Some(i), Some(o)) = (net_at(sym, "in"), net_at(sym, "out")) {
-                        if let Some(di) = inf.dims.get(&i).copied() {
-                            let dim = di.times_time();
-                            changed |= inf.assign(
-                                o,
-                                dim,
-                                format!("{di} integrated by {sym} yields {dim}"),
-                                Some(i),
-                            );
-                        } else if let Some(doo) = inf.dims.get(&o).copied() {
-                            let dim = doo.per_time();
-                            changed |= inf.assign(
-                                i,
-                                dim,
-                                format!("{doo} back through {sym} yields {dim}"),
-                                Some(o),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Adder { signs } => {
-                    let nets: Vec<Option<NetId>> = (0..signs.len())
-                        .map(|k| net_at(sym, &format!("in{k}")))
-                        .chain([net_at(sym, "out")])
-                        .collect();
-                    let known = nets
-                        .iter()
-                        .flatten()
-                        .find_map(|n| inf.dims.get(n).copied().map(|dim| (*n, dim)));
-                    if let Some((src, dim)) = known {
-                        for n in nets.iter().flatten() {
-                            changed |= inf.assign(
-                                *n,
-                                dim,
-                                format!("{sym} carries one quantity ({dim}) on every port"),
-                                Some(src),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Multiplier { ops } => {
-                    let in_nets: Vec<Option<NetId>> = (0..ops.len())
-                        .map(|k| net_at(sym, &format!("in{k}")))
-                        .collect();
-                    let out_net = net_at(sym, "out");
-                    let in_dims: Vec<Option<Dimension>> = in_nets
-                        .iter()
-                        .map(|n| n.and_then(|n| inf.dims.get(&n).copied()))
-                        .collect();
-                    if in_dims.iter().all(Option::is_some) {
-                        let mut acc = Dimension::NONE;
-                        for (dim, mul) in in_dims.iter().zip(ops) {
-                            let dim = dim.expect("checked above");
-                            acc = if *mul { acc * dim } else { acc / dim };
-                        }
-                        if let Some(o) = out_net {
-                            changed |= inf.assign(
-                                o,
-                                acc,
-                                format!("{sym} combines its input quantities into {acc}"),
-                                in_nets.first().copied().flatten(),
-                            );
-                        }
-                    }
-                }
-                SymbolKind::Separator => {
-                    if let Some(i) = net_at(sym, "in") {
-                        if let Some(di) = inf.dims.get(&i).copied() {
-                            for name in ["pos", "neg"] {
-                                if let Some(o) = net_at(sym, name) {
-                                    changed |= inf.assign(
-                                        o,
-                                        di,
-                                        format!("{di} passes through {sym} unchanged"),
-                                        Some(i),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                SymbolKind::Function { func } => {
-                    for k in 0..func.arity() {
-                        if let Some(i) = net_at(sym, &format!("in{k}")) {
-                            if let Some(di) = inf.dims.get(&i).copied() {
-                                if !di.is_none() && !func_violations.iter().any(|(n, _, _)| *n == i)
-                                {
-                                    func_violations.push((i, di, SymbolId(sym.id)));
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
+    // Seed from fixed port dimensions.
+    for sym in d.symbols() {
+        let id = SymbolId(sym.id);
+        for (port, slot) in ix.ports(id).iter().enumerate() {
+            if let (Some(dim), Some(net)) = (slot.dimension, slot.net) {
+                let step = Step::Fixed { port, dim };
+                inf.assign(
+                    net,
+                    Hop {
+                        step,
+                        symbol: id,
+                        from: None,
+                    },
+                );
             }
         }
     }
+    inf.fresh.clear();
 
-    for (net, a, b, chain) in inf.conflicts {
+    // Worklist propagation through symbol semantics. The first round
+    // applies every symbol.
+    let n = d.symbol_count();
+    let mut round: BinaryHeap<Reverse<usize>> = (1..=n).map(Reverse).collect();
+    let mut in_round = vec![true; n + 1];
+    let mut next: Vec<usize> = Vec::new();
+    let mut in_next = vec![false; n + 1];
+    loop {
+        while let Some(Reverse(id)) = round.pop() {
+            in_round[id] = false;
+            let Ok(sym) = d.symbol(SymbolId(id)) else {
+                continue;
+            };
+            inf.visit(ix, sym, &mut func_violations, &mut violated);
+            for net in inf.fresh.drain(..) {
+                let Some(Some(assigned)) = d.nets_raw().get(net.0) else {
+                    continue;
+                };
+                for p in &assigned.ports {
+                    let s = p.symbol.0;
+                    if s > id {
+                        if !in_round[s] {
+                            in_round[s] = true;
+                            round.push(Reverse(s));
+                        }
+                    } else if !in_next[s] {
+                        in_next[s] = true;
+                        next.push(s);
+                    }
+                }
+            }
+        }
+        if next.is_empty() {
+            break;
+        }
+        for s in next.drain(..) {
+            in_next[s] = false;
+            in_round[s] = true;
+            round.push(Reverse(s));
+        }
+    }
+
+    for &(net, a, b, hop) in &inf.conflicts {
         let mut diag = Diagnostic::new(
             Code::DimensionConflict,
             format!(
@@ -657,116 +788,81 @@ fn infer_dimensions(d: &FunctionalDiagram, report: &mut CheckReport) {
             ),
             Location::Net(net),
         );
-        if let Some(established) = inf.chains.get(&net) {
-            for step in established {
-                diag = diag.with_note(format!("{a} established because {step}"));
-            }
+        for established in inf.chain(Some(net)) {
+            diag = diag.with_note(format!(
+                "{a} established because {}",
+                HopText(d, established)
+            ));
         }
-        for step in &chain {
-            diag = diag.with_note(format!("{b} inferred because {step}"));
+        for inferred in inf.chain(hop.from).into_iter().chain([hop]) {
+            diag = diag.with_note(format!("{b} inferred because {}", HopText(d, inferred)));
         }
         report.push(diag);
     }
     for (net, dim, sym) in func_violations {
-        let name = d
-            .symbol(sym)
-            .map(|s| s.to_string())
-            .unwrap_or_else(|_| format!("symbol {}", sym.0));
         let mut diag = Diagnostic::new(
             Code::DimensionedFunctionInput,
             format!(
-                "input of {name} must be dimensionless but net {} carries {dim}",
+                "input of {} must be dimensionless but net {} carries {dim}",
+                describe(d, sym),
                 net.0
             ),
             Location::Net(net),
         );
-        if let Some(chain) = inf.chains.get(&net) {
-            for step in chain {
-                diag = diag.with_note(format!("{dim} established because {step}"));
-            }
+        for established in inf.chain(Some(net)) {
+            diag = diag.with_note(format!(
+                "{dim} established because {}",
+                HopText(d, established)
+            ));
         }
         report.push(diag);
     }
-    report.net_dimensions = inf.dims;
+    report.net_dimensions = inf
+        .dims
+        .iter()
+        .enumerate()
+        .filter_map(|(k, dim)| dim.map(|dim| (NetId(k), dim)))
+        .collect();
 }
 
 /// GABM008 — detects algebraic loops (cycles through combinational symbols
 /// only) and reports the full cycle path.
-fn check_algebraic_loops(d: &FunctionalDiagram, report: &mut CheckReport) {
+fn check_algebraic_loops(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
     let n = d.symbol_count();
-    // adjacency: driver symbol -> consumer symbol (combinational consumers
-    // only; state elements break the loop).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for net in d.nets() {
-        let mut driver: Option<usize> = None;
-        let mut consumers: Vec<usize> = Vec::new();
-        for p in &net.ports {
-            if let Ok(sym) = d.symbol(p.symbol) {
-                match sym.ports()[p.port].direction {
-                    PortDirection::Output => driver = Some(sym.id),
-                    PortDirection::Input => consumers.push(sym.id),
-                    PortDirection::Bidir => {}
-                }
-            }
-        }
-        if let Some(drv) = driver {
-            for c in consumers {
-                // Only pure delays break loops: the discretized integrator
-                // and transfer function still reference their *current*
-                // input, so a loop through them could not be ordered into
-                // single-pass sequential code (§4.1).
-                let stateful = matches!(
-                    d.symbol(SymbolId(c)).map(|s| &s.kind),
-                    Ok(SymbolKind::UnitDelay) | Ok(SymbolKind::Delay)
-                );
-                if !stateful {
-                    adj[drv].push(c);
-                }
-            }
-        }
-    }
-    // DFS three-colour cycle detection carrying the visit stack so the
-    // whole cycle can be reported, not just one member.
+    let flow = ix.flow_graph();
+    // Depth-first three-colour cycle detection with an explicit stack, so
+    // a long chain cannot overflow the call stack. `path` holds the grey
+    // symbols in visit order (the whole cycle can be reported, not just
+    // one member), `cursor` the next successor to try for each.
     let mut colour = vec![0u8; n + 1];
-    let mut stack: Vec<usize> = Vec::new();
-    fn dfs(
-        v: usize,
-        adj: &[Vec<usize>],
-        colour: &mut [u8],
-        stack: &mut Vec<usize>,
-    ) -> Option<Vec<usize>> {
-        colour[v] = 1;
-        stack.push(v);
-        for &w in &adj[v] {
+    let mut path: Vec<usize> = Vec::new();
+    let mut cursor: Vec<usize> = Vec::new();
+    for root in 1..=n {
+        if colour[root] != 0 {
+            continue;
+        }
+        colour[root] = 1;
+        path.push(root);
+        cursor.push(0);
+        while let (Some(&v), Some(next)) = (path.last(), cursor.last_mut()) {
+            let Some(&w) = flow.successors(v).get(*next) else {
+                colour[v] = 2;
+                path.pop();
+                cursor.pop();
+                continue;
+            };
+            *next += 1;
             if colour[w] == 1 {
-                let start = stack
+                let start = path
                     .iter()
                     .position(|&x| x == w)
-                    .expect("grey node is on the stack");
-                return Some(stack[start..].to_vec());
-            }
-            if colour[w] == 0 {
-                if let Some(cycle) = dfs(w, adj, colour, stack) {
-                    return Some(cycle);
-                }
-            }
-        }
-        stack.pop();
-        colour[v] = 2;
-        None
-    }
-    for v in 1..=n {
-        if colour[v] == 0 {
-            if let Some(cycle) = dfs(v, &adj, &mut colour, &mut stack) {
-                let describe = |id: usize| {
-                    d.symbol(SymbolId(id))
-                        .map(|s| s.to_string())
-                        .unwrap_or_else(|_| format!("symbol {id}"))
-                };
-                let path: Vec<String> = cycle
+                    .expect("grey node is on the path");
+                let cycle = &path[start..];
+                let hops: Vec<String> = cycle
                     .iter()
                     .chain([&cycle[0]])
-                    .map(|&id| describe(id))
+                    .map(|&id| describe(d, SymbolId(id)))
                     .collect();
                 report.push(
                     Diagnostic::new(
@@ -775,9 +871,14 @@ fn check_algebraic_loops(d: &FunctionalDiagram, report: &mut CheckReport) {
                             .to_string(),
                         Location::Symbol(SymbolId(cycle[0])),
                     )
-                    .with_note(format!("cycle path: {}", path.join(" -> "))),
+                    .with_note(format!("cycle path: {}", hops.join(" -> "))),
                 );
                 return;
+            }
+            if colour[w] == 0 {
+                colour[w] = 1;
+                path.push(w);
+                cursor.push(0);
             }
         }
     }
@@ -786,28 +887,9 @@ fn check_algebraic_loops(d: &FunctionalDiagram, report: &mut CheckReport) {
 /// GABM009 — diagram dead code: a symbol with output ports none of whose
 /// values (transitively) reach a generator, a pin, or the diagram
 /// interface contributes nothing to the generated model.
-fn check_dead_symbols(d: &FunctionalDiagram, report: &mut CheckReport) {
+fn check_dead_symbols(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
     let n = d.symbol_count();
-    let exposed: Vec<PortRef> = d.interface().iter().map(|itf| itf.inner).collect();
-    // reversed edges: consumer -> drivers feeding it.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for net in d.nets() {
-        let mut drivers: Vec<usize> = Vec::new();
-        let mut consumers: Vec<usize> = Vec::new();
-        for p in &net.ports {
-            if let Ok(sym) = d.symbol(p.symbol) {
-                match sym.ports()[p.port].direction {
-                    PortDirection::Output => drivers.push(sym.id),
-                    PortDirection::Input | PortDirection::Bidir => consumers.push(sym.id),
-                }
-            }
-        }
-        for &c in &consumers {
-            for &drv in &drivers {
-                rev[c].push(drv);
-            }
-        }
-    }
     // Live seeds: sinks with externally observable effects.
     let mut live = vec![false; n + 1];
     let mut queue: Vec<usize> = Vec::new();
@@ -815,17 +897,33 @@ fn check_dead_symbols(d: &FunctionalDiagram, report: &mut CheckReport) {
         let is_sink = matches!(
             sym.kind,
             SymbolKind::Generator { .. } | SymbolKind::Pin { .. }
-        ) || exposed.iter().any(|pr| pr.symbol.0 == sym.id);
+        ) || ix.ports(SymbolId(sym.id)).iter().any(|slot| slot.exposed);
         if is_sink {
             live[sym.id] = true;
             queue.push(sym.id);
         }
     }
+    // A live symbol keeps alive every driver of every net it consumes
+    // (through an input or a pin connection); each net is scanned once.
+    let mut scanned = vec![false; ix.net_count()];
     while let Some(v) = queue.pop() {
-        for &w in &rev[v] {
-            if !live[w] {
-                live[w] = true;
-                queue.push(w);
+        for slot in ix.ports(SymbolId(v)) {
+            let Some(net) = slot.net else { continue };
+            if slot.direction == PortDirection::Output || scanned[net.0] {
+                continue;
+            }
+            scanned[net.0] = true;
+            let Some(Some(net)) = d.nets_raw().get(net.0) else {
+                continue;
+            };
+            for p in &net.ports {
+                let drives = ix
+                    .slot(*p)
+                    .is_some_and(|s| s.direction == PortDirection::Output);
+                if drives && !live[p.symbol.0] {
+                    live[p.symbol.0] = true;
+                    queue.push(p.symbol.0);
+                }
             }
         }
     }
@@ -833,19 +931,12 @@ fn check_dead_symbols(d: &FunctionalDiagram, report: &mut CheckReport) {
         if live[sym.id] {
             continue;
         }
-        let has_output = sym
-            .ports()
+        let slots = ix.ports(SymbolId(sym.id));
+        let has_output = slots
             .iter()
-            .any(|p| p.direction == PortDirection::Output);
-        let any_connected = sym.ports().iter().enumerate().any(|(idx, _)| {
-            let pr = PortRef {
-                symbol: SymbolId(sym.id),
-                port: idx,
-            };
-            d.net_of(pr).is_some() || exposed.contains(&pr)
-        });
+            .any(|slot| slot.direction == PortDirection::Output);
         // Fully disconnected symbols are already GABM005.
-        if has_output && any_connected {
+        if has_output && slots.iter().any(PortSlot::is_connected) {
             report.push(
                 Diagnostic::new(
                     Code::DeadSymbol,
@@ -868,7 +959,8 @@ fn check_dead_symbols(d: &FunctionalDiagram, report: &mut CheckReport) {
 /// GABM010 — a declared parameter that no property and no parameter symbol
 /// references would silently disappear from the generated model's
 /// behaviour (it still appears in the parameter list).
-fn check_unused_parameters(d: &FunctionalDiagram, report: &mut CheckReport) {
+fn check_unused_parameters(ix: &DiagramIndex<'_>, report: &mut CheckReport) {
+    let d = ix.diagram();
     let mut used: HashSet<&str> = HashSet::new();
     for sym in d.symbols() {
         for value in sym.properties.values() {

@@ -90,34 +90,77 @@ pub struct FunctionalDiagram {
     symbols: Vec<Symbol>,
     nets: Vec<Option<Net>>,
     port_net: HashMap<PortRef, NetId>,
+    /// Output ports on each net, indexed like `nets`: lets [`Self::connect`]
+    /// apply the single-driver rule from the two new ports alone.
+    net_drivers: Vec<usize>,
     interface: Vec<InterfacePort>,
     parameters: Vec<ParameterDecl>,
 }
 
 impl FunctionalDiagram {
     /// Reassembles a diagram from its serialized parts, rebuilding the
-    /// port→net index (derived state that is never persisted).
+    /// derived indexes (never persisted).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first part that breaks an invariant the
+    /// builder API keeps: symbol ids are 1-based positions, net ids are
+    /// positions, and every net and interface port names an existing port.
     pub(crate) fn from_parts(
         name: String,
         symbols: Vec<Symbol>,
         nets: Vec<Option<Net>>,
         interface: Vec<InterfacePort>,
         parameters: Vec<ParameterDecl>,
-    ) -> Self {
-        let mut port_net = HashMap::new();
-        for net in nets.iter().flatten() {
-            for p in &net.ports {
-                port_net.insert(*p, net.id);
-            }
-        }
-        FunctionalDiagram {
+    ) -> Result<Self, String> {
+        let mut d = FunctionalDiagram {
             name,
             symbols,
             nets,
-            port_net,
+            port_net: HashMap::new(),
+            net_drivers: Vec::new(),
             interface,
             parameters,
+        };
+        for (k, sym) in d.symbols.iter().enumerate() {
+            if sym.id != k + 1 {
+                return Err(format!("symbol {} is stored at position {}", sym.id, k + 1));
+            }
         }
+        for (k, net) in d.nets.iter().enumerate() {
+            let Some(net) = net else { continue };
+            if net.id.0 != k {
+                return Err(format!("net {} is stored at position {k}", net.id.0));
+            }
+            for p in &net.ports {
+                d.validate_port(*p).map_err(|e| format!("net {k}: {e}"))?;
+            }
+        }
+        for itf in &d.interface {
+            d.validate_port(itf.inner)
+                .map_err(|e| format!("interface port '{}': {e}", itf.name))?;
+        }
+        d.reindex();
+        Ok(d)
+    }
+
+    /// Rebuilds the derived port→net and driver-count indexes from `nets`.
+    fn reindex(&mut self) {
+        self.port_net.clear();
+        for net in self.nets.iter().flatten() {
+            for p in &net.ports {
+                self.port_net.insert(*p, net.id);
+            }
+        }
+        self.net_drivers = self
+            .nets
+            .iter()
+            .map(|slot| {
+                slot.as_ref().map_or(0, |net| {
+                    net.ports.iter().filter(|p| self.is_output(**p)).count()
+                })
+            })
+            .collect();
     }
 
     /// The raw net storage, including `None` holes left by merges
@@ -226,19 +269,15 @@ impl FunctionalDiagram {
 
     fn validate_port(&self, p: PortRef) -> Result<PortDirection, CoreError> {
         let sym = self.symbol(p.symbol)?;
-        let ports = sym.ports();
-        let spec = ports.get(p.port).ok_or(CoreError::UnknownPort {
+        let spec = sym.kind.port(p.port).ok_or(CoreError::UnknownPort {
             symbol: p.symbol.0,
             port: p.port,
         })?;
         Ok(spec.direction)
     }
 
-    fn net_output_count(&self, net: &Net) -> usize {
-        net.ports
-            .iter()
-            .filter(|p| matches!(self.validate_port(**p), Ok(PortDirection::Output)))
-            .count()
+    fn is_output(&self, p: PortRef) -> bool {
+        matches!(self.validate_port(p), Ok(PortDirection::Output))
     }
 
     /// Connects two ports, creating or merging nets.
@@ -251,8 +290,8 @@ impl FunctionalDiagram {
     /// [`CoreError::IllegalConnection`] on a second driver;
     /// [`CoreError::UnknownSymbol`]/[`CoreError::UnknownPort`] for bad refs.
     pub fn connect(&mut self, a: PortRef, b: PortRef) -> Result<NetId, CoreError> {
-        self.validate_port(a)?;
-        self.validate_port(b)?;
+        let out_a = usize::from(self.validate_port(a)? == PortDirection::Output);
+        let out_b = usize::from(self.validate_port(b)? == PortDirection::Output);
         let net_a = self.port_net.get(&a).copied();
         let net_b = self.port_net.get(&b).copied();
         let id = match (net_a, net_b) {
@@ -263,17 +302,20 @@ impl FunctionalDiagram {
                     name: None,
                     ports: vec![a, b],
                 }));
+                self.net_drivers.push(out_a + out_b);
                 self.port_net.insert(a, id);
                 self.port_net.insert(b, id);
                 id
             }
             (Some(na), None) => {
                 self.net_mut(na).ports.push(b);
+                self.net_drivers[na.0] += out_b;
                 self.port_net.insert(b, na);
                 na
             }
             (None, Some(nb)) => {
                 self.net_mut(nb).ports.push(a);
+                self.net_drivers[nb.0] += out_a;
                 self.port_net.insert(a, nb);
                 nb
             }
@@ -285,11 +327,11 @@ impl FunctionalDiagram {
                     self.port_net.insert(*p, na);
                 }
                 self.net_mut(na).ports.extend(moved);
+                self.net_drivers[na.0] += std::mem::take(&mut self.net_drivers[nb.0]);
                 na
             }
         };
-        let net = self.nets[id.0].as_ref().expect("net exists");
-        if self.net_output_count(net) > 1 {
+        if self.net_drivers[id.0] > 1 {
             return Err(CoreError::IllegalConnection(format!(
                 "net {} would have more than one driving output port",
                 id.0
@@ -337,7 +379,7 @@ impl FunctionalDiagram {
     pub fn expose(&mut self, name: &str, inner: PortRef) -> Result<(), CoreError> {
         let direction = self.validate_port(inner)?;
         let sym = self.symbol(inner.symbol)?;
-        let dimension = sym.ports()[inner.port].dimension;
+        let dimension = sym.kind.port(inner.port).and_then(|spec| spec.dimension);
         self.interface.push(InterfacePort {
             name: name.to_string(),
             direction,
@@ -400,29 +442,20 @@ impl FunctionalDiagram {
             self.symbols.push(sym);
         }
         let net_offset = self.nets.len();
-        for net in other.nets.into_iter().flatten() {
-            let id = NetId(net.id.0 + net_offset);
-            let ports: Vec<PortRef> = net
-                .ports
-                .iter()
-                .map(|p| PortRef {
-                    symbol: SymbolId(p.symbol.0 + offset),
-                    port: p.port,
-                })
-                .collect();
-            for p in &ports {
-                self.port_net.insert(*p, id);
+        // Holes are kept so net ids stay aligned with vec indices.
+        for slot in other.nets {
+            let Some(mut net) = slot else {
+                self.nets.push(None);
+                continue;
+            };
+            net.id = NetId(net.id.0 + net_offset);
+            for p in &mut net.ports {
+                p.symbol = SymbolId(p.symbol.0 + offset);
+                self.port_net.insert(*p, net.id);
             }
-            self.nets.push(Some(Net {
-                id,
-                name: net.name,
-                ports,
-            }));
+            self.nets.push(Some(net));
         }
-        // Rebuild any gaps so net ids stay aligned with vec indices.
-        while self.nets.len() < net_offset {
-            self.nets.push(None);
-        }
+        self.net_drivers.extend(other.net_drivers);
         if keep_interface {
             for itf in other.interface {
                 self.interface.push(InterfacePort {
@@ -482,12 +515,7 @@ impl FunctionalDiagram {
         for itf in &mut self.interface {
             itf.inner = shift(&itf.inner);
         }
-        self.port_net.clear();
-        for net in self.nets.iter().flatten() {
-            for p in &net.ports {
-                self.port_net.insert(*p, net.id);
-            }
-        }
+        self.reindex();
         Ok(())
     }
 

@@ -71,7 +71,7 @@ pub fn flatten(d: &FunctionalDiagram) -> Result<FunctionalDiagram, CoreError> {
                     .map(|(k, v)| (k.as_str(), v.clone()))
                     .collect();
                 let new_id = out.add_symbol_with(kind.clone(), &props, sym.label.as_deref());
-                for port in 0..sym.ports().len() {
+                for port in 0..sym.kind.port_count() {
                     port_map.insert(
                         PortRef {
                             symbol: SymbolId(sym.id),

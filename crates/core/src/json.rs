@@ -987,13 +987,14 @@ impl ToJson for FunctionalDiagram {
 
 impl FromJson for FunctionalDiagram {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(FunctionalDiagram::from_parts(
+        FunctionalDiagram::from_parts(
             value.req("name")?.str()?.to_string(),
             Vec::from_json(value.req("symbols")?)?,
             Vec::from_json(value.req("nets")?)?,
             Vec::from_json(value.req("interface")?)?,
             Vec::from_json(value.req("parameters")?)?,
-        ))
+        )
+        .map_err(schema)
     }
 }
 

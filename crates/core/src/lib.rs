@@ -28,6 +28,7 @@ pub mod constructs;
 pub mod diag;
 pub mod diagram;
 pub mod hierarchy;
+pub mod index;
 pub mod json;
 pub mod library;
 pub mod quantity;

@@ -15,6 +15,7 @@
 //! * **function generation elements** (§3.1d): sin, cos, exp, ….
 
 use crate::quantity::Dimension;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -30,23 +31,40 @@ pub enum PortDirection {
     Bidir,
 }
 
-/// A port template of a symbol kind.
+/// A port template of a symbol kind. The name borrows from the kind (or
+/// from a static table), so querying templates allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PortSpec {
+pub struct PortSpec<'a> {
     /// Port name, unique within the symbol.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Signal direction.
     pub direction: PortDirection,
     /// Physical dimension carried, when fixed by the symbol's semantics.
     pub dimension: Option<Dimension>,
 }
 
-impl PortSpec {
-    fn new(name: &str, direction: PortDirection, dimension: Option<Dimension>) -> Self {
+impl<'a> PortSpec<'a> {
+    fn new(name: &'a str, direction: PortDirection, dimension: Option<Dimension>) -> Self {
         PortSpec {
-            name: name.to_string(),
+            name: Cow::Borrowed(name),
             direction,
             dimension,
+        }
+    }
+
+    /// The `k`-th numbered input (`in0`, `in1`, …) of an adder, multiplier
+    /// or function element.
+    fn numbered_input(k: usize) -> Self {
+        const NAMES: [&str; 16] = [
+            "in0", "in1", "in2", "in3", "in4", "in5", "in6", "in7", "in8", "in9", "in10", "in11",
+            "in12", "in13", "in14", "in15",
+        ];
+        PortSpec {
+            name: NAMES
+                .get(k)
+                .map_or_else(|| Cow::Owned(format!("in{k}")), |n| Cow::Borrowed(*n)),
+            direction: PortDirection::Input,
+            dimension: None,
         }
     }
 }
@@ -274,70 +292,94 @@ pub enum SymbolKind {
 }
 
 impl SymbolKind {
-    /// Port templates of this symbol kind, in canonical order.
-    pub fn ports(&self) -> Vec<PortSpec> {
-        use PortDirection::{Bidir, Input, Output};
+    /// Number of ports of this symbol kind.
+    pub fn port_count(&self) -> usize {
         match self {
-            SymbolKind::Pin { .. } => vec![PortSpec::new("pin", Bidir, None)],
-            SymbolKind::Probe { quantity } => vec![
-                PortSpec::new("pin", Bidir, None),
-                PortSpec::new("out", Output, Some(*quantity)),
-            ],
-            SymbolKind::Generator { quantity } => vec![
-                PortSpec::new("pin", Bidir, None),
-                PortSpec::new("in", Input, Some(*quantity)),
-            ],
+            SymbolKind::Pin { .. }
+            | SymbolKind::Parameter { .. }
+            | SymbolKind::SimVariable { .. }
+            | SymbolKind::Constant { .. } => 1,
+            SymbolKind::Probe { .. }
+            | SymbolKind::Generator { .. }
+            | SymbolKind::Gain
+            | SymbolKind::Limiter
+            | SymbolKind::Differentiator
+            | SymbolKind::Integrator
+            | SymbolKind::Delay
+            | SymbolKind::UnitDelay
+            | SymbolKind::TransferFunction { .. } => 2,
+            SymbolKind::Adder { signs } => signs.len() + 1,
+            SymbolKind::Multiplier { ops } => ops.len() + 1,
+            SymbolKind::Separator => 3,
+            SymbolKind::Function { func } => func.arity() + 1,
+            SymbolKind::Hierarchical { diagram, .. } => diagram.interface().len(),
+        }
+    }
+
+    /// Template of port `idx` in canonical order, or `None` past the last
+    /// port.
+    pub fn port(&self, idx: usize) -> Option<PortSpec<'_>> {
+        use PortDirection::{Bidir, Input, Output};
+        let count = self.port_count();
+        if idx >= count {
+            return None;
+        }
+        let last = idx + 1 == count;
+        Some(match self {
+            SymbolKind::Pin { .. } => PortSpec::new("pin", Bidir, None),
+            SymbolKind::Probe { quantity } if last => PortSpec::new("out", Output, Some(*quantity)),
+            SymbolKind::Generator { quantity } if last => {
+                PortSpec::new("in", Input, Some(*quantity))
+            }
+            SymbolKind::Probe { .. } | SymbolKind::Generator { .. } => {
+                PortSpec::new("pin", Bidir, None)
+            }
             SymbolKind::Parameter { dimension, .. } => {
-                vec![PortSpec::new("out", Output, Some(*dimension))]
+                PortSpec::new("out", Output, Some(*dimension))
             }
-            SymbolKind::SimVariable { var } => {
-                vec![PortSpec::new("out", Output, Some(var.dimension()))]
-            }
-            SymbolKind::Constant { .. } => {
-                vec![PortSpec::new("out", Output, Some(Dimension::NONE))]
-            }
+            SymbolKind::SimVariable { var } => PortSpec::new("out", Output, Some(var.dimension())),
+            SymbolKind::Constant { .. } => PortSpec::new("out", Output, Some(Dimension::NONE)),
             SymbolKind::Gain
             | SymbolKind::Limiter
             | SymbolKind::Differentiator
             | SymbolKind::Integrator
             | SymbolKind::Delay
             | SymbolKind::UnitDelay
-            | SymbolKind::TransferFunction { .. } => vec![
-                PortSpec::new("in", Input, None),
-                PortSpec::new("out", Output, None),
-            ],
-            SymbolKind::Adder { signs } => {
-                let mut ports: Vec<PortSpec> = (0..signs.len())
-                    .map(|i| PortSpec::new(&format!("in{i}"), Input, None))
-                    .collect();
-                ports.push(PortSpec::new("out", Output, None));
-                ports
+            | SymbolKind::TransferFunction { .. } => match idx {
+                0 => PortSpec::new("in", Input, None),
+                _ => PortSpec::new("out", Output, None),
+            },
+            SymbolKind::Separator => match idx {
+                0 => PortSpec::new("in", Input, None),
+                1 => PortSpec::new("pos", Output, None),
+                _ => PortSpec::new("neg", Output, None),
+            },
+            SymbolKind::Adder { .. } | SymbolKind::Multiplier { .. } if last => {
+                PortSpec::new("out", Output, None)
             }
-            SymbolKind::Multiplier { ops } => {
-                let mut ports: Vec<PortSpec> = (0..ops.len())
-                    .map(|i| PortSpec::new(&format!("in{i}"), Input, None))
-                    .collect();
-                ports.push(PortSpec::new("out", Output, None));
-                ports
+            SymbolKind::Function { .. } if last => {
+                PortSpec::new("out", Output, Some(Dimension::NONE))
             }
-            SymbolKind::Separator => vec![
-                PortSpec::new("in", Input, None),
-                PortSpec::new("pos", Output, None),
-                PortSpec::new("neg", Output, None),
-            ],
-            SymbolKind::Function { func } => {
-                let mut ports: Vec<PortSpec> = (0..func.arity())
-                    .map(|i| PortSpec::new(&format!("in{i}"), Input, None))
-                    .collect();
-                ports.push(PortSpec::new("out", Output, Some(Dimension::NONE)));
-                ports
+            SymbolKind::Adder { .. }
+            | SymbolKind::Multiplier { .. }
+            | SymbolKind::Function { .. } => PortSpec::numbered_input(idx),
+            SymbolKind::Hierarchical { diagram, .. } => {
+                let itf = &diagram.interface()[idx];
+                PortSpec::new(&itf.name, itf.direction, itf.dimension)
             }
-            SymbolKind::Hierarchical { diagram, .. } => diagram
-                .interface()
-                .iter()
-                .map(|itf| PortSpec::new(&itf.name, itf.direction, itf.dimension))
-                .collect(),
-        }
+        })
+    }
+
+    /// Port templates of this symbol kind, in canonical order.
+    pub fn ports(&self) -> Vec<PortSpec<'_>> {
+        (0..self.port_count())
+            .filter_map(|k| self.port(k))
+            .collect()
+    }
+
+    /// Index of the named port.
+    pub fn port_index(&self, name: &str) -> Option<usize> {
+        (0..self.port_count()).find(|&k| self.port(k).is_some_and(|p| p.name == name))
     }
 
     /// Short mnemonic used for diagram rendering and variable naming.
@@ -386,13 +428,13 @@ impl Symbol {
     }
 
     /// Port templates (delegates to the kind).
-    pub fn ports(&self) -> Vec<PortSpec> {
+    pub fn ports(&self) -> Vec<PortSpec<'_>> {
         self.kind.ports()
     }
 
     /// Index of the named port.
     pub fn port_index(&self, name: &str) -> Option<usize> {
-        self.ports().iter().position(|p| p.name == name)
+        self.kind.port_index(name)
     }
 }
 

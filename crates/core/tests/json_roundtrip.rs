@@ -48,6 +48,25 @@ fn roundtripped_diagram_generates_identical_code() {
 }
 
 #[test]
+fn diagram_with_dangling_references_is_rejected() {
+    // A hand-edited file naming a port the symbol does not have, or a net
+    // stored away from its id, is a schema error, not a diagram the
+    // checker could trip over.
+    let text = json::to_string(&InputStageSpec::new("in", 1e-6, 5e-12).diagram().unwrap());
+    let bad_port = text.replacen("\"port\":0}", "\"port\":7}", 1);
+    assert_ne!(text, bad_port, "fixture patch must apply");
+    let err = json::from_str::<FunctionalDiagram>(&bad_port).unwrap_err();
+    assert!(err.to_string().contains("has no port 7"), "{err}");
+    let bad_id = text.replacen("\"id\":0,", "\"id\":5,", 1);
+    assert_ne!(text, bad_id, "fixture patch must apply");
+    let err = json::from_str::<FunctionalDiagram>(&bad_id).unwrap_err();
+    assert!(
+        err.to_string().contains("net 5 is stored at position 0"),
+        "{err}"
+    );
+}
+
+#[test]
 fn card_roundtrip() {
     let spec = InputStageSpec::new("in", 1e-6, 5e-12);
     let card = spec.card().unwrap();

@@ -81,8 +81,8 @@ impl Default for ComparatorSpec {
     }
 }
 
-/// Resolves an interface port of a merged sub-diagram into the parent's
-/// symbol numbering.
+/// Resolves an interface port of a sub-diagram into the parent's symbol
+/// numbering, for a sub-diagram merged at symbol-id `offset`.
 fn merged_port(sub: &FunctionalDiagram, name: &str, offset: usize) -> Result<PortRef, ModelError> {
     let itf = sub.interface_port(name)?;
     Ok(PortRef {
@@ -110,20 +110,23 @@ impl ComparatorSpec {
         let inp_sub = InputStageSpec::new("inp", 1.0 / self.rin, self.cin)
             .with_param_prefix("inp_")
             .diagram()?;
-        let o_inp = d.merge(inp_sub.clone());
-        let v_p = merged_port(&inp_sub, "v", o_inp)?;
+        let v_p = merged_port(&inp_sub, "v", d.symbol_count())?;
+        let i_p = merged_port(&inp_sub, "iin", d.symbol_count())?;
+        d.merge(inp_sub);
 
         let inn_sub = InputStageSpec::new("inn", 1.0 / self.rin, self.cin)
             .with_param_prefix("inn_")
             .diagram()?;
-        let o_inn = d.merge(inn_sub.clone());
-        let v_n = merged_port(&inn_sub, "v", o_inn)?;
+        let v_n = merged_port(&inn_sub, "v", d.symbol_count())?;
+        let i_n = merged_port(&inn_sub, "iin", d.symbol_count())?;
+        d.merge(inn_sub);
 
         let stb_sub = InputStageSpec::new("strobe", 1.0 / self.rin, self.cin)
             .with_param_prefix("stb_")
             .diagram()?;
-        let o_stb = d.merge(stb_sub.clone());
-        let v_s = merged_port(&stb_sub, "v", o_stb)?;
+        let v_s = merged_port(&stb_sub, "v", d.symbol_count())?;
+        let i_s = merged_port(&stb_sub, "iin", d.symbol_count())?;
+        d.merge(stb_sub);
 
         // Decision path: vdec = limit(gain·(vp − vn), vlow, vhigh).
         let diff = d.add_symbol(SymbolKind::Adder {
@@ -214,9 +217,9 @@ impl ComparatorSpec {
 
         // Slew-rate block (Fig. 5).
         let slew_sub = SlewRateSpec::new(self.slew_rise, self.slew_fall).diagram()?;
-        let o_slew = d.merge(slew_sub.clone());
-        let u = merged_port(&slew_sub, "u", o_slew)?;
-        let y = merged_port(&slew_sub, "y", o_slew)?;
+        let u = merged_port(&slew_sub, "u", d.symbol_count())?;
+        let y = merged_port(&slew_sub, "y", d.symbol_count())?;
+        d.merge(slew_sub);
         d.connect(d.port(target, "out")?, u)?;
         if let Some(delay) = hold_delay {
             d.connect(y, d.port(delay, "in")?)?;
@@ -228,8 +231,10 @@ impl ComparatorSpec {
             .with_current_limit(self.ilim)
             .with_param_prefix("outp_")
             .diagram()?;
-        let o_outp = d.merge(outp_sub.clone());
-        d.connect(y, merged_port(&outp_sub, "vin", o_outp)?)?;
+        let vin_p = merged_port(&outp_sub, "vin", d.symbol_count())?;
+        let i_outp = merged_port(&outp_sub, "iout", d.symbol_count())?;
+        d.merge(outp_sub);
+        d.connect(y, vin_p)?;
 
         let mirror = d.add_symbol_with(
             SymbolKind::Gain,
@@ -241,25 +246,23 @@ impl ComparatorSpec {
             .with_current_limit(self.ilim)
             .with_param_prefix("outn_")
             .diagram()?;
-        let o_outn = d.merge(outn_sub.clone());
-        d.connect(
-            d.port(mirror, "out")?,
-            merged_port(&outn_sub, "vin", o_outn)?,
-        )?;
+        let vin_n = merged_port(&outn_sub, "vin", d.symbol_count())?;
+        let i_outn = merged_port(&outn_sub, "iout", d.symbol_count())?;
+        d.merge(outn_sub);
+        d.connect(d.port(mirror, "out")?, vin_n)?;
 
         // Power supply (Fig. 4): the balance sheet covers *all* stage
         // currents — both output stages and the three input stages.
         let psu_sub = PowerSupplySpec::new("vdd", "vss", self.gpol, self.iloss, 5).diagram()?;
-        let o_psu = d.merge(psu_sub.clone());
-        let stage_currents = [
-            merged_port(&outp_sub, "iout", o_outp)?,
-            merged_port(&outn_sub, "iout", o_outn)?,
-            merged_port(&inp_sub, "iin", o_inp)?,
-            merged_port(&inn_sub, "iin", o_inn)?,
-            merged_port(&stb_sub, "iin", o_stb)?,
-        ];
-        for (k, src) in stage_currents.into_iter().enumerate() {
-            d.connect(src, merged_port(&psu_sub, &format!("istage{k}"), o_psu)?)?;
+        let o_psu = d.symbol_count();
+        let stage_currents = [i_outp, i_outn, i_p, i_n, i_s];
+        let mut stage_inputs = Vec::with_capacity(stage_currents.len());
+        for k in 0..stage_currents.len() {
+            stage_inputs.push(merged_port(&psu_sub, &format!("istage{k}"), o_psu)?);
+        }
+        d.merge(psu_sub);
+        for (src, dst) in stage_currents.into_iter().zip(stage_inputs) {
+            d.connect(src, dst)?;
         }
         Ok(d)
     }

@@ -80,7 +80,7 @@ pub fn port_offsets(kind: &SymbolKind) -> Vec<(String, PortDirection, Point)> {
                     Point::new(x, 2)
                 }
             };
-            (p.name, p.direction, at)
+            (p.name.into_owned(), p.direction, at)
         })
         .collect()
 }

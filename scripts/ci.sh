@@ -128,6 +128,26 @@ echo "==> gabm --trace smoke"
 "$GABM" lint --construct slew-rate --trace "$BENCH_DIR/TRACE_lint.json"
 "$GABM" trace "$BENCH_DIR/TRACE_lint.json" > /dev/null
 
+# Exact-counter gate: a traced benchmark run must repeat round 0's
+# deterministic counters in every round and, at the reference seed 1 and
+# the held-out seed 2, match perfbench/fingerprints.json. The benchmark
+# is only run, never edited; --locked keeps perfbench/Cargo.lock as is.
+echo "==> perfbench fingerprint gate"
+for workload in comparator-fas characterize; do
+    for seed in 1 2; do
+        out=$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 1)
+        case "$out" in
+            *'"fingerprint.match": {"value": 1.0,'*) ;;
+            *)
+                echo "FAIL: perfbench $workload seed $seed: fingerprint.match is not 1.0" >&2
+                echo "$out" >&2
+                exit 1
+                ;;
+        esac
+    done
+done
+
 echo "==> tracked files unchanged"
 tracked_after=$(tracked_state)
 if [ "$tracked_before" != "$tracked_after" ]; then
