@@ -32,8 +32,8 @@
 //! diagrams are written to `figures/`.
 
 use gabm_bench::experiments::comparator_bench::{
-    behavioural_comparator_circuit, behavioural_comparator_circuit_with, cmos_comparator_circuit,
-    ComparatorStimulus,
+    behavioural_comparator_circuit, behavioural_comparator_circuit_around,
+    behavioural_comparator_spec, cmos_comparator_circuit, ComparatorStimulus,
 };
 use gabm_bench::experiments::constructs_bench::{diagram_dut, SlewBufferSpec};
 use gabm_charac::{check_model_rigs, rigs, validity, Bias, RigCheck};
@@ -747,7 +747,8 @@ fn gabm_charac_scaffold(
 /// the comparator transient, with the speedup recorded in
 /// `BENCH_fasvm.json` for the performance trajectory.
 fn fasvm() {
-    use gabm_fasvm::FasBackend;
+    use gabm_sim::devices::BehavioralModel;
+    use std::collections::BTreeMap;
 
     banner("FAS execution backends — interpreter vs bytecode VM (comparator transient)");
     let stim = ComparatorStimulus::default();
@@ -770,10 +771,17 @@ fn fasvm() {
         st.dce_removed
     );
 
-    let run = |backend: FasBackend| {
+    // Both executors are built directly from the bench's model: the
+    // interpreter is the reference the VM is held to.
+    let bench_model = behavioural_comparator_spec(&stim)
+        .model()
+        .expect("comparator model compiles");
+    let bench_prog =
+        gabm_fasvm::compile_program(&bench_model).expect("comparator bytecode compiles");
+    let run = |instance: &dyn Fn() -> Box<dyn BehavioralModel>| {
         let (best, (r, outp)) = best_of(
             REPS,
-            || behavioural_comparator_circuit_with(&stim, backend).expect("bench builds"),
+            || behavioural_comparator_circuit_around(&stim, instance()).expect("bench builds"),
             |(ckt, nodes)| {
                 (
                     ckt.tran(&TranSpec::new(tstop)).expect("tran runs"),
@@ -784,8 +792,10 @@ fn fasvm() {
         let w = r.voltage_waveform(outp).expect("outp waveform");
         (best, r.stats, w)
     };
-    let (t_interp, s_interp, w_interp) = run(FasBackend::Interp);
-    let (t_vm, s_vm, w_vm) = run(FasBackend::Vm);
+    let (t_interp, s_interp, w_interp) =
+        run(&|| Box::new(bench_model.instantiate(&BTreeMap::new()).expect("defaults")));
+    let (t_vm, s_vm, w_vm) =
+        run(&|| Box::new(bench_prog.instantiate(&BTreeMap::new()).expect("defaults")));
     let (nr_interp, nr_vm) = (s_interp.newton_iterations, s_vm.newton_iterations);
     assert_eq!(
         nr_interp, nr_vm,
@@ -837,7 +847,6 @@ fn fasvm() {
 fn parchar() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Distribution, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
-    use gabm_fasvm::FasBackend;
     use std::collections::BTreeMap;
 
     banner("Parallel characterization + sparse-LU refactorization reuse");
@@ -954,8 +963,7 @@ fn parchar() {
         let (best, r) = best_of(
             LU_REPS,
             || {
-                let (mut ckt, _) = behavioural_comparator_circuit_with(&stim, FasBackend::Vm)
-                    .expect("bench builds");
+                let (mut ckt, _) = behavioural_comparator_circuit(&stim).expect("bench builds");
                 if force_sparse {
                     ckt.options.sparse_threshold = 1;
                 }
@@ -1031,7 +1039,6 @@ fn parchar() {
 fn traceov() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
-    use gabm_fasvm::FasBackend;
     use std::collections::BTreeMap;
 
     banner("Tracing overhead — disabled-probe cost and a fully traced run");
@@ -1047,7 +1054,7 @@ fn traceov() {
     let (t_disabled, r) = best_of(
         REPS,
         || {
-            behavioural_comparator_circuit_with(&stim, FasBackend::Vm)
+            behavioural_comparator_circuit(&stim)
                 .expect("bench builds")
                 .0
         },
@@ -1076,14 +1083,11 @@ fn traceov() {
     let overhead_disabled_pct = probes_per_run * ns_per_probe / (t_disabled * 1e9) * 100.0;
 
     // The traced phase drives every instrumented layer once: bytecode
-    // compilation (fasvm), the comparator transient (sim), and a small
-    // Monte-Carlo on a 2-worker pool (charac + par).
+    // compilation (fasvm) while the bench builds, the comparator
+    // transient (sim), and a small Monte-Carlo on a 2-worker pool
+    // (charac + par).
     gabm_trace::enable();
-    let spec = ComparatorSpec::default();
-    let model = spec.model().expect("comparator model compiles");
-    gabm_fasvm::compile_program(&model).expect("comparator bytecode compiles");
-    let (mut ckt, _) =
-        behavioural_comparator_circuit_with(&stim, FasBackend::Vm).expect("bench builds");
+    let (mut ckt, _) = behavioural_comparator_circuit(&stim).expect("bench builds");
     let t0 = Instant::now();
     ckt.tran(&TranSpec::new(tstop)).expect("traced tran runs");
     let t_enabled = t0.elapsed().as_secs_f64();

@@ -4,11 +4,10 @@
 //! Used by Fig. 7 (waveform comparison) and the timing table ("ELDO needed
 //! 4.9 s … to simulate the FAS model and 15.2 s to simulate the circuit").
 
-use gabm_fasvm::FasBackend;
 use gabm_models::comparator::{ComparatorSpec, OffState};
 use gabm_models::CmosComparator;
 use gabm_sim::circuit::{Circuit, NodeId};
-use gabm_sim::devices::SourceWave;
+use gabm_sim::devices::{BehavioralModel, SourceWave};
 use gabm_sim::SimError;
 
 /// The common Fig. 7 stimulus: a differential input sine plus a strobe
@@ -92,9 +91,21 @@ impl ComparatorStimulus {
     }
 }
 
-/// Builds the behavioural (FAS) comparator test bench on the
-/// interpreter backend. Returns the circuit and the nodes
-/// `(inp, inn, strobe, outp, outn)`.
+/// The comparator the behavioural bench runs for `stim`. `Hold` mirrors
+/// the transistor circuit's dynamic behaviour: with the tail current
+/// cut, the CMOS second stage keeps its last state on the gate
+/// capacitances for (much longer than) one strobe period.
+pub fn behavioural_comparator_spec(stim: &ComparatorStimulus) -> ComparatorSpec {
+    ComparatorSpec {
+        v_high: stim.supply - 0.5,
+        v_low: -(stim.supply - 0.5),
+        off_state: OffState::Hold,
+        ..ComparatorSpec::default()
+    }
+}
+
+/// Builds the behavioural (FAS) comparator test bench. Returns the
+/// circuit and the nodes `(inp, inn, strobe, outp, outn)`.
 ///
 /// # Errors
 ///
@@ -102,31 +113,22 @@ impl ComparatorStimulus {
 pub fn behavioural_comparator_circuit(
     stim: &ComparatorStimulus,
 ) -> Result<(Circuit, [NodeId; 5]), SimError> {
-    behavioural_comparator_circuit_with(stim, FasBackend::Interp)
+    let machine = behavioural_comparator_spec(stim)
+        .machine()
+        .map_err(|e| SimError::BadAnalysis(e.to_string()))?;
+    behavioural_comparator_circuit_around(stim, machine)
 }
 
-/// Builds the behavioural comparator test bench on a chosen FAS
-/// execution backend — tree-walking interpreter or bytecode VM.
+/// Builds the behavioural comparator test bench around an instance of
+/// the [`behavioural_comparator_spec`] model.
 ///
 /// # Errors
 ///
-/// Model-pipeline or netlist errors.
-pub fn behavioural_comparator_circuit_with(
+/// Netlist errors.
+pub fn behavioural_comparator_circuit_around(
     stim: &ComparatorStimulus,
-    backend: FasBackend,
+    machine: Box<dyn BehavioralModel>,
 ) -> Result<(Circuit, [NodeId; 5]), SimError> {
-    // `Hold` mirrors the transistor circuit's dynamic behaviour: with the
-    // tail current cut, the CMOS second stage keeps its last state on the
-    // gate capacitances for (much longer than) one strobe period.
-    let spec = ComparatorSpec {
-        v_high: stim.supply - 0.5,
-        v_low: -(stim.supply - 0.5),
-        off_state: OffState::Hold,
-        ..ComparatorSpec::default()
-    };
-    let machine = spec
-        .instance(backend)
-        .map_err(|e| SimError::BadAnalysis(e.to_string()))?;
     let mut ckt = Circuit::new();
     let inp = ckt.node("inp");
     let inn = ckt.node("inn");

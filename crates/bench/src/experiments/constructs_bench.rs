@@ -1,13 +1,12 @@
 //! Experiment builders for the construct figures (Figs. 2–5): each §3.3
 //! construct is generated, compiled, simulated and re-measured.
 
-use gabm_charac::{Dut, FnDut};
+use gabm_charac::Dut;
 use gabm_codegen::{generate, Backend};
 use gabm_core::constructs::{InputStageSpec, OutputStageSpec, SlewRateSpec};
 use gabm_core::diagram::{FunctionalDiagram, PortRef, SymbolId};
 use gabm_fas::compile;
-use gabm_sim::circuit::{Circuit, NodeId};
-use gabm_sim::SimError;
+use gabm_models::dut::fas_dut;
 use std::collections::BTreeMap;
 
 /// Builds a [`Dut`] from any functional diagram via generated FAS code.
@@ -19,15 +18,7 @@ use std::collections::BTreeMap;
 pub fn diagram_dut(diagram: &FunctionalDiagram) -> Result<impl Dut, String> {
     let code = generate(diagram, Backend::Fas).map_err(|e| e.to_string())?;
     let model = compile(&code.text).map_err(|e| e.to_string())?;
-    let pins: Vec<String> = model.pins().iter().map(|p| p.to_string()).collect();
-    let pin_refs: Vec<&str> = pins.iter().map(String::as_str).collect();
-    let build = move |ckt: &mut Circuit, name: &str, nodes: &[NodeId]| -> Result<(), SimError> {
-        let machine = model
-            .instantiate(&BTreeMap::new())
-            .expect("defaults always instantiate");
-        ckt.add_behavioral(name, nodes, Box::new(machine))
-    };
-    Ok(FnDut::new(&pin_refs, build))
+    fas_dut(model, BTreeMap::new()).map_err(|e| e.to_string())
 }
 
 /// A slew-limited unity buffer: input stage → slew-rate block → output

@@ -1,77 +1,70 @@
-//! Per-instance backend selection: tree-walking interpreter vs bytecode
-//! VM behind one constructor.
+//! The FAS executor: every model runs on the bytecode VM, except a model
+//! past the bytecode's capacity ([`VmError`]), which runs on the
+//! tree-walking interpreter instead. The choice follows from the model,
+//! never from an option.
 
-use crate::{compile_program, VmError};
+use crate::{compile_program, Program};
 use gabm_fas::compile::CompiledModel;
 use gabm_fas::FasError;
 use gabm_sim::devices::BehavioralModel;
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// Which execution engine a FAS model instance runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FasBackend {
-    /// The tree-walking interpreter ([`gabm_fas::FasMachine`]) — the
-    /// reference semantics, default.
-    #[default]
-    Interp,
-    /// The register-bytecode VM ([`crate::FasVm`]).
-    Vm,
-}
-
-/// Instantiation failure for either backend.
-#[derive(Debug)]
-pub enum BackendError {
-    /// Parameter-override validation failed (both backends).
-    Fas(FasError),
-    /// Bytecode compilation failed (VM backend only) — callers can
-    /// retry with [`FasBackend::Interp`].
-    Vm(VmError),
-}
-
-impl fmt::Display for BackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendError::Fas(e) => write!(f, "{e}"),
-            BackendError::Vm(e) => write!(f, "bytecode compilation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BackendError {}
-
-impl From<FasError> for BackendError {
-    fn from(e: FasError) -> Self {
-        BackendError::Fas(e)
-    }
-}
-
-impl From<VmError> for BackendError {
-    fn from(e: VmError) -> Self {
-        BackendError::Vm(e)
-    }
-}
+/// Instantiates FAS models on the executor, compiling bytecode on every
+/// call. To instantiate one model many times, compile it once with
+/// [`Executable::new`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FasBackend;
 
 impl FasBackend {
-    /// Instantiates `model` on this backend as a boxed
-    /// [`BehavioralModel`], ready for
+    /// Instantiates `model` as a boxed [`BehavioralModel`], ready for
     /// `Circuit::add_behavioral`.
     ///
     /// # Errors
     ///
-    /// [`BackendError`] on unknown parameter overrides, or on bytecode
-    /// capacity overflow for [`FasBackend::Vm`].
+    /// [`FasError::Instantiate`] on overrides of undeclared parameters.
     pub fn instantiate(
         self,
         model: &CompiledModel,
         overrides: &BTreeMap<String, f64>,
-    ) -> Result<Box<dyn BehavioralModel>, BackendError> {
+    ) -> Result<Box<dyn BehavioralModel>, FasError> {
+        match compile_program(model) {
+            Ok(prog) => Ok(Box::new(prog.instantiate(overrides)?)),
+            Err(_) => Ok(Box::new(model.instantiate(overrides)?)),
+        }
+    }
+}
+
+/// A FAS model compiled once for any number of instances.
+#[derive(Debug, Clone)]
+pub enum Executable {
+    /// Bytecode for the VM: every model within the encoding's capacity.
+    Vm(Program),
+    /// A model past the bytecode's capacity, run on the interpreter.
+    Interp(CompiledModel),
+}
+
+impl Executable {
+    /// Compiles `model` to bytecode, keeping the model itself for the
+    /// interpreter when compilation hits a capacity limit.
+    pub fn new(model: CompiledModel) -> Executable {
+        match compile_program(&model) {
+            Ok(prog) => Executable::Vm(prog),
+            Err(_) => Executable::Interp(model),
+        }
+    }
+
+    /// Instantiates the compiled model as a boxed [`BehavioralModel`].
+    ///
+    /// # Errors
+    ///
+    /// [`FasError::Instantiate`] on overrides of undeclared parameters.
+    pub fn instantiate(
+        &self,
+        overrides: &BTreeMap<String, f64>,
+    ) -> Result<Box<dyn BehavioralModel>, FasError> {
         match self {
-            FasBackend::Interp => Ok(Box::new(model.instantiate(overrides)?)),
-            FasBackend::Vm => {
-                let prog = compile_program(model)?;
-                Ok(Box::new(prog.instantiate(overrides)?))
-            }
+            Executable::Vm(prog) => Ok(Box::new(prog.instantiate(overrides)?)),
+            Executable::Interp(model) => Ok(Box::new(model.instantiate(overrides)?)),
         }
     }
 }

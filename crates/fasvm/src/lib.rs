@@ -19,7 +19,8 @@
 //! tangents, so [`FasVm`] keeps the interpreter's analytic
 //! `eval_with_jacobian`. Numeric semantics mirror the interpreter
 //! operation-for-operation — the differential test suite in
-//! `tests/differential.rs` holds both backends to ulp-scale agreement.
+//! `tests/differential.rs` holds both to ulp-scale agreement. The VM is
+//! the executor of every FAS model ([`Executable`], [`FasBackend`]).
 //!
 //! ```
 //! use gabm_fasvm::compile_program;
@@ -37,13 +38,13 @@
 //! # }
 //! ```
 
-pub mod backend;
+mod backend;
 pub mod bytecode;
 mod exec;
 mod ir;
 mod regalloc;
 
-pub use backend::FasBackend;
+pub use backend::{Executable, FasBackend};
 pub use bytecode::{CompileStats, Op, Program};
 pub use exec::FasVm;
 
@@ -55,7 +56,8 @@ use std::fmt;
 /// Bytecode-compilation failure. These are capacity errors, not model
 /// errors — any model the front end accepts is semantically lowerable,
 /// but the fixed-width encoding bounds register pressure and table
-/// sizes. Callers can always fall back to the interpreter.
+/// sizes. [`Executable`] and [`FasBackend`] fall back to the interpreter
+/// on any of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
     /// The model needs more than 256 simultaneously live values.

@@ -15,10 +15,8 @@ use gabm_core::constructs::{InputStageSpec, OutputStageSpec, PowerSupplySpec, Sl
 use gabm_core::diagram::{FunctionalDiagram, PortRef, SymbolId};
 use gabm_core::quantity::Dimension;
 use gabm_core::symbol::{PropertyValue, SymbolKind};
-use gabm_fas::{compile, CompiledModel, FasMachine};
-use gabm_fasvm::FasBackend;
+use gabm_fas::{compile, CompiledModel};
 use gabm_sim::devices::BehavioralModel;
-use std::collections::BTreeMap;
 
 /// Behaviour of the comparator output while the strobe is inactive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -384,24 +382,13 @@ impl ComparatorSpec {
         Ok(compile(&code)?)
     }
 
-    /// Compiles and instantiates the model on the tree-walking
-    /// interpreter.
+    /// Compiles and instantiates the model on the FAS executor.
     ///
     /// # Errors
     ///
     /// Any pipeline stage error.
-    pub fn machine(&self) -> Result<FasMachine, ModelError> {
-        Ok(self.model()?.instantiate(&BTreeMap::new())?)
-    }
-
-    /// Compiles and instantiates the model on a chosen execution
-    /// backend — interpreter or bytecode VM.
-    ///
-    /// # Errors
-    ///
-    /// Any pipeline stage error, including bytecode capacity limits.
-    pub fn instance(&self, backend: FasBackend) -> Result<Box<dyn BehavioralModel>, ModelError> {
-        Ok(backend.instantiate(&self.model()?, &BTreeMap::new())?)
+    pub fn machine(&self) -> Result<Box<dyn BehavioralModel>, ModelError> {
+        crate::fas_machine(&self.fas_code()?)
     }
 
     /// Pin order of the generated model (for `add_behavioral`).
@@ -470,12 +457,8 @@ mod tests {
         let outn = ckt.node("outn");
         let vdd = ckt.node("vdd");
         let vss = ckt.node("vss");
-        ckt.add_behavioral(
-            "XCMP",
-            &[inp, inn, strobe, outp, outn, vdd, vss],
-            Box::new(machine),
-        )
-        .unwrap();
+        ckt.add_behavioral("XCMP", &[inp, inn, strobe, outp, outn, vdd, vss], machine)
+            .unwrap();
         ckt.add_vsource("VDD", vdd, Circuit::GROUND, SourceWave::dc(2.5));
         ckt.add_vsource("VSS", vss, Circuit::GROUND, SourceWave::dc(-2.5));
         ckt.add_vsource("VP", inp, Circuit::GROUND, SourceWave::dc(0.3));
@@ -513,8 +496,7 @@ mod tests {
             .iter()
             .map(|p| ckt.node(p))
             .collect();
-        ckt.add_behavioral("XCMP", &nodes, Box::new(machine))
-            .unwrap();
+        ckt.add_behavioral("XCMP", &nodes, machine).unwrap();
         // Bias every pin with a source so currents are observable.
         let levels = [0.2, -0.2, 1.0, 0.0, 0.0, 2.5, -2.5];
         for (k, (pin, v)) in ComparatorSpec::pin_order().iter().zip(levels).enumerate() {

@@ -4,37 +4,31 @@ use crate::cmos::CmosComparator;
 use crate::ModelError;
 use gabm_charac::{Dut, FnDut};
 use gabm_fas::CompiledModel;
-use gabm_fasvm::FasBackend;
+use gabm_fasvm::Executable;
 use gabm_sim::circuit::{Circuit, NodeId};
 use gabm_sim::SimError;
 use std::collections::BTreeMap;
 
-/// Wraps a compiled FAS model (plus parameter overrides) as a [`Dut`]
-/// on the interpreter backend: every rig circuit gets a fresh machine
-/// instance.
+/// Wraps a compiled FAS model (plus parameter overrides) as a [`Dut`].
+/// The model is compiled to bytecode once, here; every rig circuit gets
+/// a fresh instance of it.
+///
+/// # Errors
+///
+/// [`ModelError::Fas`] on overrides of undeclared parameters.
 pub fn fas_dut(
     model: CompiledModel,
     overrides: BTreeMap<String, f64>,
 ) -> Result<impl Dut, ModelError> {
-    fas_dut_with(model, overrides, FasBackend::Interp)
-}
-
-/// Wraps a compiled FAS model as a [`Dut`] on a chosen execution
-/// backend — interpreter or bytecode VM. Every rig circuit gets a
-/// fresh instance.
-pub fn fas_dut_with(
-    model: CompiledModel,
-    overrides: BTreeMap<String, f64>,
-    backend: FasBackend,
-) -> Result<impl Dut, ModelError> {
-    // Validate overrides (and, for the VM, bytecode capacity) up front.
-    backend.instantiate(&model, &overrides)?;
     let pins: Vec<String> = model.pins().iter().map(|p| p.to_string()).collect();
     let pin_refs: Vec<&str> = pins.iter().map(String::as_str).collect();
+    let executable = Executable::new(model);
+    // Validate the overrides up front.
+    executable.instantiate(&overrides)?;
     let build = move |ckt: &mut Circuit, name: &str, nodes: &[NodeId]| -> Result<(), SimError> {
-        let instance = backend
-            .instantiate(&model, &overrides)
-            .expect("backend validated at construction");
+        let instance = executable
+            .instantiate(&overrides)
+            .expect("overrides validated at construction");
         ckt.add_behavioral(name, nodes, instance)
     };
     Ok(FnDut::new(&pin_refs, build))
@@ -80,13 +74,20 @@ mod tests {
             "model load pin (a) param (g=1e-3)\nanalog\nmake v = volt.value(a)\nmake curr.on(a) = g * v\nendanalog\nendmodel\n",
         )
         .unwrap();
-        let interp = fas_dut_with(model.clone(), BTreeMap::new(), FasBackend::Interp).unwrap();
-        let vm = fas_dut_with(model, BTreeMap::new(), FasBackend::Vm).unwrap();
+        let reference = model.clone();
+        let interp = FnDut::new(
+            &["a"],
+            move |ckt: &mut Circuit, name: &str, nodes: &[NodeId]| {
+                let machine = reference.instantiate(&BTreeMap::new()).unwrap();
+                ckt.add_behavioral(name, nodes, Box::new(machine))
+            },
+        );
+        let vm = fas_dut(model, BTreeMap::new()).unwrap();
         let ri = rigs::input_resistance(&interp, "a", &[]).unwrap();
         let rv = rigs::input_resistance(&vm, "a", &[]).unwrap();
         assert!(
             (ri.value - rv.value).abs() < 1e-9,
-            "backends measure the same Rin: interp {} vm {}",
+            "executors measure the same Rin: interp {} vm {}",
             ri.value,
             rv.value
         );

@@ -11,8 +11,11 @@
 //! * [`motor`] — a DC-motor model with torque/angular-velocity probes and
 //!   generators (§2: "this method can be used to develop models of
 //!   non-electrical systems … microsystem integration becomes possible");
-//! * [`dut`] — glue adapting compiled FAS machines and subcircuits to the
+//! * [`dut`] — glue adapting compiled FAS models and subcircuits to the
 //!   characterization tool's `Dut` interface.
+//!
+//! Every FAS model here runs on the executor of [`gabm_fasvm`]: the
+//! `machine()` methods and [`dut::fas_dut`] all go through it.
 
 pub mod cmos;
 pub mod comparator;
@@ -27,7 +30,15 @@ pub use motor::DcMotorSpec;
 pub use opamp::OpampSpec;
 pub use thermal::NtcThermistorSpec;
 
+use gabm_sim::devices::BehavioralModel;
 use std::fmt;
+
+/// Compiles generated FAS code and instantiates it on the FAS executor:
+/// the one path every `machine()` method takes.
+fn fas_machine(code: &str) -> Result<Box<dyn BehavioralModel>, ModelError> {
+    let model = gabm_fas::compile(code)?;
+    Ok(gabm_fasvm::FasBackend.instantiate(&model, &Default::default())?)
+}
 
 /// Errors of the model library.
 #[derive(Debug)]
@@ -40,8 +51,6 @@ pub enum ModelError {
     Fas(gabm_fas::FasError),
     /// Netlist construction failed.
     Sim(gabm_sim::SimError),
-    /// FAS execution-backend instantiation failed.
-    Backend(gabm_fasvm::backend::BackendError),
 }
 
 impl fmt::Display for ModelError {
@@ -51,7 +60,6 @@ impl fmt::Display for ModelError {
             ModelError::Codegen(e) => write!(f, "code generation error: {e}"),
             ModelError::Fas(e) => write!(f, "FAS error: {e}"),
             ModelError::Sim(e) => write!(f, "netlist error: {e}"),
-            ModelError::Backend(e) => write!(f, "FAS backend error: {e}"),
         }
     }
 }
@@ -79,12 +87,6 @@ impl From<gabm_fas::FasError> for ModelError {
 impl From<gabm_sim::SimError> for ModelError {
     fn from(e: gabm_sim::SimError) -> Self {
         ModelError::Sim(e)
-    }
-}
-
-impl From<gabm_fasvm::backend::BackendError> for ModelError {
-    fn from(e: gabm_fasvm::backend::BackendError) -> Self {
-        ModelError::Backend(e)
     }
 }
 

@@ -23,8 +23,7 @@ use gabm_core::card::{CharacteristicClass, DefinitionCard, PinDomain};
 use gabm_core::diagram::FunctionalDiagram;
 use gabm_core::quantity::Dimension;
 use gabm_core::symbol::{PropertyValue, SymbolKind};
-use gabm_fas::{compile, FasMachine};
-use std::collections::BTreeMap;
+use gabm_sim::devices::BehavioralModel;
 
 /// Parameterized brushed DC motor.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,13 +196,13 @@ impl DcMotorSpec {
         Ok(generate(&self.diagram()?, Backend::Fas)?.text)
     }
 
-    /// Compiles and instantiates the model.
+    /// Compiles and instantiates the model on the FAS executor.
     ///
     /// # Errors
     ///
     /// Any pipeline stage error.
-    pub fn machine(&self) -> Result<FasMachine, ModelError> {
-        Ok(compile(&self.fas_code()?)?.instantiate(&BTreeMap::new())?)
+    pub fn machine(&self) -> Result<Box<dyn BehavioralModel>, ModelError> {
+        crate::fas_machine(&self.fas_code()?)
     }
 
     /// Pin order of the generated model.
@@ -222,6 +221,7 @@ impl DcMotorSpec {
 mod tests {
     use super::*;
     use gabm_core::check::check_diagram;
+    use gabm_fas::compile;
     use gabm_sim::analysis::tran::TranSpec;
     use gabm_sim::circuit::Circuit;
     use gabm_sim::devices::SourceWave;
@@ -283,8 +283,7 @@ mod tests {
         let ta = ckt.node("ta");
         let tb = ckt.node("tb");
         let axle = ckt.node("axle");
-        ckt.add_behavioral("XM", &[ta, tb, axle], Box::new(machine))
-            .unwrap();
+        ckt.add_behavioral("XM", &[ta, tb, axle], machine).unwrap();
         ckt.add_vsource("VARM", ta, Circuit::GROUND, SourceWave::dc(12.0));
         ckt.add_resistor("RRET", tb, Circuit::GROUND, 1e-3).unwrap();
         // Mechanical load via the mobility analogy: friction b = 1e-3

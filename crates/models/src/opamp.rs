@@ -12,8 +12,7 @@ use gabm_core::constructs::{InputStageSpec, OutputStageSpec};
 use gabm_core::diagram::{FunctionalDiagram, PortRef, SymbolId};
 use gabm_core::quantity::Dimension;
 use gabm_core::symbol::{PropertyValue, SymbolKind};
-use gabm_fas::{compile, FasMachine};
-use std::collections::BTreeMap;
+use gabm_sim::devices::BehavioralModel;
 
 /// Parameterized single-pole opamp.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,14 +188,13 @@ impl OpampSpec {
         Ok(generate(&self.diagram()?, Backend::Fas)?.text)
     }
 
-    /// Compiles and instantiates the model.
+    /// Compiles and instantiates the model on the FAS executor.
     ///
     /// # Errors
     ///
     /// Any pipeline stage error.
-    pub fn machine(&self) -> Result<FasMachine, ModelError> {
-        let code = self.fas_code()?;
-        Ok(compile(&code)?.instantiate(&BTreeMap::new())?)
+    pub fn machine(&self) -> Result<Box<dyn BehavioralModel>, ModelError> {
+        crate::fas_machine(&self.fas_code()?)
     }
 
     /// Pin order of the generated model.
@@ -215,6 +213,7 @@ impl OpampSpec {
 mod tests {
     use super::*;
     use gabm_core::check::check_diagram;
+    use gabm_fas::compile;
     use gabm_sim::analysis::tran::TranSpec;
     use gabm_sim::circuit::Circuit;
     use gabm_sim::devices::SourceWave;
@@ -245,7 +244,7 @@ mod tests {
         let inp = ckt.node("inp");
         let out = ckt.node("out");
         // Feedback: inn tied to out.
-        ckt.add_behavioral("XOP", &[inp, out, out], Box::new(machine))
+        ckt.add_behavioral("XOP", &[inp, out, out], machine)
             .unwrap();
         ckt.add_vsource(
             "VIN",
@@ -279,7 +278,7 @@ mod tests {
         let mut ckt = Circuit::new();
         let inp = ckt.node("inp");
         let out = ckt.node("out");
-        ckt.add_behavioral("XOP", &[inp, out, out], Box::new(machine))
+        ckt.add_behavioral("XOP", &[inp, out, out], machine)
             .unwrap();
         ckt.add_vsource(
             "VIN",

@@ -21,8 +21,7 @@ use gabm_core::card::{CharacteristicClass, DefinitionCard, PinDomain};
 use gabm_core::diagram::FunctionalDiagram;
 use gabm_core::quantity::Dimension;
 use gabm_core::symbol::{FuncKind, PropertyValue, SymbolKind};
-use gabm_fas::{compile, FasMachine};
-use std::collections::BTreeMap;
+use gabm_sim::devices::BehavioralModel;
 
 /// Parameterized NTC thermistor.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,13 +216,13 @@ impl NtcThermistorSpec {
         Ok(generate(&self.diagram()?, Backend::Fas)?.text)
     }
 
-    /// Compiles and instantiates the model.
+    /// Compiles and instantiates the model on the FAS executor.
     ///
     /// # Errors
     ///
     /// Any pipeline stage error.
-    pub fn machine(&self) -> Result<FasMachine, ModelError> {
-        Ok(compile(&self.fas_code()?)?.instantiate(&BTreeMap::new())?)
+    pub fn machine(&self) -> Result<Box<dyn BehavioralModel>, ModelError> {
+        crate::fas_machine(&self.fas_code()?)
     }
 
     /// Pin order of the generated model.
@@ -236,6 +235,7 @@ impl NtcThermistorSpec {
 mod tests {
     use super::*;
     use gabm_core::check::check_diagram;
+    use gabm_fas::compile;
     use gabm_sim::circuit::Circuit;
     use gabm_sim::devices::SourceWave;
 
@@ -274,8 +274,7 @@ mod tests {
             let a = ckt.node("a");
             let b = ckt.node("b");
             let th = ckt.node("th");
-            ckt.add_behavioral("XTH", &[a, b, th], Box::new(machine))
-                .unwrap();
+            ckt.add_behavioral("XTH", &[a, b, th], machine).unwrap();
             ckt.add_vsource("VE", a, Circuit::GROUND, SourceWave::dc(0.1));
             ckt.add_resistor("RB", b, Circuit::GROUND, 1e-3).unwrap();
             // Force the thermal node (temperature = nodal value).
@@ -301,7 +300,7 @@ mod tests {
         let a = ckt.node("a");
         let th = ckt.node("th");
         let amb = ckt.node("amb");
-        ckt.add_behavioral("XTH", &[a, Circuit::GROUND, th], Box::new(machine))
+        ckt.add_behavioral("XTH", &[a, Circuit::GROUND, th], machine)
             .unwrap();
         ckt.add_vsource("VE", a, Circuit::GROUND, SourceWave::dc(10.0));
         // Thermal network: R_th = 100 K/W to a 298.15 K ambient.

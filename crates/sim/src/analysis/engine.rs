@@ -150,6 +150,11 @@ fn newton_iterate(
         };
         stats.newton_iterations += 1;
         if !nonlinear {
+            if let Some(bad) = x_new.iter().position(|v| !v.is_finite()) {
+                return Err(SimError::NonFinite {
+                    unknown: unknown_name(circuit, bad, n_nodes),
+                });
+            }
             return Ok(NewtonOutcome {
                 x: x_new,
                 iterations: 1,
@@ -175,7 +180,7 @@ fn newton_iterate(
     })
 }
 
-/// Human-readable name of MNA unknown `idx` for singular-matrix diagnostics.
+/// Human-readable name of MNA unknown `idx` for solver diagnostics.
 fn unknown_name(circuit: &Circuit, idx: usize, n_nodes: usize) -> String {
     if idx < n_nodes {
         format!(
@@ -243,6 +248,29 @@ mod tests {
             }
             other => panic!("expected singular matrix, got {other:?}"),
         }
+    }
+
+    /// An infinite source makes the linear solve non-finite.
+    fn infinite_source() -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(f64::INFINITY));
+        c.add_resistor("R1", a, Circuit::GROUND, 1.0e3).unwrap();
+        c
+    }
+
+    #[test]
+    fn non_finite_op_is_an_error_naming_the_unknown() {
+        let err = infinite_source().op().unwrap_err();
+        assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
+    }
+
+    #[test]
+    fn non_finite_tran_is_an_error_naming_the_unknown() {
+        let err = infinite_source()
+            .tran(&crate::analysis::tran::TranSpec::new(1.0e-6))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
     }
 
     /// Nonlinear diode/resistor ladder, forced onto the sparse backend.

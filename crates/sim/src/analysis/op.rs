@@ -93,9 +93,7 @@ fn solve_op_internal(
             stats.wall_s = wall_start.elapsed().as_secs_f64();
             return Ok((out.x, stats));
         }
-        Err(SimError::SingularMatrix { detail }) => {
-            return Err(SimError::SingularMatrix { detail })
-        }
+        Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => return Err(e),
         Err(_) => {}
     }
 

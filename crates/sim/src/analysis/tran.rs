@@ -228,8 +228,8 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         let solved = newton_solve(circuit, mode, &x, SolveSetup::default(), &mut stats);
         drop(step_span);
         match solved {
-            Err(SimError::SingularMatrix { detail }) => {
-                return Err(SimError::SingularMatrix { detail });
+            Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => {
+                return Err(e);
             }
             Err(_) => {
                 stats.rejected_steps += 1;

@@ -81,6 +81,12 @@ pub enum SimError {
         /// Human-readable hint naming the offending unknown if known.
         detail: String,
     },
+    /// A linear solve produced a NaN or infinite value — usually an
+    /// infinite or NaN source or parameter.
+    NonFinite {
+        /// The first non-finite unknown, e.g. `node 'a'`.
+        unknown: String,
+    },
     /// The transient step controller hit its minimum step ("timestep too
     /// small" in SPICE terms).
     TimestepTooSmall {
@@ -107,6 +113,9 @@ impl fmt::Display for SimError {
             }
             SimError::SingularMatrix { detail } => {
                 write!(f, "singular MNA matrix: {detail}")
+            }
+            SimError::NonFinite { unknown } => {
+                write!(f, "non-finite solution value at {unknown}")
             }
             SimError::TimestepTooSmall { time } => {
                 write!(f, "timestep too small at t = {time:.6e} s")

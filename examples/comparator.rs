@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|p| beh.node(p))
         .collect();
-    beh.add_behavioral("XCMP", &nodes, Box::new(machine))?;
+    beh.add_behavioral("XCMP", &nodes, machine)?;
     beh.add_vsource("VDD", nodes[5], Circuit::GROUND, SourceWave::dc(2.5));
     beh.add_vsource("VSS", nodes[6], Circuit::GROUND, SourceWave::dc(-2.5));
     stimulus(&mut beh, nodes[0], nodes[1], nodes[2]);

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ta = ckt.node("ta");
     let tb = ckt.node("tb");
     let axle = ckt.node("axle");
-    ckt.add_behavioral("XMOT", &[ta, tb, axle], Box::new(machine))?;
+    ckt.add_behavioral("XMOT", &[ta, tb, axle], machine)?;
     ckt.add_vsource(
         "VBAT",
         ta,

@@ -9,13 +9,13 @@
 //! electrical circuit and re-measures its parameters.
 
 use gabm::charac::rigs;
-use gabm::charac::{Dut, FnDut};
+use gabm::charac::Dut;
 use gabm::codegen::{generate, Backend};
 use gabm::core::check_diagram;
 use gabm::core::constructs::InputStageSpec;
 use gabm::fas::compile;
+use gabm::models::dut::fas_dut;
 use gabm::schematic::render_ascii;
-use gabm::sim::circuit::Circuit;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,12 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Simulation: compile the FAS code and measure the model in a
     //    circuit (§2.3/§2.4).
     let model = compile(&fas.text)?;
-    let dut = FnDut::new(&["in"], move |ckt: &mut Circuit, name, nodes| {
-        let machine = model
-            .instantiate(&BTreeMap::new())
-            .expect("defaults instantiate");
-        ckt.add_behavioral(name, nodes, Box::new(machine))
-    });
+    let dut = fas_dut(model, BTreeMap::new())?;
     let rin = rigs::input_resistance(&dut, "in", &[])?;
     let cin = rigs::input_capacitance(&dut, "in", &[], 5.0e-12)?;
     println!("extracted: {rin}");

@@ -72,8 +72,8 @@ options:
 const COMPILE_USAGE: &str = "\
 usage: gabm compile <file.fas> [options]
 
-Compiles a FAS behavioural model to register bytecode (the execution
-form used by the `FasBackend::Vm` engine) and prints a summary of the
+Compiles a FAS behavioural model to register bytecode (the form every
+FAS model runs in during simulation) and prints a summary of the
 compiled program.
 
 options:
