@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper (see DESIGN.md §4).
 //!
 //! ```text
-//! harness [--threads <n>] [experiment]
+//! harness [experiment]
 //!   fig1       model development steps (definition card → diagram → code → simulation)
 //!   fig2       input stage: diagram + extracted Rin/Cin
 //!   fig3       output stage: diagram + extracted Rout/Ilim
@@ -17,19 +17,18 @@
 //!              dense vs sparse LU on RC ladders of 8–512 unknowns
 //!   bode       open-loop Bode of the behavioural opamp vs the analytic pole
 //!   fasvm      FAS interpreter vs bytecode VM vs CMOS (writes BENCH_fasvm.json)
-//!   parchar    parallel characterization + LU reuse (writes BENCH_parchar.json)
+//!   parchar    parallel characterization + sparse-LU refactorization (writes BENCH_parchar.json)
 //!   traceov    tracing overhead: disabled-probe cost on the comparator
 //!              transient + a fully traced all-layer run (writes
 //!              BENCH_traceov.json and TRACE_traceov.json)
 //!   all        everything above (default)
 //! ```
 //!
-//! `--threads <n>` (or env `GABM_THREADS`) sizes the worker pool used by
-//! the parallel characterization flows. `--trace <out.json>` (or env
-//! `GABM_TRACE`) records a Chrome trace-event file of the whole
-//! invocation and `--trace-summary` prints the hierarchical text summary;
-//! both use the same shared flag parser as `gabm`. SVG renderings of the
-//! diagrams are written to `figures/`.
+//! The parallel characterization flows run on one worker per hardware
+//! thread. `--trace <out.json>` (or env `GABM_TRACE`) records a Chrome
+//! trace-event file of the whole invocation and `--trace-summary` prints
+//! the hierarchical text summary; both use the same shared flag parser as
+//! `gabm`. SVG renderings of the diagrams are written to `figures/`.
 
 use gabm_bench::experiments::comparator_bench::{
     behavioural_comparator_circuit, behavioural_comparator_circuit_around,
@@ -57,23 +56,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let threads = match gabm_trace::cli::take_threads_flag(&mut argv) {
-        Ok(Some(n)) => Some(n),
-        Ok(None) => match gabm_par::env_threads() {
-            Ok(n) => n,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        },
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(n) = threads {
-        gabm_par::set_global_threads(n);
-    }
     gabm_trace::cli::maybe_enable(&trace_cfg);
     let which = argv.into_iter().next().unwrap_or_else(|| "all".to_string());
     let all = which == "all";
@@ -842,21 +824,19 @@ fn fasvm() {
 
 /// Perf row for the parallel characterization engine: Monte-Carlo over the
 /// comparator's strobe-to-decision delay at several pool sizes (bitwise
-/// identical by construction), plus the sparse-LU refactorization-reuse
-/// speedup on the 60 µs comparator transient. Writes `BENCH_parchar.json`.
+/// identical by construction), plus the forced-sparse LU (one full
+/// factorization, then numeric refactorizations) against the dense default
+/// on the 60 µs comparator transient. Writes `BENCH_parchar.json`.
 fn parchar() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Distribution, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
     use std::collections::BTreeMap;
 
-    banner("Parallel characterization + sparse-LU refactorization reuse");
+    banner("Parallel characterization + sparse-LU refactorization");
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
-        "hardware threads: {hardware_threads}, global pool: {} workers",
-        gabm_par::global().threads()
-    );
+    println!("hardware threads: {hardware_threads}");
 
     // --- Monte-Carlo: slew-rate scatter -> response-time distribution. ---
     const SAMPLES: usize = 24;
@@ -930,16 +910,7 @@ fn parchar() {
         }
         times.insert(threads, t);
     }
-    // One run on the global pool (sized by --threads / GABM_THREADS): the
-    // PARCHAR-DIST fingerprint below is what ci.sh diffs across thread
-    // settings, so it must come from the pool those settings control.
-    let (_, dist, failures) = mc_run(gabm_par::global());
-    let reference = reference.expect("fixed-size runs happened");
-    assert_same(
-        &reference,
-        &(dist.clone(), failures),
-        gabm_par::global().threads(),
-    );
+    let (dist, failures) = reference.expect("fixed-size runs happened");
     println!(
         "PARCHAR-DIST n={} failures={} mean={:016x} std={:016x} min={:016x} max={:016x}",
         dist.n,
@@ -959,7 +930,7 @@ fn parchar() {
     let stim = ComparatorStimulus::default();
     let tstop = 60.0e-6;
     const LU_REPS: usize = 7;
-    let lu_run = |force_sparse: bool, reuse: bool| {
+    let lu_run = |force_sparse: bool| {
         let (best, r) = best_of(
             LU_REPS,
             || {
@@ -967,38 +938,32 @@ fn parchar() {
                 if force_sparse {
                     ckt.options.sparse_threshold = 1;
                 }
-                ckt.options.reuse_lu = reuse;
                 ckt
             },
             |ckt| ckt.tran(&TranSpec::new(tstop)).expect("tran runs"),
         );
         (best, r.stats)
     };
-    let (t_off, s_off) = lu_run(true, false);
-    let (t_on, s_on) = lu_run(true, true);
-    let (t_dense, _) = lu_run(false, true);
+    let (t_sparse, s_sparse) = lu_run(true);
+    let (t_dense, _) = lu_run(false);
     assert_eq!(
-        s_off.newton_iterations, s_on.newton_iterations,
-        "LU reuse must not change the Newton trajectory"
-    );
-    let speedup_lu = t_off / t_on;
-    println!(
-        "\n{:<30} {:>10} {:>8} {:>10}",
-        "sparse backend (threshold=1)", "time [s]", "factor", "refactor"
+        s_sparse.factorizations + s_sparse.refactorizations,
+        s_sparse.newton_iterations,
+        "every Newton iteration factors once, in full or numerically"
     );
     println!(
-        "{:<30} {:>10.4} {:>8} {:>10}",
-        "full factorization each iter", t_off, s_off.factorizations, s_off.refactorizations
+        "\n{:<30} {:>10} {:>8} {:>10} {:>8}",
+        "LU backend", "time [s]", "factor", "refactor", "newton"
     );
     println!(
-        "{:<30} {:>10.4} {:>8} {:>10}",
-        "numeric refactorization reuse", t_on, s_on.factorizations, s_on.refactorizations
+        "{:<30} {:>10.4} {:>8} {:>10} {:>8}",
+        "sparse (threshold=1)",
+        t_sparse,
+        s_sparse.factorizations,
+        s_sparse.refactorizations,
+        s_sparse.newton_iterations
     );
-    println!(
-        "LU-reuse speedup: {speedup_lu:.2}x ({} Newton iterations; \
-         dense default path for context: {t_dense:.4} s)",
-        s_on.newton_iterations
-    );
+    println!("{:<30} {t_dense:>10.4}", "dense (default)");
 
     let json = format!(
         "{{\n  \"experiment\": \"parchar\",\n  \"hardware_threads\": {hardware_threads},\n  \
@@ -1006,8 +971,7 @@ fn parchar() {
          \"mc_serial_s\": {:.6},\n  \"mc_2t_s\": {:.6},\n  \"mc_4t_s\": {:.6},\n  \
          \"mc_8t_s\": {:.6},\n  \"speedup_mc_4t\": {speedup_mc_4t:.4},\n  \
          \"mc_mean_s\": {:.6e},\n  \"mc_std_s\": {:.6e},\n  \"mc_failures\": {failures},\n  \
-         \"lu_reuse_off_s\": {t_off:.6},\n  \"lu_reuse_on_s\": {t_on:.6},\n  \
-         \"speedup_lu_reuse\": {speedup_lu:.4},\n  \"factorizations\": {},\n  \
+         \"lu_reuse_on_s\": {t_sparse:.6},\n  \"factorizations\": {},\n  \
          \"refactorizations\": {},\n  \"newton_iterations\": {},\n  \
          \"accepted_steps\": {},\n  \"rejected_steps\": {},\n  \"tran_wall_s\": {:.6},\n  \
          \"dense_default_s\": {t_dense:.6}\n}}\n",
@@ -1017,12 +981,12 @@ fn parchar() {
         times[&8],
         dist.mean,
         dist.std_dev,
-        s_on.factorizations,
-        s_on.refactorizations,
-        s_on.newton_iterations,
-        s_on.accepted_steps,
-        s_on.rejected_steps,
-        s_on.wall_s
+        s_sparse.factorizations,
+        s_sparse.refactorizations,
+        s_sparse.newton_iterations,
+        s_sparse.accepted_steps,
+        s_sparse.rejected_steps,
+        s_sparse.wall_s
     );
     if std::fs::write("BENCH_parchar.json", &json).is_ok() {
         println!("  [written to BENCH_parchar.json]");

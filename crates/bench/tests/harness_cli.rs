@@ -1,7 +1,7 @@
-//! CLI surface of the `harness` binary: the `--threads` and `--trace`
-//! flag parsers must reject bad values with flag-naming messages (the
-//! `--trace` parser is shared with `gabm`), and `--trace` must record the
-//! instrumented layers of whatever experiment ran.
+//! CLI surface of the `harness` binary: the `--trace` flag parser (shared
+//! with `gabm`) must reject bad values with flag-naming messages, `--trace`
+//! must record the instrumented layers of whatever experiment ran, and a
+//! flag the harness does not know fails loudly.
 
 use std::process::{Command, Output};
 
@@ -24,23 +24,13 @@ fn exit_code(out: &Output) -> i32 {
 }
 
 #[test]
-fn threads_flag_errors_name_the_flag() {
+fn threads_flag_is_unknown_to_harness() {
+    // The worker pool follows the host; there is no thread-count flag.
     let dir = tmpdir("gabm_harness_cli_threads");
-    for bad in ["zero", "0", "-3"] {
-        let out = harness_in(&dir, &["--threads", bad, "fig1"]);
-        assert_eq!(exit_code(&out), 2, "value {bad:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!(
-                "invalid value '{bad}' for --threads: expected a positive integer"
-            )),
-            "value {bad:?}: {stderr}"
-        );
-    }
-    let out = harness_in(&dir, &["fig1", "--threads"]);
+    let out = harness_in(&dir, &["--threads", "4", "fig1"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--threads requires a value"),
+        String::from_utf8_lossy(&out.stderr).contains("unknown experiment '--threads'"),
         "{out:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -55,10 +45,11 @@ fn trace_flag_errors_name_the_flag() {
         String::from_utf8_lossy(&out.stderr).contains("--trace requires a value"),
         "{out:?}"
     );
-    let out = harness_in(&dir, &["--trace", "--threads", "2", "fig1"]);
+    let out = harness_in(&dir, &["--trace", "--trace-summary", "fig1"]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid value '--threads' for --trace"),
+        String::from_utf8_lossy(&out.stderr)
+            .contains("invalid value '--trace-summary' for --trace"),
         "{out:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -69,10 +60,7 @@ fn trace_flag_records_an_experiment() {
     let dir = tmpdir("gabm_harness_cli_trace_run");
     // fig1 is the cheapest experiment that reaches the simulator (its
     // input-resistance rig solves operating points).
-    let out = harness_in(
-        &dir,
-        &["--trace", "fig1_trace.json", "--threads", "2", "fig1"],
-    );
+    let out = harness_in(&dir, &["--trace", "fig1_trace.json", "fig1"]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let text = std::fs::read_to_string(dir.join("fig1_trace.json")).expect("trace written");
     assert!(text.contains("\"traceEvents\""), "{text}");

@@ -343,77 +343,6 @@ impl Program {
     }
 }
 
-/// Mnemonics indexed by [`Op::kind`]; order is part of the trace output.
-const KIND_NAMES: [&str; Op::KINDS] = [
-    "const",
-    "load_pin",
-    "load_param",
-    "load_scratch",
-    "load_committed",
-    "load_time",
-    "load_temp",
-    "load_timestep",
-    "neg",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "call1",
-    "call2",
-    "limit",
-    "dt",
-    "delayt",
-    "idt",
-    "store_var",
-    "impose",
-    "select",
-    "jump",
-    "jump_if_not",
-    "jump_if_mode_not",
-];
-
-impl Op {
-    /// Number of opcode kinds (the size of a per-opcode histogram).
-    pub const KINDS: usize = 25;
-
-    /// Dense opcode-kind index in `0..KINDS`, stable across runs; used by
-    /// the optional per-opcode execution histogram (`GABM_TRACE_OPCODES`).
-    pub fn kind(&self) -> usize {
-        match self {
-            Op::Const { .. } => 0,
-            Op::LoadPin { .. } => 1,
-            Op::LoadParam { .. } => 2,
-            Op::LoadScratch { .. } => 3,
-            Op::LoadCommitted { .. } => 4,
-            Op::LoadTime { .. } => 5,
-            Op::LoadTemp { .. } => 6,
-            Op::LoadTimeStep { .. } => 7,
-            Op::Neg { .. } => 8,
-            Op::Add { .. } => 9,
-            Op::Sub { .. } => 10,
-            Op::Mul { .. } => 11,
-            Op::Div { .. } => 12,
-            Op::Call1 { .. } => 13,
-            Op::Call2 { .. } => 14,
-            Op::Limit { .. } => 15,
-            Op::Dt { .. } => 16,
-            Op::DelayT { .. } => 17,
-            Op::Idt { .. } => 18,
-            Op::StoreVar { .. } => 19,
-            Op::Impose { .. } => 20,
-            Op::Select { .. } => 21,
-            Op::Jump { .. } => 22,
-            Op::JumpIfNot { .. } => 23,
-            Op::JumpIfModeNot { .. } => 24,
-        }
-    }
-
-    /// Mnemonic of an opcode-kind index (see [`Op::kind`]).
-    pub fn kind_name(kind: usize) -> &'static str {
-        KIND_NAMES[kind]
-    }
-}
-
 fn rel_txt(op: RelOp) -> &'static str {
     match op {
         RelOp::Eq => "=",

@@ -82,17 +82,6 @@ fn dt_effective(ctx: &EvalCtx) -> f64 {
     }
 }
 
-/// The per-opcode execution histogram costs one branch per dispatched
-/// instruction, so it is double-gated: tracing must be on *and* the
-/// `GABM_TRACE_OPCODES` environment variable set (read once).
-fn opcode_histogram_enabled() -> bool {
-    static WANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    gabm_trace::enabled()
-        && *WANTED.get_or_init(|| {
-            std::env::var("GABM_TRACE_OPCODES").is_ok_and(|v| !v.is_empty() && v != "0")
-        })
-}
-
 impl FasVm {
     pub(crate) fn new(prog: Program, params: Vec<f64>) -> Self {
         let n_vars = prog.var_names.len();
@@ -144,16 +133,11 @@ impl FasVm {
         let ops = &self.prog.ops;
         let consts = &self.prog.consts;
         let dt_eff = dt_effective(ctx);
-        let histo = opcode_histogram_enabled();
-        let mut op_counts = [0u32; Op::KINDS];
         let mut max_td = 0.0f64;
         let mut pc = 0usize;
         while pc < ops.len() {
             let op = ops[pc];
             pc += 1;
-            if histo {
-                op_counts[op.kind()] += 1;
-            }
             match op {
                 Op::Const { dst, k } => s.regs[dst as usize] = consts[k as usize],
                 Op::LoadPin { dst, pin } => s.regs[dst as usize] = pin_v[pin as usize],
@@ -251,13 +235,6 @@ impl FasVm {
                     if ctx.mode_dc != dc {
                         pc = target as usize;
                     }
-                }
-            }
-        }
-        if histo {
-            for (kind, &n) in op_counts.iter().enumerate() {
-                if n > 0 {
-                    gabm_trace::add(&format!("fasvm.op.{}", Op::kind_name(kind)), u64::from(n));
                 }
             }
         }

@@ -17,9 +17,7 @@
 //! Each worker owns a deque: submitted jobs are distributed round-robin,
 //! a worker pops its own queue from the front and, when empty, *steals*
 //! from the back of the fullest sibling queue. A [`global()`] pool is
-//! lazily built from, in order of precedence, [`set_global_threads`]
-//! (the `--threads` CLI flag), the `GABM_THREADS` environment variable,
-//! and [`std::thread::available_parallelism`].
+//! lazily built with [`std::thread::available_parallelism`] workers.
 //!
 //! Jobs must not block on other jobs of the same pool (no nested
 //! `scope` from inside a worker): the pool is sized for compute-bound
@@ -298,60 +296,13 @@ impl<'env> Scope<'env, '_> {
     }
 }
 
-/// Parses the `GABM_THREADS` environment variable.
-///
-/// Returns `Ok(None)` when unset or empty.
-///
-/// # Errors
-///
-/// A message naming the variable when the value is not a positive
-/// integer. Binaries should surface this at startup; [`global`] itself
-/// falls back to auto-detection on a malformed value.
-pub fn env_threads() -> Result<Option<usize>, String> {
-    match std::env::var("GABM_THREADS") {
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(format!(
-                "invalid GABM_THREADS value '{v}': expected a positive integer"
-            )),
-        },
-        Err(_) => Ok(None),
-    }
-}
-
-static GLOBAL_OVERRIDE: OnceLock<usize> = OnceLock::new();
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
 
-/// Fixes the size of the [`global`] pool (the `--threads N` CLI flag).
-///
-/// Returns `false` when it is too late: an override was already set or
-/// the global pool has already been built.
-pub fn set_global_threads(threads: usize) -> bool {
-    if GLOBAL_POOL.get().is_some() {
-        return false;
-    }
-    GLOBAL_OVERRIDE.set(threads.max(1)).is_ok()
-}
-
-/// Thread count the [`global`] pool will use: the
-/// [`set_global_threads`] override, else `GABM_THREADS`, else
-/// [`std::thread::available_parallelism`].
-pub fn default_threads() -> usize {
-    if let Some(&n) = GLOBAL_OVERRIDE.get() {
-        return n;
-    }
-    if let Ok(Some(n)) = env_threads() {
-        return n;
-    }
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The process-wide pool, built lazily with [`default_threads`] workers.
+/// The process-wide pool, built lazily with one worker per
+/// [`std::thread::available_parallelism`] thread.
 pub fn global() -> &'static ThreadPool {
-    GLOBAL_POOL.get_or_init(|| ThreadPool::new(default_threads()))
+    GLOBAL_POOL
+        .get_or_init(|| ThreadPool::new(thread::available_parallelism().map_or(1, |n| n.get())))
 }
 
 #[cfg(test)]
@@ -442,19 +393,5 @@ mod tests {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.threads(), 1);
         assert_eq!(pool.par_map_n(2, |k| k), vec![0, 1]);
-    }
-
-    #[test]
-    fn env_threads_parses_and_rejects() {
-        // Can't mutate the process environment safely under a parallel
-        // test runner; exercise the parser through a present-or-absent
-        // variable only when it is unset.
-        match std::env::var("GABM_THREADS") {
-            Err(_) => assert_eq!(env_threads(), Ok(None)),
-            Ok(v) => {
-                // Whatever the harness set must parse cleanly.
-                assert!(env_threads().is_ok(), "GABM_THREADS='{v}' should parse");
-            }
-        }
     }
 }

@@ -121,8 +121,7 @@ fn newton_iterate(
                 // pivot collapsing under the frozen order (or a pattern
                 // change from e.g. gmin stepping) falls back to a full
                 // re-pivoting factorization.
-                let cached = if opts.reuse_lu { lu_cache.take() } else { None };
-                let lu = match cached {
+                let lu = match lu_cache.take() {
                     Some(mut lu) if lu.pattern_matches(&a) => match lu.refactor(&a) {
                         Ok(()) => {
                             stats.refactorizations += 1;
@@ -142,19 +141,19 @@ fn newton_iterate(
                     }
                 };
                 let solved = lu.solve(rhs)?;
-                if opts.reuse_lu {
-                    *lu_cache = Some(lu);
-                }
+                *lu_cache = Some(lu);
                 solved
             }
         };
         stats.newton_iterations += 1;
+        // A non-finite iterate never recovers (damping turns it into NaN),
+        // so fail at once, naming the unknown.
+        if let Some(bad) = x_new.iter().position(|v| !v.is_finite()) {
+            return Err(SimError::NonFinite {
+                unknown: unknown_name(circuit, bad, n_nodes),
+            });
+        }
         if !nonlinear {
-            if let Some(bad) = x_new.iter().position(|v| !v.is_finite()) {
-                return Err(SimError::NonFinite {
-                    unknown: unknown_name(circuit, bad, n_nodes),
-                });
-            }
             return Ok(NewtonOutcome {
                 x: x_new,
                 iterations: 1,
@@ -259,25 +258,62 @@ mod tests {
         c
     }
 
+    /// An infinite source driving a diode through a resistor: the first
+    /// nonlinear iterate is non-finite.
+    fn infinite_source_diode() -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let d = c.node("d");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(f64::INFINITY));
+        c.add_resistor("R1", a, d, 1.0e3).unwrap();
+        c.add_diode(
+            "D1",
+            d,
+            Circuit::GROUND,
+            crate::devices::DiodeParams::default(),
+        );
+        c
+    }
+
     #[test]
     fn non_finite_op_is_an_error_naming_the_unknown() {
-        let err = infinite_source().op().unwrap_err();
-        assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
+        for mut c in [infinite_source(), infinite_source_diode()] {
+            let err = c.op().unwrap_err();
+            assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
+        }
     }
 
     #[test]
     fn non_finite_tran_is_an_error_naming_the_unknown() {
-        let err = infinite_source()
-            .tran(&crate::analysis::tran::TranSpec::new(1.0e-6))
-            .unwrap_err();
-        assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
+        for mut c in [infinite_source(), infinite_source_diode()] {
+            let err = c
+                .tran(&crate::analysis::tran::TranSpec::new(1.0e-6))
+                .unwrap_err();
+            assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
+        }
+    }
+
+    #[test]
+    fn non_finite_nonlinear_iterate_stops_after_one_iteration() {
+        let mut c = infinite_source_diode();
+        let n = c.n_unknowns();
+        let mut stats = SimStats::default();
+        let err = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::NonFinite { .. }), "{err:?}");
+        assert_eq!(stats.newton_iterations, 1);
     }
 
     /// Nonlinear diode/resistor ladder, forced onto the sparse backend.
-    fn diode_ladder(reuse_lu: bool) -> Circuit {
+    fn diode_ladder() -> Circuit {
         let mut c = Circuit::new();
         c.options.sparse_threshold = 1;
-        c.options.reuse_lu = reuse_lu;
         let top = c.node("top");
         c.add_vsource("V1", top, Circuit::GROUND, SourceWave::dc(5.0));
         let mut prev = top;
@@ -297,36 +333,28 @@ mod tests {
 
     #[test]
     fn sparse_lu_reuse_is_bitwise_identical_to_full_factorization() {
-        let solve = |reuse: bool| {
-            let mut c = diode_ladder(reuse);
-            let n = c.n_unknowns();
-            let mut stats = SimStats::default();
-            let out = newton_solve(
-                &mut c,
-                Mode::Dc,
-                &vec![0.0; n],
-                SolveSetup::default(),
-                &mut stats,
-            )
-            .unwrap();
-            (out, stats)
-        };
-        let (out_full, stats_full) = solve(false);
-        let (out_reuse, stats_reuse) = solve(true);
-        assert_eq!(out_full.iterations, out_reuse.iterations);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out_full.x), bits(&out_reuse.x));
-        // Without reuse every iteration refactors from scratch; with it,
-        // only the first does.
-        assert_eq!(stats_full.refactorizations, 0);
-        assert_eq!(stats_full.factorizations, out_full.iterations);
-        assert_eq!(stats_reuse.factorizations, 1);
-        assert_eq!(stats_reuse.refactorizations, out_reuse.iterations - 1);
+        // Only the first iteration factors in full; every later one reuses
+        // its symbolic analysis (`SparseLu::refactor`, which reproduces a
+        // fresh factorization to the ulp, see `splu::tests`).
+        let mut c = diode_ladder();
+        let n = c.n_unknowns();
+        let mut stats = SimStats::default();
+        let out = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap();
+        assert!(out.iterations > 1);
+        assert_eq!(stats.factorizations, 1);
+        assert_eq!(stats.refactorizations, out.iterations - 1);
     }
 
     #[test]
     fn lu_cache_survives_consecutive_solves() {
-        let mut c = diode_ladder(true);
+        let mut c = diode_ladder();
         let n = c.n_unknowns();
         let mut stats = SimStats::default();
         let out = newton_solve(

@@ -74,8 +74,7 @@ pub struct Circuit {
     pub options: Options,
     /// Cached sparse factorization: the symbolic analysis and pivot order
     /// survive across Newton solves and time steps, so iterations with an
-    /// unchanged matrix pattern only pay a numeric refactorization (see
-    /// [`Options::reuse_lu`]).
+    /// unchanged matrix pattern only pay a numeric refactorization.
     pub(crate) lu_cache: Option<gabm_numeric::SparseLu>,
 }
 

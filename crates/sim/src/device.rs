@@ -131,7 +131,12 @@ impl Stamper {
 
     /// Creates a stamper with an explicit matrix backend (`sparse = true`
     /// accumulates triplets for the sparse LU).
-    pub fn with_backend(n_nodes: usize, n_branches: usize, mode: Mode, sparse: bool) -> Self {
+    pub(crate) fn with_backend(
+        n_nodes: usize,
+        n_branches: usize,
+        mode: Mode,
+        sparse: bool,
+    ) -> Self {
         let n = n_nodes + n_branches;
         Stamper {
             n_nodes,

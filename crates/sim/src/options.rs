@@ -39,11 +39,6 @@ pub struct Options {
     pub temperature: f64,
     /// Switch to the sparse matrix backend above this many unknowns.
     pub sparse_threshold: usize,
-    /// Reuse the sparse LU symbolic analysis and pivot order across Newton
-    /// iterations and time steps (numeric-only refactorization) while the
-    /// matrix pattern is unchanged. Disable to force a full factorization
-    /// per iteration (the pre-reuse behaviour, kept for benchmarking).
-    pub reuse_lu: bool,
 }
 
 impl Default for Options {
@@ -59,7 +54,6 @@ impl Default for Options {
             max_voltage_step: 2.0,
             temperature: 300.15,
             sparse_threshold: 64,
-            reuse_lu: true,
         }
     }
 }
@@ -86,7 +80,7 @@ pub struct SimStats {
     /// Full matrix factorizations (symbolic analysis + pivoting + numerics).
     pub factorizations: usize,
     /// Numeric-only sparse refactorizations served from the cached
-    /// symbolic analysis (see [`Options::reuse_lu`]).
+    /// symbolic analysis while the matrix pattern is unchanged.
     pub refactorizations: usize,
     /// Total device evaluation sweeps.
     pub device_evals: usize,

@@ -30,8 +30,8 @@ pub fn env_trace() -> Option<String> {
 }
 
 /// Removes every `--trace <path>` / `--trace-summary` occurrence from
-/// `argv` (any position, so they compose with subcommands and
-/// `--threads`) and resolves the `GABM_TRACE` fallback.
+/// `argv` (any position, so they compose with subcommands and their
+/// flags) and resolves the `GABM_TRACE` fallback.
 ///
 /// # Errors
 ///
@@ -67,37 +67,6 @@ pub fn take_trace_flags(argv: &mut Vec<String>) -> Result<TraceConfig, String> {
         out = env_trace();
     }
     Ok(TraceConfig { out, summary })
-}
-
-/// Removes every `--threads <n>` occurrence from `argv` and returns the
-/// last value (`harness` sizes its worker pool with it).
-///
-/// # Errors
-///
-/// A message naming the flag for a missing or non-positive-integer value.
-pub fn take_threads_flag(argv: &mut Vec<String>) -> Result<Option<usize>, String> {
-    let mut threads = None;
-    let mut i = 0;
-    while i < argv.len() {
-        if argv[i] == "--threads" {
-            if i + 1 >= argv.len() {
-                return Err("--threads requires a value".to_string());
-            }
-            let value = argv.remove(i + 1);
-            argv.remove(i);
-            match value.parse::<usize>() {
-                Ok(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    return Err(format!(
-                        "invalid value '{value}' for --threads: expected a positive integer"
-                    ))
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    Ok(threads)
 }
 
 /// Starts collection when the config asks for any output.
@@ -155,44 +124,11 @@ mod tests {
         let mut a = argv(&["compile", "--trace"]);
         let err = take_trace_flags(&mut a).unwrap_err();
         assert!(err.contains("--trace"), "{err}");
-        let mut b = argv(&["--trace", "--threads"]);
+        let mut b = argv(&["--trace", "--deny-warnings"]);
         let err = take_trace_flags(&mut b).unwrap_err();
         assert!(
-            err.contains("--trace") && err.contains("--threads"),
+            err.contains("--trace") && err.contains("--deny-warnings"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn threads_flag_parses_and_rejects() {
-        let mut a = argv(&["fig7", "--threads", "4"]);
-        assert_eq!(take_threads_flag(&mut a).unwrap(), Some(4));
-        assert_eq!(a, argv(&["fig7"]));
-
-        let mut b = argv(&["--threads", "zero"]);
-        let err = take_threads_flag(&mut b).unwrap_err();
-        assert!(err.contains("--threads") && err.contains("zero"), "{err}");
-
-        let mut c = argv(&["--threads"]);
-        let err = take_threads_flag(&mut c).unwrap_err();
-        assert_eq!(err, "--threads requires a value");
-    }
-
-    #[test]
-    fn threads_and_trace_flags_compose() {
-        let mut a = argv(&[
-            "--threads",
-            "2",
-            "--trace",
-            "t.json",
-            "compile",
-            "--trace-summary",
-            "f.fas",
-        ]);
-        let cfg = take_trace_flags(&mut a).unwrap();
-        assert_eq!(cfg.out.as_deref(), Some("t.json"));
-        assert!(cfg.summary);
-        assert_eq!(take_threads_flag(&mut a).unwrap(), Some(2));
-        assert_eq!(a, argv(&["compile", "f.fas"]));
     }
 }

@@ -87,26 +87,16 @@ case "$(cat "$BENCH_DIR/BENCH_fasvm.json")" in
     *) echo "FAIL: BENCH_fasvm.json missing speedup field" >&2; exit 1 ;;
 esac
 
-# Parallel characterization gate: the Monte-Carlo distribution fingerprint
-# must be bitwise identical whatever GABM_THREADS says (the harness also
-# asserts this in-process across pools of 1/2/4/8 workers, and asserts the
-# LU-reuse run retraces the full-factorization Newton trajectory).
+# Parallel characterization gate: the harness asserts in-process that the
+# Monte-Carlo distribution is bitwise identical on pools of 1/2/4/8
+# workers, and that the forced-sparse LU factors once per Newton
+# iteration (full or numeric refactorization); a failed assertion aborts
+# the run and fails this step.
 echo "==> harness parchar ($BENCH_DIR/BENCH_parchar.json)"
-dist1=$(cd "$BENCH_DIR" && GABM_THREADS=1 "$HARNESS" parchar | grep '^PARCHAR-DIST')
-dist4=$(cd "$BENCH_DIR" && GABM_THREADS=4 "$HARNESS" parchar | grep '^PARCHAR-DIST')
-if [ "$dist1" != "$dist4" ]; then
-    echo "FAIL: Monte-Carlo distribution depends on GABM_THREADS:" >&2
-    echo "  GABM_THREADS=1: $dist1" >&2
-    echo "  GABM_THREADS=4: $dist4" >&2
-    exit 1
-fi
-if [ ! -f "$BENCH_DIR/BENCH_parchar.json" ]; then
-    echo "FAIL: BENCH_parchar.json not regenerated" >&2
-    exit 1
-fi
+(cd "$BENCH_DIR" && "$HARNESS" parchar)
 case "$(cat "$BENCH_DIR/BENCH_parchar.json")" in
-    *'"speedup_lu_reuse"'*) ;;
-    *) echo "FAIL: BENCH_parchar.json missing speedup_lu_reuse" >&2; exit 1 ;;
+    *'"refactorizations"'*) ;;
+    *) echo "FAIL: BENCH_parchar.json missing refactorizations" >&2; exit 1 ;;
 esac
 
 # Tracing gate: the disabled-probe overhead on the comparator transient
