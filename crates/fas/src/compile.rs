@@ -5,7 +5,8 @@ use crate::parser::parse;
 use crate::FasError;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// One-argument intrinsic functions.
+/// One-argument intrinsic functions; [`Lane::call1`](crate::dual::Lane::call1)
+/// evaluates them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Func1 {
@@ -19,41 +20,14 @@ pub enum Func1 {
     Atan,
 }
 
-impl Func1 {
-    /// Evaluates the intrinsic. Every consumer (interpreter, bytecode VM,
-    /// constant folders) must call this so all layers agree bit for bit.
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Func1::Sin => x.sin(),
-            Func1::Cos => x.cos(),
-            Func1::Exp => x.exp(),
-            Func1::Ln => x.ln(),
-            Func1::Abs => x.abs(),
-            Func1::Sqrt => x.sqrt(),
-            Func1::Tanh => x.tanh(),
-            Func1::Atan => x.atan(),
-        }
-    }
-}
-
-/// Two-argument intrinsic functions.
+/// Two-argument intrinsic functions; [`Lane::call2`](crate::dual::Lane::call2)
+/// evaluates them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Func2 {
     Min,
     Max,
     Pow,
-}
-
-impl Func2 {
-    /// Evaluates the intrinsic (value lane semantics: `f64::min`/`max`).
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            Func2::Min => a.min(b),
-            Func2::Max => a.max(b),
-            Func2::Pow => a.powf(b),
-        }
-    }
 }
 
 /// Index-resolved expression: the executable tree form the interpreter
@@ -112,81 +86,63 @@ pub enum CStmt {
     If(CCond, Vec<CStmt>, Vec<CStmt>),
 }
 
+/// What the simulator sees of a compiled model besides its executable
+/// body: shared by the interpreter's [`CompiledModel`] and the bytecode
+/// VM's program, so one runtime shell serves both.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Signature {
+    /// Model name.
+    pub name: String,
+    /// Pin names in device-pin order.
+    pub pins: Vec<String>,
+    /// Parameter names and defaults.
+    pub params: Vec<(String, f64)>,
+    /// Variable names in slot order.
+    pub var_names: Vec<String>,
+    /// Number of `state.dt` instances.
+    pub n_dt: usize,
+    /// Number of `state.idt` instances.
+    pub n_idt: usize,
+    /// The variable each `state.delayt` instance delays.
+    pub delayt_vars: Vec<usize>,
+}
+
 /// A compiled FAS model, ready to instantiate as a simulator device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
-    pub(crate) name: String,
-    pub(crate) pins: Vec<String>,
-    pub(crate) params: Vec<(String, f64)>,
-    pub(crate) var_names: Vec<String>,
+    pub(crate) sig: Signature,
     pub(crate) body: Vec<CStmt>,
-    pub(crate) n_dt: usize,
-    pub(crate) n_delayt: usize,
-    pub(crate) n_idt: usize,
 }
 
 impl CompiledModel {
     /// Model name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.sig.name
     }
 
     /// Pin names in device-pin order.
     pub fn pins(&self) -> Vec<&str> {
-        self.pins.iter().map(String::as_str).collect()
+        self.sig.pins.iter().map(String::as_str).collect()
     }
 
     /// Parameter names and defaults.
     pub fn params(&self) -> &[(String, f64)] {
-        &self.params
+        &self.sig.params
     }
 
     /// Variable names in slot order.
     pub fn var_names(&self) -> &[String] {
-        &self.var_names
+        &self.sig.var_names
+    }
+
+    /// Pins, parameters, variables and state instances.
+    pub fn signature(&self) -> &Signature {
+        &self.sig
     }
 
     /// Lowered analog body.
     pub fn body(&self) -> &[CStmt] {
         &self.body
-    }
-
-    /// Number of `state.dt` instances.
-    pub fn n_dt(&self) -> usize {
-        self.n_dt
-    }
-
-    /// Number of `state.delayt` instances.
-    pub fn n_delayt(&self) -> usize {
-        self.n_delayt
-    }
-
-    /// Number of `state.idt` instances.
-    pub fn n_idt(&self) -> usize {
-        self.n_idt
-    }
-
-    /// Resolves parameter overrides to a dense value vector in
-    /// declaration order. Shared by every backend that instantiates
-    /// this model so override validation stays identical.
-    ///
-    /// # Errors
-    ///
-    /// [`FasError::Instantiate`] for overrides of undeclared parameters.
-    pub fn param_values(&self, overrides: &BTreeMap<String, f64>) -> Result<Vec<f64>, FasError> {
-        let mut values: Vec<f64> = self.params.iter().map(|(_, v)| *v).collect();
-        for (name, value) in overrides {
-            match self.params.iter().position(|(n, _)| n == name) {
-                Some(idx) => values[idx] = *value,
-                None => {
-                    return Err(FasError::Instantiate(format!(
-                        "model {} has no parameter '{name}'",
-                        self.name
-                    )))
-                }
-            }
-        }
-        Ok(values)
     }
 
     /// Instantiates the model with parameter overrides.
@@ -198,8 +154,7 @@ impl CompiledModel {
         &self,
         overrides: &BTreeMap<String, f64>,
     ) -> Result<crate::machine::FasMachine, FasError> {
-        let values = self.param_values(overrides)?;
-        Ok(crate::machine::FasMachine::new(self.clone(), values))
+        crate::machine::FasRuntime::new(self.clone(), overrides)
     }
 }
 
@@ -218,6 +173,7 @@ struct Lowerer {
     params: HashMap<String, usize>,
     vars: HashMap<String, usize>,
     var_names: Vec<String>,
+    delayt_vars: Vec<usize>,
 }
 
 const ACROSS_PREFIXES: [&str; 3] = ["volt", "omega", "temp"];
@@ -249,6 +205,7 @@ fn lower(model: Model) -> Result<CompiledModel, FasError> {
         params,
         vars: HashMap::new(),
         var_names: Vec::new(),
+        delayt_vars: vec![0; model.n_delayt],
     };
     collect_vars(&model.body, &mut lw)?;
     // Use-before-definition analysis (forward references allowed only in
@@ -256,16 +213,18 @@ fn lower(model: Model) -> Result<CompiledModel, FasError> {
     let mut defined: HashSet<usize> = HashSet::new();
     check_order(&model.body, &lw, &mut defined)?;
     // Lower.
-    let body = lower_stmts(&model.body, &lw)?;
+    let body = lower_stmts(&model.body, &mut lw)?;
     Ok(CompiledModel {
-        name: model.name,
-        pins: model.pins,
-        params: model.params,
-        var_names: lw.var_names,
+        sig: Signature {
+            name: model.name,
+            pins: model.pins,
+            params: model.params,
+            var_names: lw.var_names,
+            n_dt: model.n_dt,
+            n_idt: model.n_idt,
+            delayt_vars: lw.delayt_vars,
+        },
         body,
-        n_dt: model.n_dt,
-        n_delayt: model.n_delayt,
-        n_idt: model.n_idt,
     })
 }
 
@@ -381,11 +340,11 @@ fn check_expr_order(expr: &Expr, lw: &Lowerer, defined: &HashSet<usize>) -> Resu
     }
 }
 
-fn lower_stmts(stmts: &[Stmt], lw: &Lowerer) -> Result<Vec<CStmt>, FasError> {
+fn lower_stmts(stmts: &[Stmt], lw: &mut Lowerer) -> Result<Vec<CStmt>, FasError> {
     stmts.iter().map(|s| lower_stmt(s, lw)).collect()
 }
 
-fn lower_stmt(stmt: &Stmt, lw: &Lowerer) -> Result<CStmt, FasError> {
+fn lower_stmt(stmt: &Stmt, lw: &mut Lowerer) -> Result<CStmt, FasError> {
     match stmt {
         Stmt::Make { var, expr, .. } => Ok(CStmt::Set(lw.vars[var], lower_expr(expr, lw)?)),
         Stmt::Impose {
@@ -424,7 +383,7 @@ fn lower_stmt(stmt: &Stmt, lw: &Lowerer) -> Result<CStmt, FasError> {
     }
 }
 
-fn lower_expr(expr: &Expr, lw: &Lowerer) -> Result<CExpr, FasError> {
+fn lower_expr(expr: &Expr, lw: &mut Lowerer) -> Result<CExpr, FasError> {
     Ok(match expr {
         Expr::Num(v) => CExpr::Num(*v),
         Expr::Var(name) => match name.as_str() {
@@ -465,11 +424,14 @@ fn lower_expr(expr: &Expr, lw: &Lowerer) -> Result<CExpr, FasError> {
             arg: Box::new(lower_expr(arg, lw)?),
         },
         Expr::StateDelay { var } => CExpr::Delay { var: lw.vars[var] },
-        Expr::StateDelayT { inst, var, td } => CExpr::DelayT {
-            inst: *inst,
-            var: lw.vars[var],
-            td: Box::new(lower_expr(td, lw)?),
-        },
+        Expr::StateDelayT { inst, var, td } => {
+            lw.delayt_vars[*inst] = lw.vars[var];
+            CExpr::DelayT {
+                inst: *inst,
+                var: lw.vars[var],
+                td: Box::new(lower_expr(td, lw)?),
+            }
+        }
         Expr::StateIdt { inst, arg } => CExpr::Idt {
             inst: *inst,
             arg: Box::new(lower_expr(arg, lw)?),
@@ -477,17 +439,17 @@ fn lower_expr(expr: &Expr, lw: &Lowerer) -> Result<CExpr, FasError> {
     })
 }
 
-fn lower_call(func: &str, args: &[Expr], lw: &Lowerer) -> Result<CExpr, FasError> {
+fn lower_call(func: &str, args: &[Expr], lw: &mut Lowerer) -> Result<CExpr, FasError> {
     let arity_err = |want: usize| {
         Err(FasError::Semantic(format!(
             "function '{func}' takes {want} argument(s), got {}",
             args.len()
         )))
     };
-    let f1 = |f: Func1, args: &[Expr], lw: &Lowerer| -> Result<CExpr, FasError> {
+    let f1 = |f: Func1, args: &[Expr], lw: &mut Lowerer| -> Result<CExpr, FasError> {
         Ok(CExpr::Call1(f, Box::new(lower_expr(&args[0], lw)?)))
     };
-    let f2 = |f: Func2, args: &[Expr], lw: &Lowerer| -> Result<CExpr, FasError> {
+    let f2 = |f: Func2, args: &[Expr], lw: &mut Lowerer| -> Result<CExpr, FasError> {
         Ok(CExpr::Call2(
             f,
             Box::new(lower_expr(&args[0], lw)?),
@@ -550,7 +512,7 @@ mod tests {
         assert_eq!(m.name(), "m");
         assert_eq!(m.pins(), ["a", "b"]);
         assert_eq!(m.params().len(), 1);
-        assert_eq!(m.var_names, vec!["v"]);
+        assert_eq!(m.var_names(), ["v"]);
     }
 
     #[test]
@@ -619,9 +581,10 @@ mod tests {
 
     #[test]
     fn func_eval_helpers() {
-        assert_eq!(Func1::Abs.apply(-2.0), 2.0);
-        assert_eq!(Func2::Max.apply(1.0, 2.0), 2.0);
-        assert_eq!(Func2::Pow.apply(2.0, 3.0), 8.0);
-        assert!((Func1::Tanh.apply(100.0) - 1.0).abs() < 1e-12);
+        use crate::dual::Lane;
+        assert_eq!((-2.0).call1(Func1::Abs), 2.0);
+        assert_eq!(1.0.call2(Func2::Max, 2.0), 2.0);
+        assert_eq!(2.0.call2(Func2::Pow, 3.0), 8.0);
+        assert!((100.0.call1(Func1::Tanh) - 1.0).abs() < 1e-12);
     }
 }

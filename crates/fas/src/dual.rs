@@ -1,16 +1,135 @@
-//! Forward-mode automatic differentiation for the FAS interpreter.
+//! Value lanes: every FAS op's numeric rule, defined once.
 //!
-//! ELDO executed *compiled* models with analytic derivatives; the
-//! interpreter's equivalent is a dual-number evaluation pass that produces
-//! the model's pin currents **and** the exact Jacobian ∂i/∂v in a single
-//! walk, instead of the `pins + 1` finite-difference evaluations the
-//! generic bridge needs. For the 7-pin comparator this cuts the per-Newton-
-//! iteration interpreter work by ~8×, which is what makes the paper's §5
-//! behavioural-speedup ratio reachable.
+//! ELDO executed *compiled* models with analytic derivatives. Both FAS
+//! executors (the interpreter's tree walk and the bytecode VM) run one
+//! pass generic over a [`Lane`]: plain `f64` for `eval` and `accept`, and
+//! a [`Dual`] number for `eval_with_jacobian`, which yields the pin
+//! currents **and** the exact Jacobian ∂i/∂v in a single walk instead of
+//! the `pins + 1` finite-difference evaluations the generic bridge needs.
+//! The `Dual` lane's value part is the `f64` lane's result, bit for bit.
+
+use crate::ast::BinOp;
+use crate::compile::{Func1, Func2};
+use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// Maximum number of simultaneous tangents (pins) the dual pass supports;
 /// models with more pins fall back to finite differences.
 pub const MAX_TANGENTS: usize = 8;
+
+/// A value a FAS pass computes with. The provided methods hold the rules
+/// both lanes share (`min`/`max` and `limit` pick an operand by value);
+/// the required ones hold each lane's arithmetic.
+pub trait Lane:
+    Copy
+    + Neg<Output = Self>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+{
+    /// A value with zero tangent.
+    fn constant(v: f64) -> Self;
+
+    /// Pin `j`'s voltage `v`: the `j`-th independent variable.
+    fn pin(v: f64, j: usize) -> Self;
+
+    /// The value part.
+    fn value(self) -> f64;
+
+    /// `value`, with this operand's tangent scaled by `slope`: the chain
+    /// rule for a unary function with derivative `slope`.
+    fn chain(self, value: f64, slope: f64) -> Self;
+
+    /// The one-argument intrinsic `f`.
+    fn call1(self, f: Func1) -> Self;
+
+    /// `self` raised to the power `exp`.
+    fn pow(self, exp: Self) -> Self;
+
+    /// Binary arithmetic.
+    #[inline]
+    fn bin(self, op: BinOp, b: Self) -> Self {
+        match op {
+            BinOp::Add => self + b,
+            BinOp::Sub => self - b,
+            BinOp::Mul => self * b,
+            BinOp::Div => self / b,
+        }
+    }
+
+    /// The two-argument intrinsic `f`. `min`/`max` are NaN when either
+    /// operand is; otherwise they pick `self` when `self <= b` (`>=` for
+    /// `max`), else `b`.
+    #[inline]
+    fn call2(self, f: Func2, b: Self) -> Self {
+        let (x, y) = (self.value(), b.value());
+        match f {
+            Func2::Min if x.is_nan() || x <= y => self,
+            Func2::Max if x.is_nan() || x >= y => self,
+            Func2::Min | Func2::Max => b,
+            Func2::Pow => self.pow(b),
+        }
+    }
+
+    /// `limit(self, lo, hi)`: NaN when any operand is; otherwise `lo` when
+    /// `self < lo`, `hi` when `self > hi`, else `self`.
+    #[inline]
+    fn limit(self, lo: Self, hi: Self) -> Self {
+        let (x, l, h) = (self.value(), lo.value(), hi.value());
+        if l.is_nan() {
+            lo
+        } else if h.is_nan() {
+            hi
+        } else if x < l {
+            lo
+        } else if x > h {
+            hi
+        } else {
+            self
+        }
+    }
+}
+
+impl Lane for f64 {
+    #[inline]
+    fn constant(v: f64) -> f64 {
+        v
+    }
+
+    #[inline]
+    fn pin(v: f64, _j: usize) -> f64 {
+        v
+    }
+
+    #[inline]
+    fn value(self) -> f64 {
+        self
+    }
+
+    #[inline]
+    fn chain(self, value: f64, _slope: f64) -> f64 {
+        value
+    }
+
+    #[inline]
+    fn call1(self, f: Func1) -> f64 {
+        match f {
+            Func1::Sin => self.sin(),
+            Func1::Cos => self.cos(),
+            Func1::Exp => self.exp(),
+            Func1::Ln => self.ln(),
+            Func1::Abs => self.abs(),
+            Func1::Sqrt => self.sqrt(),
+            Func1::Tanh => self.tanh(),
+            Func1::Atan => self.atan(),
+        }
+    }
+
+    #[inline]
+    fn pow(self, exp: f64) -> f64 {
+        self.powf(exp)
+    }
+}
 
 /// A dual number: value plus a fixed-width tangent vector.
 ///
@@ -23,47 +142,6 @@ pub struct Dual {
     pub v: f64,
     /// Tangent vector.
     pub d: [f64; MAX_TANGENTS],
-}
-
-impl Dual {
-    /// A constant (zero tangent).
-    #[inline]
-    pub fn constant(v: f64) -> Dual {
-        Dual {
-            v,
-            d: [0.0; MAX_TANGENTS],
-        }
-    }
-
-    /// The `j`-th independent variable with value `v`.
-    #[inline]
-    pub fn variable(v: f64, j: usize) -> Dual {
-        let mut d = [0.0; MAX_TANGENTS];
-        d[j] = 1.0;
-        Dual { v, d }
-    }
-
-    /// Scales the tangent vector by `k` and maps the value by `f(v)`:
-    /// the chain rule for a unary function with derivative `k` at `v`.
-    #[inline]
-    pub fn chain(self, value: f64, derivative: f64) -> Dual {
-        let mut d = self.d;
-        for x in &mut d {
-            *x *= derivative;
-        }
-        Dual { v: value, d }
-    }
-
-    /// Scales every tangent by `k` (value unchanged semantics handled by
-    /// the caller).
-    #[inline]
-    pub fn scale_tangent(self, k: f64) -> Dual {
-        let mut d = self.d;
-        for x in &mut d {
-            *x *= k;
-        }
-        Dual { v: self.v, d }
-    }
 }
 
 impl std::ops::Neg for Dual {
@@ -132,17 +210,104 @@ impl std::ops::Mul for Dual {
 impl std::ops::Div for Dual {
     type Output = Dual;
 
-    /// Quotient rule.
+    /// Quotient rule. The value is the `f64` lane's `a / b`; the tangent
+    /// keeps its reciprocal form `(a' − (a·(1/b))·b')·(1/b)`.
     #[inline]
     fn div(self, rhs: Dual) -> Dual {
         let inv = 1.0 / rhs.v;
-        let v = self.v * inv;
+        let q = self.v * inv;
         let mut d = [0.0; MAX_TANGENTS];
         #[allow(clippy::needless_range_loop)]
         for i in 0..MAX_TANGENTS {
-            d[i] = (self.d[i] - v * rhs.d[i]) * inv;
+            d[i] = (self.d[i] - q * rhs.d[i]) * inv;
         }
+        Dual {
+            v: self.v / rhs.v,
+            d,
+        }
+    }
+}
+
+impl Lane for Dual {
+    #[inline]
+    fn constant(v: f64) -> Dual {
+        Dual {
+            v,
+            d: [0.0; MAX_TANGENTS],
+        }
+    }
+
+    #[inline]
+    fn pin(v: f64, j: usize) -> Dual {
+        let mut d = [0.0; MAX_TANGENTS];
+        d[j] = 1.0;
         Dual { v, d }
+    }
+
+    #[inline]
+    fn value(self) -> f64 {
+        self.v
+    }
+
+    #[inline]
+    fn chain(self, value: f64, slope: f64) -> Dual {
+        let mut d = self.d;
+        for x in &mut d {
+            *x *= slope;
+        }
+        Dual { v: value, d }
+    }
+
+    #[inline]
+    fn call1(self, f: Func1) -> Dual {
+        let x = self.v;
+        let y = x.call1(f);
+        let slope = match f {
+            Func1::Sin => x.cos(),
+            Func1::Cos => -x.sin(),
+            Func1::Exp => y,
+            Func1::Ln => 1.0 / x,
+            Func1::Abs => {
+                if x >= 0.0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            }
+            Func1::Sqrt => {
+                if y > 0.0 {
+                    0.5 / y
+                } else {
+                    0.0
+                }
+            }
+            Func1::Tanh => 1.0 - y * y,
+            Func1::Atan => 1.0 / (1.0 + x * x),
+        };
+        self.chain(y, slope)
+    }
+
+    /// d(a^b) = a^b (b' ln a + b a'/a); the ln-term only exists for
+    /// positive bases.
+    #[inline]
+    fn pow(self, exp: Dual) -> Dual {
+        let value = self.v.pow(exp.v);
+        let da = if self.v != 0.0 {
+            value * exp.v / self.v
+        } else {
+            0.0
+        };
+        let db = if self.v > 0.0 {
+            value * self.v.ln()
+        } else {
+            0.0
+        };
+        let mut d = [0.0; MAX_TANGENTS];
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..MAX_TANGENTS {
+            d[i] = da * self.d[i] + db * exp.d[i];
+        }
+        Dual { v: value, d }
     }
 }
 
@@ -151,7 +316,7 @@ mod tests {
     use super::*;
 
     fn x(v: f64) -> Dual {
-        Dual::variable(v, 0)
+        Dual::pin(v, 0)
     }
 
     #[test]
@@ -159,7 +324,7 @@ mod tests {
         let c = Dual::constant(3.0);
         assert_eq!(c.v, 3.0);
         assert!(c.d.iter().all(|&d| d == 0.0));
-        let v = Dual::variable(2.0, 3);
+        let v = Dual::pin(2.0, 3);
         assert_eq!(v.d[3], 1.0);
         assert_eq!(v.d[0], 0.0);
     }
@@ -200,8 +365,8 @@ mod tests {
 
     #[test]
     fn independent_lanes() {
-        let a = Dual::variable(2.0, 0);
-        let b = Dual::variable(3.0, 1);
+        let a = Dual::pin(2.0, 0);
+        let b = Dual::pin(3.0, 1);
         let p = a * b;
         assert_eq!(p.d[0], 3.0);
         assert_eq!(p.d[1], 2.0);

@@ -10,11 +10,16 @@
 //! * [`compile`](mod@compile) — semantic analysis (declared pins/params, use before
 //!   definition, forward references only inside `state.delay`) and lowering
 //!   to an index-resolved executable form;
-//! * [`machine`] — the interpreter: a [`machine::FasMachine`] implements
-//!   `gabm-sim`'s [`BehavioralModel`](gabm_sim::devices::BehavioralModel),
-//!   so a compiled FAS model drops into any circuit as a device and is
-//!   solved together with transistor-level elements — exactly how ELDO
-//!   co-simulates FAS macromodels with SPICE netlists.
+//! * [`machine`] — the runtime: a [`machine::FasRuntime`] holds a model's
+//!   committed state and implements `gabm-sim`'s
+//!   [`BehavioralModel`](gabm_sim::devices::BehavioralModel) for any
+//!   executable body, so a compiled FAS model drops into any circuit as a
+//!   device and is solved together with transistor-level elements —
+//!   exactly how ELDO co-simulates FAS macromodels with SPICE netlists.
+//!   The interpreter ([`machine::FasMachine`]) runs the [`CompiledModel`]
+//!   tree; `gabm-fasvm` runs bytecode in the same shell;
+//! * [`dual`] — the value lanes (`f64` and dual numbers) that define every
+//!   op's numeric rule once, for both executors.
 //!
 //! # Language semantics notes
 //!

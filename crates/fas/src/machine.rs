@@ -1,474 +1,260 @@
-//! The FAS interpreter: executes a compiled model inside the simulator.
+//! The FAS runtime: the shell both executors share, and the
+//! interpreter's tree walk.
+//!
+//! A [`FasRuntime`] owns a model's committed state and implements
+//! [`BehavioralModel`] once — `eval`, `eval_with_jacobian` and the
+//! two-pass DC / transient `accept` — for any [`Body`] that can run one
+//! evaluation [`Pass`] generic over the value [`Lane`]. The interpreter
+//! ([`FasMachine`]) walks the [`CompiledModel`] tree; the bytecode VM in
+//! `gabm-fasvm` runs its program, and is held to the tree walk by a
+//! differential test suite.
 
-use crate::compile::{CCond, CExpr, CStmt, CompiledModel};
-use crate::dual::{Dual, MAX_TANGENTS};
+use crate::compile::{CCond, CExpr, CStmt, CompiledModel, Signature};
+use crate::dual::{Dual, Lane, MAX_TANGENTS};
+use crate::FasError;
 use gabm_sim::devices::{BehavioralModel, EvalCtx};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// Pseudo time step reported by `timestep` during DC solves. Large enough
 /// that slope-limiter patterns (slew rate) never clip at the operating
 /// point, so `y = ylast + ((u − ylast)/dt)·dt = u` holds exactly.
 pub const DC_PSEUDO_DT: f64 = 1.0e9;
 
-/// An executable instance of a [`CompiledModel`].
+/// An executable model body: the interpreter's tree or the VM's bytecode.
+pub trait Body {
+    /// The name the runtime's `Debug` output starts with.
+    const NAME: &'static str;
+
+    /// Pins, parameters, variables and state instances.
+    fn signature(&self) -> &Signature;
+
+    /// Registers a pass needs ([`Pass::reg`]).
+    fn n_regs(&self) -> usize {
+        0
+    }
+
+    /// Runs the body once in lane `L`.
+    fn run<L: Lane>(&self, pass: &mut Pass<'_, L>);
+}
+
+/// The interpreter: a [`CompiledModel`] run by its tree walk.
+pub type FasMachine = FasRuntime<CompiledModel>;
+
+/// An executable instance of a model body.
 ///
 /// Implements [`BehavioralModel`], so it can be attached to a circuit with
 /// [`gabm_sim::Circuit::add_behavioral`]. Evaluation is pure with respect to
 /// committed state; state commits happen in [`BehavioralModel::accept`].
-#[derive(Debug, Clone)]
-pub struct FasMachine {
-    model: CompiledModel,
+#[derive(Clone)]
+pub struct FasRuntime<B> {
+    body: B,
     params: Vec<f64>,
-    // Committed state (last accepted time point).
-    committed_vars: Vec<f64>,
-    committed_dt_args: Vec<f64>,
-    committed_idt_args: Vec<f64>,
-    committed_idt_integral: Vec<f64>,
-    history: Vec<VecDeque<(f64, f64)>>,
-    max_td_seen: f64,
-    scratch: Scratch,
+    state: Committed,
+    // Reusable pass buffers, one per lane: the bridge evaluates the model
+    // every Newton iteration, so per-pass allocation would dominate.
+    scalar: Frame<f64>,
+    dual: Frame<Dual>,
 }
 
-/// Reusable buffers for evaluation passes: the device Jacobian requires
-/// `pins + 1` evaluations per Newton iteration, so per-pass allocation would
-/// dominate the interpreter cost.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
+/// State at the last accepted time point.
+#[derive(Debug, Clone)]
+struct Committed {
     vars: Vec<f64>,
+    dt_args: Vec<f64>,
+    idt_args: Vec<f64>,
+    idt_integral: Vec<f64>,
+    history: Vec<VecDeque<(f64, f64)>>,
+    max_td_seen: f64,
+}
+
+/// What one pass computes: register file, variables, pin currents and the
+/// arguments each state instance saw.
+#[derive(Debug, Clone)]
+struct Frame<L> {
+    regs: Vec<L>,
+    vars: Vec<L>,
     assigned: Vec<bool>,
-    imposed: Vec<f64>,
+    imposed: Vec<L>,
     dt_args: Vec<f64>,
     dt_seen: Vec<bool>,
     idt_args: Vec<f64>,
     idt_seen: Vec<bool>,
-    // Dual-number buffers for the analytic-Jacobian pass.
-    vars_dual: Vec<Dual>,
-    imposed_dual: Vec<Dual>,
 }
 
-impl Scratch {
-    fn reset(&mut self, n_vars: usize, n_pins: usize, n_dt: usize, n_idt: usize) {
-        self.vars.clear();
-        self.vars.resize(n_vars, 0.0);
-        self.assigned.clear();
-        self.assigned.resize(n_vars, false);
-        self.imposed.clear();
-        self.imposed.resize(n_pins, 0.0);
-        self.dt_args.clear();
-        self.dt_args.resize(n_dt, 0.0);
-        self.dt_seen.clear();
-        self.dt_seen.resize(n_dt, false);
-        self.idt_args.clear();
-        self.idt_args.resize(n_idt, 0.0);
-        self.idt_seen.clear();
-        self.idt_seen.resize(n_idt, false);
-        self.vars_dual.clear();
-        self.vars_dual.resize(n_vars, Dual::constant(0.0));
-        self.imposed_dual.clear();
-        self.imposed_dual.resize(n_pins, Dual::constant(0.0));
+impl<L: Lane> Frame<L> {
+    fn new(sig: &Signature, n_regs: usize) -> Self {
+        Frame {
+            regs: vec![L::constant(0.0); n_regs],
+            vars: vec![L::constant(0.0); sig.var_names.len()],
+            assigned: vec![false; sig.var_names.len()],
+            imposed: vec![L::constant(0.0); sig.pins.len()],
+            dt_args: vec![0.0; sig.n_dt],
+            dt_seen: vec![false; sig.n_dt],
+            idt_args: vec![0.0; sig.n_idt],
+            idt_seen: vec![false; sig.n_idt],
+        }
+    }
+
+    fn reset(&mut self) {
+        self.regs.fill(L::constant(0.0));
+        self.vars.fill(L::constant(0.0));
+        self.assigned.fill(false);
+        self.imposed.fill(L::constant(0.0));
+        self.dt_seen.fill(false);
+        self.idt_seen.fill(false);
     }
 }
 
-/// One evaluation pass over the model body.
-struct Pass<'a> {
-    machine: &'a FasMachine,
+/// One evaluation pass: what a [`Body`] reads and writes, with the
+/// semantics of every leaf and state access.
+pub struct Pass<'a, L> {
     ctx: EvalCtx,
+    dt_eff: f64,
     pin_v: &'a [f64],
-    scratch: &'a mut Scratch,
+    params: &'a [f64],
+    state: &'a Committed,
+    frame: &'a mut Frame<L>,
     max_td: f64,
 }
 
-impl FasMachine {
-    pub(crate) fn new(model: CompiledModel, params: Vec<f64>) -> Self {
-        let n_vars = model.var_names.len();
-        let n_dt = model.n_dt;
-        let n_idt = model.n_idt;
-        let n_delayt = model.n_delayt;
-        FasMachine {
-            model,
-            params,
-            committed_vars: vec![0.0; n_vars],
-            committed_dt_args: vec![0.0; n_dt],
-            committed_idt_args: vec![0.0; n_idt],
-            committed_idt_integral: vec![0.0; n_idt],
-            history: vec![VecDeque::new(); n_delayt],
-            max_td_seen: 0.0,
-            scratch: Scratch::default(),
-        }
+impl<L: Lane> Pass<'_, L> {
+    /// `true` in DC solves.
+    #[inline]
+    pub fn mode_dc(&self) -> bool {
+        self.ctx.mode_dc
     }
 
-    /// The compiled model this machine runs.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
+    /// `time`.
+    #[inline]
+    pub fn time(&self) -> L {
+        L::constant(self.ctx.time)
     }
 
-    /// Current value of a named parameter.
-    pub fn param(&self, name: &str) -> Option<f64> {
-        self.model
-            .params
-            .iter()
-            .position(|(n, _)| n == name)
-            .map(|i| self.params[i])
+    /// `temp`.
+    #[inline]
+    pub fn temp(&self) -> L {
+        L::constant(self.ctx.temperature)
     }
 
-    /// Committed value of a named variable (test/diagnostic hook).
-    pub fn committed_var(&self, name: &str) -> Option<f64> {
-        self.model
-            .var_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.committed_vars[i])
+    /// `timestep`: the step, or [`DC_PSEUDO_DT`] in DC.
+    #[inline]
+    pub fn timestep(&self) -> L {
+        L::constant(self.dt_eff)
     }
 
-    /// Runs one evaluation pass into the reusable scratch buffers, which
-    /// are left holding the pass results. Returns the largest `delayt` time
-    /// seen.
-    fn run_pass_mut(&mut self, ctx: EvalCtx, pin_v: &[f64]) -> f64 {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(
-            self.model.var_names.len(),
-            self.model.pins.len(),
-            self.model.n_dt,
-            self.model.n_idt,
-        );
-        let max_td = {
-            let mut pass = Pass {
-                machine: self,
-                ctx,
-                pin_v,
-                scratch: &mut scratch,
-                max_td: 0.0,
-            };
-            pass.exec_block(&self.model.body);
-            pass.max_td
-        };
-        self.scratch = scratch;
-        max_td
+    /// `volt.value(pin)`: a tangent seed in the dual lane.
+    #[inline]
+    pub fn pin(&self, pin: usize) -> L {
+        L::pin(self.pin_v[pin], pin)
     }
 
-    /// Runs one dual-number pass (value + exact pin Jacobian in a single
-    /// interpreter walk). Results land in `scratch.imposed_dual`.
-    fn run_dual_pass(&mut self, ctx: EvalCtx, pin_v: &[f64]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.reset(
-            self.model.var_names.len(),
-            self.model.pins.len(),
-            self.model.n_dt,
-            self.model.n_idt,
-        );
-        {
-            let mut pass = Pass {
-                machine: self,
-                ctx,
-                pin_v,
-                scratch: &mut scratch,
-                max_td: 0.0,
-            };
-            pass.exec_block_dual(&self.model.body);
-        }
-        self.scratch = scratch;
-    }
-}
-
-impl Pass<'_> {
-    fn exec_block(&mut self, stmts: &[CStmt]) {
-        for stmt in stmts {
-            match stmt {
-                CStmt::Set(var, expr) => {
-                    let v = self.eval(expr);
-                    self.scratch.vars[*var] = v;
-                    self.scratch.assigned[*var] = true;
-                }
-                CStmt::Impose(pin, expr) => {
-                    let v = self.eval(expr);
-                    self.scratch.imposed[*pin] += v;
-                }
-                CStmt::If(cond, then_b, else_b) => {
-                    let taken = match cond {
-                        CCond::ModeIs(dc) => *dc == self.ctx.mode_dc,
-                        CCond::Cmp(op, a, b) => {
-                            let av = self.eval(a);
-                            let bv = self.eval(b);
-                            op.apply(av, bv)
-                        }
-                    };
-                    if taken {
-                        self.exec_block(then_b);
-                    } else {
-                        self.exec_block(else_b);
-                    }
-                }
-            }
-        }
+    /// Parameter `p`.
+    #[inline]
+    pub fn param(&self, p: usize) -> L {
+        L::constant(self.params[p])
     }
 
-    fn exec_block_dual(&mut self, stmts: &[CStmt]) {
-        for stmt in stmts {
-            match stmt {
-                CStmt::Set(var, expr) => {
-                    let v = self.eval_dual(expr);
-                    self.scratch.vars_dual[*var] = v;
-                    self.scratch.vars[*var] = v.v;
-                    self.scratch.assigned[*var] = true;
-                }
-                CStmt::Impose(pin, expr) => {
-                    let v = self.eval_dual(expr);
-                    let cur = self.scratch.imposed_dual[*pin];
-                    self.scratch.imposed_dual[*pin] = cur + v;
-                    self.scratch.imposed[*pin] += v.v;
-                }
-                CStmt::If(cond, then_b, else_b) => {
-                    let taken = match cond {
-                        CCond::ModeIs(dc) => *dc == self.ctx.mode_dc,
-                        CCond::Cmp(op, a, b) => {
-                            let av = self.eval_dual(a).v;
-                            let bv = self.eval_dual(b).v;
-                            op.apply(av, bv)
-                        }
-                    };
-                    if taken {
-                        self.exec_block_dual(then_b);
-                    } else {
-                        self.exec_block_dual(else_b);
-                    }
-                }
-            }
-        }
+    /// Variable `var` as assigned earlier in this pass.
+    #[inline]
+    pub fn var(&self, var: usize) -> L {
+        self.frame.vars[var]
     }
 
-    fn eval_dual(&mut self, expr: &CExpr) -> Dual {
-        use crate::compile::{Func1, Func2};
-        match expr {
-            CExpr::Num(v) => Dual::constant(*v),
-            CExpr::Var(i) => self.scratch.vars_dual[*i],
-            CExpr::Param(i) => Dual::constant(self.machine.params[*i]),
-            CExpr::PinValue(i) => Dual::variable(self.pin_v[*i], *i),
-            CExpr::Time => Dual::constant(self.ctx.time),
-            CExpr::Temp => Dual::constant(self.ctx.temperature),
-            CExpr::TimeStep => Dual::constant(self.dt_effective()),
-            CExpr::Neg(e) => -self.eval_dual(e),
-            CExpr::Bin(op, a, b) => {
-                let av = self.eval_dual(a);
-                let bv = self.eval_dual(b);
-                match op {
-                    crate::ast::BinOp::Add => av + bv,
-                    crate::ast::BinOp::Sub => av - bv,
-                    crate::ast::BinOp::Mul => av * bv,
-                    crate::ast::BinOp::Div => av / bv,
-                }
-            }
-            CExpr::Call1(f, a) => {
-                let av = self.eval_dual(a);
-                let x = av.v;
-                let (value, slope) = match f {
-                    Func1::Sin => (x.sin(), x.cos()),
-                    Func1::Cos => (x.cos(), -x.sin()),
-                    Func1::Exp => {
-                        let e = x.exp();
-                        (e, e)
-                    }
-                    Func1::Ln => (x.ln(), 1.0 / x),
-                    Func1::Abs => (x.abs(), if x >= 0.0 { 1.0 } else { -1.0 }),
-                    Func1::Sqrt => {
-                        let r = x.sqrt();
-                        (r, if r > 0.0 { 0.5 / r } else { 0.0 })
-                    }
-                    Func1::Tanh => {
-                        let t = x.tanh();
-                        (t, 1.0 - t * t)
-                    }
-                    Func1::Atan => (x.atan(), 1.0 / (1.0 + x * x)),
-                };
-                av.chain(value, slope)
-            }
-            CExpr::Call2(f, a, b) => {
-                let av = self.eval_dual(a);
-                let bv = self.eval_dual(b);
-                match f {
-                    Func2::Min => {
-                        if av.v <= bv.v {
-                            av
-                        } else {
-                            bv
-                        }
-                    }
-                    Func2::Max => {
-                        if av.v >= bv.v {
-                            av
-                        } else {
-                            bv
-                        }
-                    }
-                    Func2::Pow => {
-                        let value = av.v.powf(bv.v);
-                        // d(a^b) = a^b (b' ln a + b a'/a); the ln-term only
-                        // exists for positive bases.
-                        let da = if av.v != 0.0 {
-                            value * bv.v / av.v
-                        } else {
-                            0.0
-                        };
-                        let db = if av.v > 0.0 { value * av.v.ln() } else { 0.0 };
-                        let mut d = [0.0; MAX_TANGENTS];
-                        #[allow(clippy::needless_range_loop)]
-                        for i in 0..MAX_TANGENTS {
-                            d[i] = da * av.d[i] + db * bv.d[i];
-                        }
-                        Dual { v: value, d }
-                    }
-                }
-            }
-            CExpr::Limit(x, lo, hi) => {
-                let xv = self.eval_dual(x);
-                let lov = self.eval_dual(lo);
-                let hiv = self.eval_dual(hi);
-                if xv.v < lov.v {
-                    lov
-                } else if xv.v > hiv.v {
-                    hiv
-                } else {
-                    xv
-                }
-            }
-            CExpr::Dt { inst, arg } => {
-                let av = self.eval_dual(arg);
-                self.scratch.dt_args[*inst] = av.v;
-                self.scratch.dt_seen[*inst] = true;
-                if self.ctx.mode_dc {
-                    Dual::constant(0.0)
-                } else {
-                    let dt = self.dt_effective();
-                    let value = (av.v - self.machine.committed_dt_args[*inst]) / dt;
-                    let mut out = av.scale_tangent(1.0 / dt);
-                    out.v = value;
-                    out
-                }
-            }
-            CExpr::Delay { var } => Dual::constant(self.machine.committed_vars[*var]),
-            CExpr::DelayT { inst, var, td } => {
-                let tdv = self.eval_dual(td).v.max(0.0);
-                self.max_td = self.max_td.max(tdv);
-                if self.ctx.mode_dc {
-                    return Dual::constant(self.machine.committed_vars[*var]);
-                }
-                let target = self.ctx.time - tdv;
-                let hist = &self.machine.history[*inst];
-                Dual::constant(
-                    sample_history(hist, target).unwrap_or(self.machine.committed_vars[*var]),
-                )
-            }
-            CExpr::Idt { inst, arg } => {
-                let av = self.eval_dual(arg);
-                self.scratch.idt_args[*inst] = av.v;
-                self.scratch.idt_seen[*inst] = true;
-                if self.ctx.mode_dc {
-                    Dual::constant(0.0)
-                } else {
-                    let half_dt = 0.5 * self.ctx.dt;
-                    let value = self.machine.committed_idt_integral[*inst]
-                        + half_dt * (av.v + self.machine.committed_idt_args[*inst]);
-                    let mut out = av.scale_tangent(half_dt);
-                    out.v = value;
-                    out
-                }
-            }
-        }
+    /// `state.delay(var)`: the committed value of `var`.
+    #[inline]
+    pub fn delay(&self, var: usize) -> L {
+        L::constant(self.state.vars[var])
     }
 
-    fn dt_effective(&self) -> f64 {
-        if self.ctx.mode_dc || self.ctx.dt <= 0.0 {
-            DC_PSEUDO_DT
+    /// Register `r` of the bytecode VM's register file.
+    #[inline]
+    pub fn reg(&self, r: u8) -> L {
+        self.frame.regs[usize::from(r)]
+    }
+
+    /// Writes register `r`.
+    #[inline]
+    pub fn set_reg(&mut self, r: u8, v: L) {
+        self.frame.regs[usize::from(r)] = v;
+    }
+
+    /// `make var = v`.
+    #[inline]
+    pub fn set(&mut self, var: usize, v: L) {
+        self.frame.vars[var] = v;
+        self.frame.assigned[var] = true;
+    }
+
+    /// `make curr.on(pin) = v`: impositions on one pin accumulate.
+    #[inline]
+    pub fn impose(&mut self, pin: usize, v: L) {
+        self.frame.imposed[pin] = self.frame.imposed[pin] + v;
+    }
+
+    /// `state.dt` instance `inst` of `a`: `(a − a_committed)/timestep`,
+    /// `0` in DC.
+    #[inline]
+    pub fn dt(&mut self, inst: usize, a: L) -> L {
+        let v = a.value();
+        self.frame.dt_args[inst] = v;
+        self.frame.dt_seen[inst] = true;
+        if self.ctx.mode_dc {
+            L::constant(0.0)
         } else {
-            self.ctx.dt
+            a.chain(
+                (v - self.state.dt_args[inst]) / self.dt_eff,
+                1.0 / self.dt_eff,
+            )
         }
     }
 
-    fn eval(&mut self, expr: &CExpr) -> f64 {
-        match expr {
-            CExpr::Num(v) => *v,
-            CExpr::Var(i) => self.scratch.vars[*i],
-            CExpr::Param(i) => self.machine.params[*i],
-            CExpr::PinValue(i) => self.pin_v[*i],
-            CExpr::Time => self.ctx.time,
-            CExpr::Temp => self.ctx.temperature,
-            CExpr::TimeStep => self.dt_effective(),
-            CExpr::Neg(e) => -self.eval(e),
-            CExpr::Bin(op, a, b) => {
-                let av = self.eval(a);
-                let bv = self.eval(b);
-                match op {
-                    crate::ast::BinOp::Add => av + bv,
-                    crate::ast::BinOp::Sub => av - bv,
-                    crate::ast::BinOp::Mul => av * bv,
-                    crate::ast::BinOp::Div => av / bv,
-                }
-            }
-            CExpr::Call1(f, a) => {
-                let av = self.eval(a);
-                f.apply(av)
-            }
-            CExpr::Call2(f, a, b) => {
-                let av = self.eval(a);
-                let bv = self.eval(b);
-                f.apply(av, bv)
-            }
-            CExpr::Limit(x, lo, hi) => {
-                let xv = self.eval(x);
-                let lov = self.eval(lo);
-                let hiv = self.eval(hi);
-                xv.max(lov).min(hiv)
-            }
-            CExpr::Dt { inst, arg } => {
-                let v = self.eval(arg);
-                self.scratch.dt_args[*inst] = v;
-                self.scratch.dt_seen[*inst] = true;
-                if self.ctx.mode_dc {
-                    0.0
-                } else {
-                    (v - self.machine.committed_dt_args[*inst]) / self.dt_effective()
-                }
-            }
-            CExpr::Delay { var } => self.machine.committed_vars[*var],
-            CExpr::DelayT { inst, var, td } => {
-                let tdv = self.eval(td).max(0.0);
-                self.max_td = self.max_td.max(tdv);
-                if self.ctx.mode_dc {
-                    return self.machine.committed_vars[*var];
-                }
-                let target = self.ctx.time - tdv;
-                let hist = &self.machine.history[*inst];
-                sample_history(hist, target).unwrap_or(self.machine.committed_vars[*var])
-            }
-            CExpr::Idt { inst, arg } => {
-                let v = self.eval(arg);
-                self.scratch.idt_args[*inst] = v;
-                self.scratch.idt_seen[*inst] = true;
-                if self.ctx.mode_dc {
-                    0.0
-                } else {
-                    // Committed integral extended by the current half step
-                    // (trapezoidal).
-                    self.machine.committed_idt_integral[*inst]
-                        + 0.5 * self.ctx.dt * (v + self.machine.committed_idt_args[*inst])
-                }
-            }
+    /// `state.idt` instance `inst` of `a`: the committed integral extended
+    /// by the current half step (trapezoidal), `0` in DC.
+    #[inline]
+    pub fn idt(&mut self, inst: usize, a: L) -> L {
+        let v = a.value();
+        self.frame.idt_args[inst] = v;
+        self.frame.idt_seen[inst] = true;
+        if self.ctx.mode_dc {
+            L::constant(0.0)
+        } else {
+            let half_dt = 0.5 * self.ctx.dt;
+            let s = self.state;
+            a.chain(
+                s.idt_integral[inst] + half_dt * (v + s.idt_args[inst]),
+                half_dt,
+            )
         }
+    }
+
+    /// `state.delayt(var, td)` instance `inst`: `var` interpolated from
+    /// its history `td` seconds ago; the committed value in DC or
+    /// before any history exists.
+    #[inline]
+    pub fn delayt(&mut self, inst: usize, var: usize, td: L) -> L {
+        let td = td.value().max(0.0);
+        self.max_td = self.max_td.max(td);
+        let committed = self.state.vars[var];
+        if self.ctx.mode_dc {
+            return L::constant(committed);
+        }
+        L::constant(
+            sample_history(&self.state.history[inst], self.ctx.time - td).unwrap_or(committed),
+        )
     }
 }
 
-/// Linear interpolation into a delayed-variable history. Shared with the
-/// bytecode VM so both backends resolve `state.delayt` identically.
-pub fn sample_history(hist: &VecDeque<(f64, f64)>, t: f64) -> Option<f64> {
-    if hist.is_empty() {
-        return None;
+/// Linear interpolation into a delayed-variable history.
+fn sample_history(hist: &VecDeque<(f64, f64)>, t: f64) -> Option<f64> {
+    let (&first, &last) = (hist.front()?, hist.back()?);
+    if t <= first.0 {
+        return Some(first.1);
     }
-    if t <= hist.front().expect("non-empty").0 {
-        return Some(hist.front().expect("non-empty").1);
+    if t >= last.0 {
+        return Some(last.1);
     }
-    if t >= hist.back().expect("non-empty").0 {
-        return Some(hist.back().expect("non-empty").1);
-    }
-    let mut prev = *hist.front().expect("non-empty");
+    let mut prev = first;
     for &(ht, hv) in hist.iter().skip(1) {
         if ht >= t {
             let frac = (t - prev.0) / (ht - prev.0);
@@ -479,14 +265,119 @@ pub fn sample_history(hist: &VecDeque<(f64, f64)>, t: f64) -> Option<f64> {
     Some(prev.1)
 }
 
-impl BehavioralModel for FasMachine {
+impl<B: Body> FasRuntime<B> {
+    /// Instantiates `body` with parameter overrides.
+    ///
+    /// # Errors
+    ///
+    /// [`FasError::Instantiate`] for overrides of undeclared parameters.
+    pub fn new(body: B, overrides: &BTreeMap<String, f64>) -> Result<Self, FasError> {
+        let sig = body.signature();
+        let mut params: Vec<f64> = sig.params.iter().map(|(_, v)| *v).collect();
+        for (name, value) in overrides {
+            let idx = sig
+                .params
+                .iter()
+                .position(|(n, _)| n == name)
+                .ok_or_else(|| {
+                    FasError::Instantiate(format!("model {} has no parameter '{name}'", sig.name))
+                })?;
+            params[idx] = *value;
+        }
+        let state = Committed {
+            vars: vec![0.0; sig.var_names.len()],
+            dt_args: vec![0.0; sig.n_dt],
+            idt_args: vec![0.0; sig.n_idt],
+            idt_integral: vec![0.0; sig.n_idt],
+            history: vec![VecDeque::new(); sig.delayt_vars.len()],
+            max_td_seen: 0.0,
+        };
+        Ok(FasRuntime {
+            scalar: Frame::new(sig, body.n_regs()),
+            dual: Frame::new(sig, body.n_regs()),
+            body,
+            params,
+            state,
+        })
+    }
+
+    /// Current value of a named parameter.
+    pub fn param(&self, name: &str) -> Option<f64> {
+        let sig = self.body.signature();
+        let i = sig.params.iter().position(|(n, _)| n == name)?;
+        Some(self.params[i])
+    }
+
+    /// Committed value of a named variable (test/diagnostic hook).
+    pub fn committed_var(&self, name: &str) -> Option<f64> {
+        let i = self
+            .body
+            .signature()
+            .var_names
+            .iter()
+            .position(|n| n == name)?;
+        Some(self.state.vars[i])
+    }
+
+    /// Runs one `f64` pass into `self.scalar`; returns the largest
+    /// `delayt` time seen.
+    fn scalar_pass(&mut self, ctx: EvalCtx, pin_v: &[f64]) -> f64 {
+        run(
+            &self.body,
+            &self.params,
+            &self.state,
+            &mut self.scalar,
+            ctx,
+            pin_v,
+        )
+    }
+}
+
+fn run<B: Body, L: Lane>(
+    body: &B,
+    params: &[f64],
+    state: &Committed,
+    frame: &mut Frame<L>,
+    ctx: EvalCtx,
+    pin_v: &[f64],
+) -> f64 {
+    frame.reset();
+    let dt_eff = if ctx.mode_dc || ctx.dt <= 0.0 {
+        DC_PSEUDO_DT
+    } else {
+        ctx.dt
+    };
+    let mut pass = Pass {
+        ctx,
+        dt_eff,
+        pin_v,
+        params,
+        state,
+        frame,
+        max_td: 0.0,
+    };
+    body.run(&mut pass);
+    pass.max_td
+}
+
+impl<B: Body + fmt::Debug> fmt::Debug for FasRuntime<B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct(B::NAME)
+            .field("body", &self.body)
+            .field("params", &self.params)
+            .field("state", &self.state)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<B: Body + fmt::Debug> BehavioralModel for FasRuntime<B> {
     fn pin_count(&self) -> usize {
-        self.model.pins.len()
+        self.body.signature().pins.len()
     }
 
     fn eval(&mut self, ctx: &EvalCtx, pin_voltages: &[f64], currents: &mut [f64]) {
-        self.run_pass_mut(*ctx, pin_voltages);
-        currents.copy_from_slice(&self.scratch.imposed);
+        self.scalar_pass(*ctx, pin_voltages);
+        currents.copy_from_slice(&self.scalar.imposed);
     }
 
     fn eval_with_jacobian(
@@ -496,13 +387,19 @@ impl BehavioralModel for FasMachine {
         currents: &mut [f64],
         jacobian: &mut [f64],
     ) -> bool {
-        let n = self.model.pins.len();
+        let n = self.pin_count();
         if n > MAX_TANGENTS {
             return false;
         }
-        self.run_dual_pass(*ctx, pin_voltages);
-        for k in 0..n {
-            let imposed = self.scratch.imposed_dual[k];
+        run(
+            &self.body,
+            &self.params,
+            &self.state,
+            &mut self.dual,
+            *ctx,
+            pin_voltages,
+        );
+        for (k, imposed) in self.dual.imposed.iter().enumerate() {
             currents[k] = imposed.v;
             jacobian[k * n..k * n + n].copy_from_slice(&imposed.d[..n]);
         }
@@ -510,14 +407,15 @@ impl BehavioralModel for FasMachine {
     }
 
     fn accept(&mut self, ctx: &EvalCtx, pin_voltages: &[f64]) {
-        if ctx.mode_dc {
-            // Pass 1 — DC semantics: commit the variable values.
-            self.run_pass_mut(*ctx, pin_voltages);
-            for i in 0..self.committed_vars.len() {
-                if self.scratch.assigned[i] {
-                    self.committed_vars[i] = self.scratch.vars[i];
-                }
+        // Pass 1: commit the variable values (DC semantics in DC).
+        let max_td = self.scalar_pass(*ctx, pin_voltages);
+        let (f, s) = (&self.scalar, &mut self.state);
+        for (i, v) in s.vars.iter_mut().enumerate() {
+            if f.assigned[i] {
+                *v = f.vars[i];
             }
+        }
+        if ctx.mode_dc {
             // Pass 2 — shadow transient with the DC pseudo-step: walks the
             // `else` branches of the mode guards so every state instance
             // records its argument, seeding derivatives/integrals/delays
@@ -528,111 +426,121 @@ impl BehavioralModel for FasMachine {
                 dt: DC_PSEUDO_DT,
                 temperature: ctx.temperature,
             };
-            self.run_pass_mut(shadow_ctx, pin_voltages);
-            for i in 0..self.committed_dt_args.len() {
-                if self.scratch.dt_seen[i] {
-                    self.committed_dt_args[i] = self.scratch.dt_args[i];
-                }
+            self.scalar_pass(shadow_ctx, pin_voltages);
+        }
+        let delayt_vars = &self.body.signature().delayt_vars;
+        let (f, s) = (&self.scalar, &mut self.state);
+        for i in 0..s.dt_args.len() {
+            if f.dt_seen[i] {
+                s.dt_args[i] = f.dt_args[i];
             }
-            for i in 0..self.committed_idt_args.len() {
-                if self.scratch.idt_seen[i] {
-                    self.committed_idt_args[i] = self.scratch.idt_args[i];
-                    self.committed_idt_integral[i] = 0.0;
-                }
+        }
+        for i in 0..s.idt_args.len() {
+            if f.idt_seen[i] {
+                let v = f.idt_args[i];
+                s.idt_integral[i] = if ctx.mode_dc {
+                    0.0
+                } else {
+                    s.idt_integral[i] + 0.5 * ctx.dt * (v + s.idt_args[i])
+                };
+                s.idt_args[i] = v;
             }
+        }
+        if ctx.mode_dc {
             // Seed delayed-variable histories at t = 0.
-            let committed = self.committed_vars.clone();
-            for (inst, hist) in self.history.iter_mut().enumerate() {
+            for (hist, &var) in s.history.iter_mut().zip(delayt_vars) {
                 hist.clear();
-                // Which variable does this instance delay? Recover it by
-                // scanning the compiled body once.
-                if let Some(var) = delayt_var(&self.model.body, inst) {
-                    hist.push_back((0.0, committed[var]));
-                }
+                hist.push_back((0.0, s.vars[var]));
             }
         } else {
-            let max_td = self.run_pass_mut(*ctx, pin_voltages);
-            for i in 0..self.committed_vars.len() {
-                if self.scratch.assigned[i] {
-                    self.committed_vars[i] = self.scratch.vars[i];
-                }
-            }
-            for i in 0..self.committed_dt_args.len() {
-                if self.scratch.dt_seen[i] {
-                    self.committed_dt_args[i] = self.scratch.dt_args[i];
-                }
-            }
-            for i in 0..self.committed_idt_args.len() {
-                if self.scratch.idt_seen[i] {
-                    let v = self.scratch.idt_args[i];
-                    self.committed_idt_integral[i] +=
-                        0.5 * ctx.dt * (v + self.committed_idt_args[i]);
-                    self.committed_idt_args[i] = v;
-                }
-            }
-            self.max_td_seen = self.max_td_seen.max(max_td);
             // Append to delayed histories and prune.
-            let committed = self.committed_vars.clone();
-            let keep_after = ctx.time - 2.0 * self.max_td_seen - ctx.dt;
-            for (inst, hist) in self.history.iter_mut().enumerate() {
-                if let Some(var) = delayt_var(&self.model.body, inst) {
-                    hist.push_back((ctx.time, committed[var]));
-                    while hist.len() > 2 && hist.front().map(|h| h.0) < Some(keep_after) {
-                        hist.pop_front();
-                    }
+            s.max_td_seen = s.max_td_seen.max(max_td);
+            let keep_after = ctx.time - 2.0 * s.max_td_seen - ctx.dt;
+            for (hist, &var) in s.history.iter_mut().zip(delayt_vars) {
+                hist.push_back((ctx.time, s.vars[var]));
+                while hist.len() > 2 && hist.front().map(|h| h.0) < Some(keep_after) {
+                    hist.pop_front();
                 }
             }
         }
     }
 }
 
-/// Finds the variable delayed by `state.delayt` instance `inst`. Shared
-/// with the bytecode VM, which keys history commits off the same mapping.
-pub fn delayt_var(body: &[CStmt], inst: usize) -> Option<usize> {
-    fn in_expr(e: &CExpr, inst: usize) -> Option<usize> {
-        match e {
-            CExpr::DelayT {
-                inst: i, var, td, ..
-            } => {
-                if *i == inst {
-                    Some(*var)
-                } else {
-                    in_expr(td, inst)
-                }
+impl Body for CompiledModel {
+    const NAME: &'static str = "FasMachine";
+
+    fn signature(&self) -> &Signature {
+        &self.sig
+    }
+
+    fn run<L: Lane>(&self, pass: &mut Pass<'_, L>) {
+        exec(pass, &self.body);
+    }
+}
+
+fn exec<L: Lane>(p: &mut Pass<'_, L>, stmts: &[CStmt]) {
+    for stmt in stmts {
+        match stmt {
+            CStmt::Set(var, expr) => {
+                let v = eval(p, expr);
+                p.set(*var, v);
             }
-            CExpr::Neg(a)
-            | CExpr::Call1(_, a)
-            | CExpr::Dt { arg: a, .. }
-            | CExpr::Idt { arg: a, .. } => in_expr(a, inst),
-            CExpr::Bin(_, a, b) | CExpr::Call2(_, a, b) => {
-                in_expr(a, inst).or_else(|| in_expr(b, inst))
+            CStmt::Impose(pin, expr) => {
+                let v = eval(p, expr);
+                p.impose(*pin, v);
             }
-            CExpr::Limit(a, b, c) => in_expr(a, inst)
-                .or_else(|| in_expr(b, inst))
-                .or_else(|| in_expr(c, inst)),
-            _ => None,
+            CStmt::If(cond, then_b, else_b) => {
+                let taken = match cond {
+                    CCond::ModeIs(dc) => *dc == p.mode_dc(),
+                    CCond::Cmp(op, a, b) => {
+                        let a = eval(p, a).value();
+                        op.apply(a, eval(p, b).value())
+                    }
+                };
+                exec(p, if taken { then_b } else { else_b });
+            }
         }
     }
-    fn in_stmts(stmts: &[CStmt], inst: usize) -> Option<usize> {
-        for s in stmts {
-            let found = match s {
-                CStmt::Set(_, e) | CStmt::Impose(_, e) => in_expr(e, inst),
-                CStmt::If(cond, a, b) => {
-                    let c = match cond {
-                        CCond::Cmp(_, x, y) => in_expr(x, inst).or_else(|| in_expr(y, inst)),
-                        CCond::ModeIs(_) => None,
-                    };
-                    c.or_else(|| in_stmts(a, inst))
-                        .or_else(|| in_stmts(b, inst))
-                }
-            };
-            if found.is_some() {
-                return found;
-            }
+}
+
+fn eval<L: Lane>(p: &mut Pass<'_, L>, expr: &CExpr) -> L {
+    match expr {
+        CExpr::Num(v) => L::constant(*v),
+        CExpr::Var(i) => p.var(*i),
+        CExpr::Param(i) => p.param(*i),
+        CExpr::PinValue(i) => p.pin(*i),
+        CExpr::Time => p.time(),
+        CExpr::Temp => p.temp(),
+        CExpr::TimeStep => p.timestep(),
+        CExpr::Neg(a) => -eval(p, a),
+        CExpr::Bin(op, a, b) => {
+            let a = eval(p, a);
+            a.bin(*op, eval(p, b))
         }
-        None
+        CExpr::Call1(f, a) => eval(p, a).call1(*f),
+        CExpr::Call2(f, a, b) => {
+            let a = eval(p, a);
+            a.call2(*f, eval(p, b))
+        }
+        CExpr::Limit(x, lo, hi) => {
+            let x = eval(p, x);
+            let lo = eval(p, lo);
+            x.limit(lo, eval(p, hi))
+        }
+        CExpr::Dt { inst, arg } => {
+            let a = eval(p, arg);
+            p.dt(*inst, a)
+        }
+        CExpr::Delay { var } => p.delay(*var),
+        CExpr::DelayT { inst, var, td } => {
+            let td = eval(p, td);
+            p.delayt(*inst, *var, td)
+        }
+        CExpr::Idt { inst, arg } => {
+            let a = eval(p, arg);
+            p.idt(*inst, a)
+        }
     }
-    in_stmts(body, inst)
 }
 
 #[cfg(test)]
@@ -822,6 +730,24 @@ endmodel
         let mut i = [0.0];
         m.eval(&dc_ctx(), &[0.0], &mut i);
         assert_eq!(i[0], 3.0);
+    }
+
+    /// `eval` and `eval_with_jacobian` apply one `limit` and `min` rule:
+    /// reversed bounds pick `lo`, and a NaN operand makes `min` NaN.
+    #[test]
+    fn lanes_agree_on_reversed_limit_and_nan_min() {
+        let mut m = machine(
+            "model p pin (a, b) param (lo=1.0, hi=-1.0)\nanalog\nmake i = limit(volt.value(a), lo, hi)\nmake j = min(i, 0.0/0.0)\nmake curr.on(a) = i + j\nmake curr.on(b) = i\nendanalog\nendmodel\n",
+        );
+        let ctx = tran_ctx(1e-6, 1e-6);
+        let mut i = [0.0; 2];
+        m.eval(&ctx, &[0.0, 0.0], &mut i);
+        assert!(i[0].is_nan(), "eval: {i:?}");
+        assert_eq!(i[1], 1.0);
+        let mut jac = [0.0; 4];
+        assert!(m.eval_with_jacobian(&ctx, &[0.0, 0.0], &mut i, &mut jac));
+        assert!(i[0].is_nan(), "eval_with_jacobian: {i:?}");
+        assert_eq!(i[1], 1.0);
     }
 
     #[test]

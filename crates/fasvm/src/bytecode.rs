@@ -6,7 +6,8 @@
 //! point past the current instruction.
 
 use gabm_fas::ast::RelOp;
-use gabm_fas::compile::{Func1, Func2};
+use gabm_fas::compile::{Func1, Func2, Signature};
+use gabm_fas::machine::FasRuntime;
 use gabm_fas::FasError;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -173,36 +174,27 @@ pub struct CompileStats {
 /// [`Program::instantiate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    pub(crate) name: String,
-    pub(crate) pins: Vec<String>,
-    pub(crate) params: Vec<(String, f64)>,
-    pub(crate) var_names: Vec<String>,
+    pub(crate) sig: Signature,
     pub(crate) consts: Vec<f64>,
     pub(crate) ops: Vec<Op>,
     pub(crate) n_regs: usize,
-    pub(crate) n_dt: usize,
-    pub(crate) n_idt: usize,
-    pub(crate) n_delayt: usize,
-    /// `delayt` instance → delayed variable (mirrors the interpreter's
-    /// body scan, precomputed so `accept` never walks a tree).
-    pub(crate) delayt_vars: Vec<Option<usize>>,
     pub(crate) stats: CompileStats,
 }
 
 impl Program {
     /// Model name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.sig.name
     }
 
     /// Pin names in device-pin order.
     pub fn pins(&self) -> Vec<&str> {
-        self.pins.iter().map(String::as_str).collect()
+        self.sig.pins.iter().map(String::as_str).collect()
     }
 
     /// Parameter names and defaults.
     pub fn params(&self) -> &[(String, f64)] {
-        &self.params
+        &self.sig.params
     }
 
     /// Instruction count.
@@ -227,19 +219,7 @@ impl Program {
     /// [`FasError::Instantiate`] for overrides of undeclared parameters
     /// (identical validation to the interpreter path).
     pub fn instantiate(&self, overrides: &BTreeMap<String, f64>) -> Result<crate::FasVm, FasError> {
-        let mut values: Vec<f64> = self.params.iter().map(|(_, v)| *v).collect();
-        for (name, value) in overrides {
-            match self.params.iter().position(|(n, _)| n == name) {
-                Some(idx) => values[idx] = *value,
-                None => {
-                    return Err(FasError::Instantiate(format!(
-                        "model {} has no parameter '{name}'",
-                        self.name
-                    )))
-                }
-            }
-        }
-        Ok(crate::FasVm::new(self.clone(), values))
+        FasRuntime::new(self.clone(), overrides)
     }
 
     /// Renders a human-readable listing (the `gabm compile --disasm`
@@ -249,10 +229,10 @@ impl Program {
         let _ = writeln!(
             out,
             "; model {}: {} pins, {} params, {} vars",
-            self.name,
-            self.pins.len(),
-            self.params.len(),
-            self.var_names.len()
+            self.sig.name,
+            self.sig.pins.len(),
+            self.sig.params.len(),
+            self.sig.var_names.len()
         );
         let _ = writeln!(
             out,
@@ -260,9 +240,9 @@ impl Program {
             self.ops.len(),
             self.n_regs,
             self.consts.len(),
-            self.n_dt,
-            self.n_idt,
-            self.n_delayt
+            self.sig.n_dt,
+            self.sig.n_idt,
+            self.sig.delayt_vars.len()
         );
         let s = self.stats;
         let _ = writeln!(
@@ -277,16 +257,16 @@ impl Program {
     }
 
     fn fmt_op(&self, op: &Op) -> String {
-        let var = |i: u16| self.var_names[i as usize].clone();
+        let var = |i: u16| self.sig.var_names[i as usize].clone();
         match *op {
             Op::Const { dst, k } => {
                 format!("r{dst} <- const {:?}", self.consts[k as usize])
             }
             Op::LoadPin { dst, pin } => {
-                format!("r{dst} <- pin {}", self.pins[pin as usize])
+                format!("r{dst} <- pin {}", self.sig.pins[pin as usize])
             }
             Op::LoadParam { dst, p } => {
-                format!("r{dst} <- param {}", self.params[p as usize].0)
+                format!("r{dst} <- param {}", self.sig.params[p as usize].0)
             }
             Op::LoadScratch { dst, var: v } => format!("r{dst} <- var {}", var(v)),
             Op::LoadCommitted { dst, var: v } => {
@@ -321,7 +301,7 @@ impl Program {
             Op::Idt { dst, inst, a } => format!("r{dst} <- idt[{inst}] r{a}"),
             Op::StoreVar { var: v, src } => format!("var {} <- r{src}", var(v)),
             Op::Impose { pin, src } => {
-                format!("impose {} += r{src}", self.pins[pin as usize])
+                format!("impose {} += r{src}", self.sig.pins[pin as usize])
             }
             Op::Select {
                 dst,

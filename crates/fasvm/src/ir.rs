@@ -5,11 +5,8 @@
 //! inline:
 //!
 //! - **Constant folding** — pure sub-expressions over literals collapse
-//!   at compile time. Folding is *lane-safe only*: `limit` folds only
-//!   with ordered finite bounds and `min`/`max` only with non-NaN
-//!   operands, because the interpreter's scalar lane (`f64::max`/`min`
-//!   clamp) and dual lane (`if`-chains) legitimately disagree on the
-//!   degenerate cases and the VM must reproduce *both* behaviours.
+//!   at compile time, by the `f64` [`Lane`] rule the runtime applies
+//!   (NaN operands and reversed `limit` bounds included).
 //! - **Dead-branch elimination** — an `if` whose relational condition
 //!   folds keeps only the taken branch (constant condition operands are
 //!   side-effect free by construction, so skipping them is sound).
@@ -30,6 +27,7 @@
 use crate::bytecode::CompileStats;
 use gabm_fas::ast::{BinOp, RelOp};
 use gabm_fas::compile::{CCond, CExpr, CStmt, CompiledModel, Func1, Func2};
+use gabm_fas::dual::Lane;
 use std::collections::HashMap;
 
 /// Virtual register: one per value definition (SSA-ish — nothing is
@@ -455,12 +453,7 @@ impl Lower {
                 let bo = self.expr(b);
                 if let (Operand::Const(av), Operand::Const(bv)) = (ao, bo) {
                     self.stats.folded += 1;
-                    return Operand::Const(match op {
-                        BinOp::Add => av + bv,
-                        BinOp::Sub => av - bv,
-                        BinOp::Mul => av * bv,
-                        BinOp::Div => av / bv,
-                    });
+                    return Operand::Const(av.bin(*op, bv));
                 }
                 let ar = self.reg(ao);
                 let br = self.reg(bo);
@@ -477,7 +470,7 @@ impl Lower {
                 let ao = self.expr(a);
                 if let Operand::Const(v) = ao {
                     self.stats.folded += 1;
-                    return Operand::Const(f.apply(v));
+                    return Operand::Const(v.call1(*f));
                 }
                 let ar = self.reg(ao);
                 let dst = self.fresh();
@@ -488,15 +481,8 @@ impl Lower {
                 let ao = self.expr(a);
                 let bo = self.expr(b);
                 if let (Operand::Const(av), Operand::Const(bv)) = (ao, bo) {
-                    // min/max fold only for non-NaN operands: the scalar
-                    // lane uses IEEE min/max (NaN-discarding) while the
-                    // dual lane uses `<=`/`>=` chains (NaN-propagating),
-                    // and a folded constant would collapse that split.
-                    let safe = matches!(f, Func2::Pow) || (!av.is_nan() && !bv.is_nan());
-                    if safe {
-                        self.stats.folded += 1;
-                        return Operand::Const(f.apply(av, bv));
-                    }
+                    self.stats.folded += 1;
+                    return Operand::Const(av.call2(*f, bv));
                 }
                 let ar = self.reg(ao);
                 let br = self.reg(bo);
@@ -516,14 +502,8 @@ impl Lower {
                 if let (Operand::Const(xv), Operand::Const(lov), Operand::Const(hiv)) =
                     (xo, loo, hio)
                 {
-                    // Fold only the well-ordered, NaN-free case; for
-                    // degenerate bounds the scalar clamp and the dual
-                    // if-chain pick different lanes and the runtime op
-                    // must be kept.
-                    if lov <= hiv && !xv.is_nan() {
-                        self.stats.folded += 1;
-                        return Operand::Const(xv.max(lov).min(hiv));
-                    }
+                    self.stats.folded += 1;
+                    return Operand::Const(xv.limit(lov, hiv));
                 }
                 let xr = self.reg(xo);
                 let lor = self.reg(loo);

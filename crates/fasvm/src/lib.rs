@@ -14,13 +14,14 @@
 //!                  dead branches)
 //! ```
 //!
-//! The same bytecode runs in two lanes: a scalar `f64` loop for
-//! residual evaluation and a dual-number loop that carries per-pin
-//! tangents, so [`FasVm`] keeps the interpreter's analytic
-//! `eval_with_jacobian`. Numeric semantics mirror the interpreter
-//! operation-for-operation — the differential test suite in
-//! `tests/differential.rs` holds both to ulp-scale agreement. The VM is
-//! the executor of every FAS model ([`Executable`], [`FasBackend`]).
+//! [`FasVm`] is the interpreter's runtime shell
+//! ([`gabm_fas::machine::FasRuntime`]) around a [`Program`]: committed
+//! state, `accept`, and one dispatch loop generic over the value lane
+//! ([`gabm_fas::dual::Lane`]) — `f64` for `eval`, dual numbers for the
+//! analytic `eval_with_jacobian`. Interpreter and VM share every op's
+//! numeric rule; the differential test suite in `tests/differential.rs`
+//! holds them to ulp-scale agreement. The VM is the executor of every
+//! FAS model ([`Executable`], [`FasBackend`]).
 //!
 //! ```
 //! use gabm_fasvm::compile_program;
@@ -49,7 +50,6 @@ pub use bytecode::{CompileStats, Op, Program};
 pub use exec::FasVm;
 
 use gabm_fas::compile::CompiledModel;
-use gabm_fas::machine::delayt_var;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -121,21 +121,11 @@ pub fn compile_program(model: &CompiledModel) -> Result<Program, VmError> {
         let _p = gabm_trace::span("fasvm.emit");
         emit(&insts, &assign, model)?
     };
-    let delayt_vars = (0..model.n_delayt())
-        .map(|inst| delayt_var(model.body(), inst))
-        .collect();
     Ok(Program {
-        name: model.name().to_string(),
-        pins: model.pins().iter().map(|p| p.to_string()).collect(),
-        params: model.params().to_vec(),
-        var_names: model.var_names().to_vec(),
+        sig: model.signature().clone(),
         consts,
         ops,
         n_regs,
-        n_dt: model.n_dt(),
-        n_idt: model.n_idt(),
-        n_delayt: model.n_delayt(),
-        delayt_vars,
         stats,
     })
 }

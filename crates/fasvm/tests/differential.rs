@@ -39,6 +39,15 @@ fn assert_close(a: f64, b: f64, what: &str, src: &str) {
     );
 }
 
+/// `eval` and the value part of `eval_with_jacobian` are one rule in two
+/// lanes: identical bits, with NaN equal to NaN.
+fn assert_same_lanes(scalar: f64, dual: f64, what: &str, src: &str) {
+    assert!(
+        scalar.to_bits() == dual.to_bits() || (scalar.is_nan() && dual.is_nan()),
+        "{what}: eval={scalar:e} eval_with_jacobian={dual:e}\nmodel:\n{src}"
+    );
+}
+
 /// Runs both backends through a DC solve plus a short transient and
 /// checks currents, Jacobians and committed variables at every point.
 fn check_model(model: &CompiledModel, src: &str, rng: &mut Rng) {
@@ -68,12 +77,16 @@ fn check_model(model: &CompiledModel, src: &str, rng: &mut Rng) {
         for k in 0..n {
             assert_close(ci[k], cv[k], &format!("current[{k}]"), src);
         }
+        let (scalar_i, scalar_v) = (ci.to_vec(), cv.to_vec());
         let oki = interp.eval_with_jacobian(ctx, volts, ci, ji);
         let okv = vm.eval_with_jacobian(ctx, volts, cv, jv);
         assert_eq!(oki, okv, "jacobian support must match\n{src}");
         if oki {
             for k in 0..n {
                 assert_close(ci[k], cv[k], &format!("dual current[{k}]"), src);
+                // Within each backend the two lanes agree bit for bit.
+                assert_same_lanes(scalar_i[k], ci[k], &format!("interp current[{k}]"), src);
+                assert_same_lanes(scalar_v[k], cv[k], &format!("vm current[{k}]"), src);
             }
             for k in 0..n * n {
                 assert_close(ji[k], jv[k], &format!("jacobian[{k}]"), src);

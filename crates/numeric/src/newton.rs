@@ -79,8 +79,12 @@ pub fn critical_voltage(is: f64, vt: f64) -> f64 {
 /// Simple step damping: scales the Newton update so that no component of the
 /// solution changes by more than `max_delta`.
 ///
-/// Returns the applied scale factor in `(0, 1]`.
+/// Returns the applied scale factor in `(0, 1]`, or NaN (leaving `update`
+/// as it is) when any component is NaN.
 pub fn damp_update(update: &mut [f64], max_delta: f64) -> f64 {
+    if update.iter().any(|u| u.is_nan()) {
+        return f64::NAN;
+    }
     let worst = update.iter().fold(0.0f64, |m, u| m.max(u.abs()));
     if worst <= max_delta || worst == 0.0 {
         return 1.0;
@@ -90,20 +94,6 @@ pub fn damp_update(update: &mut [f64], max_delta: f64) -> f64 {
         *u *= scale;
     }
     scale
-}
-
-/// Trace of a Newton solve, exposed for diagnostics and the convergence
-/// ablation benches.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NewtonStats {
-    /// Iterations used by the last solve.
-    pub iterations: usize,
-    /// Total Jacobian factorizations.
-    pub factorizations: usize,
-    /// Final maximum update magnitude.
-    pub final_delta: f64,
-    /// Whether device-level limiting fired during the solve.
-    pub limited: bool,
 }
 
 #[cfg(test)]
@@ -180,5 +170,13 @@ mod tests {
     fn damping_handles_zero_update() {
         let mut u = vec![0.0, 0.0];
         assert_eq!(damp_update(&mut u, 1.0), 1.0);
+    }
+
+    #[test]
+    fn damping_propagates_nan() {
+        let mut u = [f64::NAN, 1.0];
+        assert!(damp_update(&mut u, 2.0).is_nan());
+        let mut v = [10.0, f64::NAN];
+        assert!(damp_update(&mut v, 2.0).is_nan());
     }
 }

@@ -81,6 +81,7 @@ fn newton_iterate(
     let mut stamper = Stamper::with_backend(n_nodes, n - n_nodes, mode, sparse);
     stamper.gmin = opts.gmin;
     stamper.vt = opts.thermal_voltage();
+    stamper.temperature = opts.temperature;
     stamper.source_scale = setup.source_scale;
     stamper.gshunt = setup.gshunt;
 
@@ -94,6 +95,7 @@ fn newton_iterate(
         stamper.reset(&x, mode);
         stamper.gmin = opts.gmin;
         stamper.vt = opts.thermal_voltage();
+        stamper.temperature = opts.temperature;
         stamper.source_scale = setup.source_scale;
         stamper.gshunt = setup.gshunt;
         for d in circuit.devices_mut() {

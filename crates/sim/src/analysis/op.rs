@@ -177,6 +177,7 @@ pub(crate) fn commit(circuit: &mut Circuit, x: &[f64]) {
         n_nodes,
         time: 0.0,
         mode: Mode::Dc,
+        temperature: circuit.options.temperature,
     };
     for d in circuit.devices_mut() {
         d.accept_step(&sv);

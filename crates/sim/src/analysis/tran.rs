@@ -271,6 +271,7 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                     n_nodes,
                     time: t_new,
                     mode,
+                    temperature: circuit.options.temperature,
                 };
                 for d in circuit.devices_mut() {
                     d.accept_step(&sv);

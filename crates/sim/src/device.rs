@@ -114,6 +114,8 @@ pub struct Stamper {
     pub gmin: f64,
     /// Thermal voltage at the analysis temperature.
     pub vt: f64,
+    /// Analysis temperature in kelvin (options `temperature`).
+    pub temperature: f64,
     /// Source-stepping scale in `[0, 1]`; independent sources multiply their
     /// value by this factor.
     pub source_scale: f64,
@@ -150,6 +152,7 @@ impl Stamper {
             mode,
             gmin: 1e-12,
             vt: 0.02585,
+            temperature: 300.15,
             source_scale: 1.0,
             gshunt: 0.0,
             limited: false,
@@ -342,6 +345,8 @@ pub struct StateView<'a> {
     pub time: f64,
     /// Mode of the accepted point.
     pub mode: Mode,
+    /// Analysis temperature in kelvin (options `temperature`).
+    pub temperature: f64,
 }
 
 impl StateView<'_> {
@@ -524,6 +529,7 @@ mod tests {
             n_nodes: 2,
             time: 0.0,
             mode: Mode::Dc,
+            temperature: 300.15,
         };
         assert_eq!(sv.v(NodeId::from_index(2)), 4.0);
         assert_eq!(sv.branch_current(0), 0.1);

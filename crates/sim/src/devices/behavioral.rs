@@ -164,7 +164,7 @@ impl Device for BehavioralDevice {
 
     fn stamp(&mut self, s: &mut Stamper) {
         let n = self.pins.len();
-        let ctx = Self::ctx_of(s.mode, 300.15);
+        let ctx = Self::ctx_of(s.mode, s.temperature);
         for (k, pin) in self.pins.iter().enumerate() {
             self.v[k] = s.v(*pin);
         }
@@ -263,7 +263,7 @@ impl Device for BehavioralDevice {
     }
 
     fn accept_step(&mut self, state: &StateView<'_>) {
-        let ctx = Self::ctx_of(state.mode, 300.15);
+        let ctx = Self::ctx_of(state.mode, state.temperature);
         for (k, pin) in self.pins.iter().enumerate() {
             self.v[k] = state.v(*pin);
         }
@@ -331,6 +331,58 @@ mod tests {
         assert!(rhs[1].abs() < 1e-9);
     }
 
+    /// Records the temperature every call sees; a 1 mS conductance.
+    #[derive(Debug)]
+    struct TempProbe(std::rc::Rc<std::cell::RefCell<Vec<(&'static str, f64)>>>);
+
+    impl BehavioralModel for TempProbe {
+        fn pin_count(&self) -> usize {
+            1
+        }
+        fn eval(&mut self, _ctx: &EvalCtx, v: &[f64], i: &mut [f64]) {
+            i[0] = 1e-3 * v[0];
+        }
+        fn eval_with_jacobian(
+            &mut self,
+            ctx: &EvalCtx,
+            v: &[f64],
+            i: &mut [f64],
+            jac: &mut [f64],
+        ) -> bool {
+            self.0
+                .borrow_mut()
+                .push(("eval_with_jacobian", ctx.temperature));
+            i[0] = 1e-3 * v[0];
+            jac[0] = 1e-3;
+            true
+        }
+        fn accept(&mut self, ctx: &EvalCtx, _v: &[f64]) {
+            self.0.borrow_mut().push(("accept", ctx.temperature));
+        }
+    }
+
+    #[test]
+    fn model_sees_the_analysis_temperature() {
+        use crate::analysis::tran::TranSpec;
+        use crate::circuit::Circuit;
+        use crate::devices::SourceWave;
+        let seen = std::rc::Rc::default();
+        let mut c = Circuit::new();
+        c.options.temperature = 350.0;
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(1.0));
+        c.add_resistor("R1", a, b, 1e3).unwrap();
+        c.add_behavioral("X1", &[b], Box::new(TempProbe(std::rc::Rc::clone(&seen))))
+            .unwrap();
+        c.tran(&TranSpec::new(1e-6)).unwrap();
+        let seen = seen.borrow();
+        for call in ["eval_with_jacobian", "accept"] {
+            assert!(seen.iter().any(|&(c, _)| c == call), "{call} never called");
+        }
+        assert!(seen.iter().all(|&(_, t)| t == 350.0), "{seen:?}");
+    }
+
     #[test]
     fn accept_commits() {
         let m = Box::new(TestModel {
@@ -346,6 +398,7 @@ mod tests {
             n_nodes: 2,
             time: 0.0,
             mode: Mode::Dc,
+            temperature: 300.15,
         };
         dev.accept_step(&sv);
         // Downcast not available; observe via Debug formatting.

@@ -139,6 +139,7 @@ mod tests {
             n_nodes: 1,
             time: 1.0,
             mode: Mode::Tran { time: 1.0, coeffs },
+            temperature: 300.15,
         };
         c.accept_step(&sv);
         assert_eq!(c.committed_voltage(), 3.0);
@@ -157,6 +158,7 @@ mod tests {
             n_nodes: 1,
             time: 0.0,
             mode: Mode::Dc,
+            temperature: 300.15,
         };
         c.accept_step(&sv);
         assert_eq!(c.dvdt_prev, 0.0);

@@ -207,6 +207,7 @@ mod tests {
             n_nodes: 1,
             time: 0.0,
             mode: Mode::Dc,
+            temperature: 300.15,
         };
         d.accept_step(&sv);
         assert_eq!(d.v_iter, 0.7);

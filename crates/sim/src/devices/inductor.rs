@@ -180,6 +180,7 @@ mod tests {
             n_nodes: 1,
             time: 0.0,
             mode: Mode::Dc,
+            temperature: 300.15,
         };
         l.accept_step(&sv);
         assert_eq!(l.i_prev, 0.5);

@@ -75,7 +75,7 @@ cargo test -q -p gabm-fasvm --test differential --test disasm_golden
 
 # Perf row: interpreter vs VM vs CMOS on the comparator transient.
 # The harness asserts the backends agree and writes BENCH_fasvm.json;
-# check the speedup field made it to disk.
+# check the speedup field made it to disk and the counters match.
 BENCH_DIR=target/ci-bench
 HARNESS="$ROOT/target/release/harness"
 rm -rf "$BENCH_DIR"
@@ -86,6 +86,16 @@ case "$(cat "$BENCH_DIR/BENCH_fasvm.json")" in
     *'"speedup_vm_over_interp"'*) ;;
     *) echo "FAIL: BENCH_fasvm.json missing speedup field" >&2; exit 1 ;;
 esac
+# Exact-counter gate: the comparator transient's deterministic counters
+# must equal the committed BENCH_fasvm.json baseline.
+for key in newton_iterations accepted_steps rejected_steps; do
+    want=$(grep "\"$key\":" BENCH_fasvm.json || true)
+    got=$(grep "\"$key\":" "$BENCH_DIR/BENCH_fasvm.json" || true)
+    if [ -z "$want" ] || [ "$want" != "$got" ]; then
+        echo "FAIL: BENCH_fasvm.json $key is '$got', committed baseline '$want'" >&2
+        exit 1
+    fi
+done
 
 # Parallel characterization gate: the harness asserts in-process that the
 # Monte-Carlo distribution is bitwise identical on pools of 1/2/4/8
