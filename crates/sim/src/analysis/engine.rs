@@ -93,11 +93,6 @@ fn newton_iterate(
     let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
     for iter in 0..max_iters {
         stamper.reset(&x, mode);
-        stamper.gmin = opts.gmin;
-        stamper.vt = opts.thermal_voltage();
-        stamper.temperature = opts.temperature;
-        stamper.source_scale = setup.source_scale;
-        stamper.gshunt = setup.gshunt;
         for d in circuit.devices_mut() {
             d.stamp(&mut stamper);
         }

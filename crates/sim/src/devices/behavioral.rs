@@ -86,9 +86,10 @@ pub struct BehavioralDevice {
     i_pert: Vec<f64>,
     gv0: Vec<f64>,
     jac: Vec<f64>,
-    // Last conductances, (row pin, col pin, g) — the resistive small-signal
-    // linearization replayed by stamp_ac.
+    // Last conductances, (row pin, col pin, g), and the per-pin gmin floor
+    // — the resistive small-signal linearization replayed by stamp_ac.
     g_last: Vec<(usize, usize, f64)>,
+    gmin_last: f64,
 }
 
 /// Relative perturbation used for the finite-difference Jacobian.
@@ -128,6 +129,7 @@ impl BehavioralDevice {
             gv0: vec![0.0; n],
             jac: vec![0.0; n * n],
             g_last: Vec::new(),
+            gmin_last: 0.0,
         })
     }
 
@@ -237,6 +239,7 @@ impl Device for BehavioralDevice {
         // would float; the junction-conductance floor keeps the MNA matrix
         // non-singular, exactly as ELDO's GMIN does for devices.
         let gmin = s.gmin;
+        self.gmin_last = gmin;
         for pin in self.pins.clone() {
             s.stamp_conductance(pin, crate::circuit::Circuit::GROUND, gmin);
         }
@@ -256,7 +259,7 @@ impl Device for BehavioralDevice {
                 Complex64::from_real(g),
             );
         }
-        let gmin = Complex64::from_real(1e-12);
+        let gmin = Complex64::from_real(self.gmin_last);
         for pin in &self.pins {
             s.add(Unknown::Node(*pin), Unknown::Node(*pin), gmin);
         }

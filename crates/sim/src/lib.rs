@@ -97,6 +97,13 @@ pub enum SimError {
     MissingResult(String),
     /// Invalid analysis specification.
     BadAnalysis(String),
+    /// A netlist card could not be parsed or built.
+    Parse {
+        /// 1-based source line of the offending card.
+        line: usize,
+        /// What is wrong with the card.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -122,6 +129,7 @@ impl fmt::Display for SimError {
             }
             SimError::MissingResult(what) => write!(f, "missing result: {what}"),
             SimError::BadAnalysis(msg) => write!(f, "bad analysis spec: {msg}"),
+            SimError::Parse { line, message } => write!(f, "line {line}: {message}"),
         }
     }
 }

@@ -71,14 +71,15 @@ pub fn parse_value(text: &str) -> Result<f64, SimError> {
     Ok(value)
 }
 
-/// Prefixes a card's error with its line number, keeping one
-/// "bad analysis spec" prefix when the card error already is one.
-fn at_line(line_no: usize, err: SimError) -> SimError {
-    let msg = match err {
+/// Attaches a card's line number to its error. A card-level
+/// `BadAnalysis` keeps only its message, without the "bad analysis spec"
+/// prefix.
+fn at_line(line: usize, err: SimError) -> SimError {
+    let message = match err {
         SimError::BadAnalysis(msg) => msg,
         other => other.to_string(),
     };
-    SimError::BadAnalysis(format!("line {line_no}: {msg}"))
+    SimError::Parse { line, message }
 }
 
 #[derive(Debug, Clone)]
@@ -246,8 +247,8 @@ fn parse_source(fields: &[&str]) -> Result<SourceWave, SimError> {
 ///
 /// # Errors
 ///
-/// [`SimError::BadAnalysis`] with the offending line number, or device
-/// construction errors.
+/// [`SimError::Parse`] with the offending line number, for malformed
+/// cards and device construction errors alike.
 pub fn parse_netlist(src: &str) -> Result<Circuit, SimError> {
     // Join continuation lines first.
     let mut cards: Vec<(usize, String)> = Vec::new();
@@ -579,7 +580,7 @@ C1 out 0 1u
     #[test]
     fn errors_carry_line_numbers() {
         let err = parse_netlist("t\nR1 a 0 abc\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(matches!(err, SimError::Parse { line: 2, .. }), "{err:?}");
         let err = parse_netlist("t\nQ1 a b c\n").unwrap_err();
         assert!(err.to_string().contains("unknown element"), "{err}");
         let err = parse_netlist("t\nD1 a 0 NOPE\n").unwrap_err();
@@ -599,8 +600,11 @@ C1 out 0 1u
         }
         let err = parse_netlist("t\nV1 a 0 DC 1e400\nR1 a 0 1k").unwrap_err();
         assert_eq!(
-            err.to_string(),
-            "bad analysis spec: line 2: non-finite value '1e400'"
+            err,
+            SimError::Parse {
+                line: 2,
+                message: "non-finite value '1e400'".into()
+            }
         );
     }
 
@@ -608,14 +612,21 @@ C1 out 0 1u
     fn card_errors_carry_one_prefix() {
         let err = parse_netlist("t\nV1 a 0 DC 1\nR1 a 0 1zz\n").unwrap_err();
         assert_eq!(
-            err.to_string(),
-            "bad analysis spec: line 3: malformed number '1zz'"
+            err,
+            SimError::Parse {
+                line: 3,
+                message: "malformed number '1zz'".into()
+            }
         );
         let err = parse_netlist("t\n.model D1 D IS=1q\n").unwrap_err();
         assert_eq!(
-            err.to_string(),
-            "bad analysis spec: line 2: malformed number '1q'"
+            err,
+            SimError::Parse {
+                line: 2,
+                message: "malformed number '1q'".into()
+            }
         );
+        assert_eq!(err.to_string(), "line 2: malformed number '1q'");
     }
 
     #[test]

@@ -204,3 +204,45 @@ fn behavioural_device_ac_conductance() {
         "measured {measured:.4}, expected {expect:.4} (vd = {vd:.3}, g_ac = {g_ac:.3e})"
     );
 }
+
+/// The per-pin gmin floor of a behavioural device follows
+/// `Options::gmin` in AC as it does at the operating point: a model with
+/// zero current and zero Jacobian leaves only that floor on its pin.
+#[test]
+fn behavioural_device_ac_uses_options_gmin() {
+    use gabm_sim::devices::{BehavioralModel, EvalCtx};
+
+    #[derive(Debug)]
+    struct Open;
+    impl BehavioralModel for Open {
+        fn pin_count(&self) -> usize {
+            1
+        }
+        fn eval(&mut self, _ctx: &EvalCtx, _v: &[f64], i: &mut [f64]) {
+            i[0] = 0.0;
+        }
+        fn accept(&mut self, _ctx: &EvalCtx, _v: &[f64]) {}
+    }
+
+    let mut ckt = Circuit::new();
+    ckt.options.gmin = 1.0e-6;
+    let a = ckt.node("a");
+    let d = ckt.node("d");
+    ckt.add_device(Box::new(
+        Vsource::new("V1", a, Circuit::GROUND, SourceWave::dc(1.0)).with_ac(1.0),
+    ))
+    .unwrap();
+    ckt.add_resistor("R1", a, d, 1.0e6).unwrap();
+    ckt.add_behavioral("XO", &[d], Box::new(Open)).unwrap();
+    let r = ckt
+        .ac(&AcSpec {
+            sweep: AcSweep::List(vec![1.0e3]),
+        })
+        .unwrap();
+    // Divider of R1 (1 µS) against the 1 µS gmin floor: |vd| = 1/2.
+    let measured = r.voltage_at(0, d).abs();
+    assert!(
+        (measured - 0.5).abs() < 1e-9,
+        "measured {measured:.6}, expected 0.5"
+    );
+}

@@ -28,8 +28,8 @@
 //! * [`span`] returns an RAII guard; nesting on a thread comes from the
 //!   begin/end ordering of guards, so the caller never threads IDs around.
 //! * [`span_root`] starts a *detached* span: summaries and
-//!   [`Trace::structure`] treat it as a new logical root. The work-stealing
-//!   pool wraps every job in one, which is what makes span structure
+//!   [`Trace::structure`] treat it as a new logical root. The parallel
+//!   map wraps every job in one, which is what makes span structure
 //!   identical at any thread count (a job inlined on the caller's thread
 //!   would otherwise nest under the caller).
 //! * [`add`] bumps a named counter; [`gauge_max`] keeps the maximum of a
@@ -75,6 +75,13 @@ fn registry() -> &'static Mutex<Vec<Arc<Mutex<Buffer>>>> {
 /// invalidates events from any previous session.
 pub fn enable() {
     *clock().lock().unwrap() = Some(Instant::now());
+    // A buffer only the registry still holds belongs to an exited thread
+    // (parallel-map workers exit after every call). Its events stay
+    // readable until now; the new session invalidates them, so drop it.
+    registry()
+        .lock()
+        .unwrap()
+        .retain(|buf| Arc::strong_count(buf) > 1);
     EPOCH.fetch_add(1, Ordering::AcqRel);
     ENABLED.store(true, Ordering::Release);
 }
@@ -446,6 +453,43 @@ mod tests {
             worker.events[0],
             Event::Begin { detached: true, .. }
         ));
+    }
+
+    #[test]
+    fn enable_drops_buffers_of_exited_threads() {
+        let _g = lock();
+        enable();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|id| {
+                    std::thread::Builder::new()
+                        .name(format!("trace-prune-{id}"))
+                        .spawn_scoped(s, || {
+                            let _s = span_root("t.job");
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
+        let is_worker = |name: &str| name.starts_with("trace-prune-");
+        let t = finish();
+        assert_eq!(
+            t.threads.iter().filter(|th| is_worker(&th.name)).count(),
+            2,
+            "exited workers' events still merge into their session"
+        );
+        enable();
+        disable();
+        let kept: Vec<String> = registry()
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|buf| buf.lock().unwrap().thread.clone())
+            .collect();
+        assert!(!kept.iter().any(|name| is_worker(name)), "kept {kept:?}");
     }
 
     #[test]

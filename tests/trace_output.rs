@@ -184,8 +184,7 @@ fn span_structure_is_thread_count_invariant() {
         pooled.structure(),
         "span structure changed with the pool size"
     );
-    // Work counters from the deterministic layers agree too; only the
-    // scheduling counters (par.steals, par.queue_depth) may differ.
+    // Work counters from the deterministic layers agree too.
     let sim_counters = |t: &gabm::trace::Trace| -> Vec<(String, u64)> {
         t.counters
             .iter()
