@@ -190,6 +190,11 @@ impl<T: Scalar> DenseMatrix<T> {
         &self.data
     }
 
+    /// Mutably borrow the underlying row-major data.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     fn index(&self, row: usize, col: usize) -> usize {
         assert!(
             row < self.rows && col < self.cols,

@@ -35,13 +35,13 @@ impl Tolerances {
         (new - old).abs() <= self.reltol * new.abs().max(old.abs()) + abs
     }
 
-    /// Checks a full solution update. `is_voltage[i]` flags voltage unknowns;
-    /// missing entries default to voltage semantics.
-    pub fn converged(&self, new: &[f64], old: &[f64], is_voltage: &[bool]) -> bool {
-        new.iter().zip(old).enumerate().all(|(i, (n, o))| {
-            let v = is_voltage.get(i).copied().unwrap_or(true);
-            self.converged_scalar(*n, *o, v)
-        })
+    /// Checks a full solution update. The first `n_voltages` unknowns are
+    /// voltages, the rest branch currents (the MNA ordering).
+    pub fn converged(&self, new: &[f64], old: &[f64], n_voltages: usize) -> bool {
+        new.iter()
+            .zip(old)
+            .enumerate()
+            .all(|(i, (n, o))| self.converged_scalar(*n, *o, i < n_voltages))
     }
 }
 
@@ -122,10 +122,12 @@ mod tests {
     #[test]
     fn vector_convergence() {
         let t = Tolerances::default();
-        assert!(t.converged(&[1.0, 2.0], &[1.0, 2.0], &[true, true]));
-        assert!(!t.converged(&[1.0, 2.1], &[1.0, 2.0], &[true, true]));
-        // Missing flags default to voltage.
-        assert!(t.converged(&[1.0, 2.0], &[1.0, 2.0], &[]));
+        assert!(t.converged(&[1.0, 2.0], &[1.0, 2.0], 2));
+        assert!(!t.converged(&[1.0, 2.1], &[1.0, 2.0], 2));
+        // A change of 5e-7 is within VNTOL (a voltage) but not ABSTOL (a
+        // current).
+        assert!(t.converged(&[1.0, 5e-7], &[1.0, 0.0], 2));
+        assert!(!t.converged(&[1.0, 5e-7], &[1.0, 0.0], 1));
     }
 
     #[test]

@@ -169,6 +169,8 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
     let n_nodes = circuit.n_nodes();
     let n_branches = circuit.n_branches();
     let mut stamper = AcStamper::new(n_nodes, n_branches, 0.0);
+    // One factor, refactored in place at every frequency point.
+    let mut lu = LuFactor::default();
     let mut solutions = Vec::with_capacity(freqs.len());
     for &f in &freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
@@ -178,9 +180,11 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
         }
         stats.device_evals += 1;
         let (mat, rhs) = stamper.finish();
-        let lu = LuFactor::new(mat)?;
+        lu.refactor(mat)?;
         stats.factorizations += 1;
-        solutions.push(lu.solve(rhs)?);
+        let mut x = rhs.to_vec();
+        lu.solve_in_place(&mut x)?;
+        solutions.push(x);
     }
     stats.wall_s = wall_start.elapsed().as_secs_f64();
     Ok(AcResult {

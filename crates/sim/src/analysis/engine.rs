@@ -35,6 +35,45 @@ impl Default for SolveSetup {
     }
 }
 
+/// The buffers one circuit's Newton solves reuse: the assembly surface,
+/// the LU factor of the active backend and the iterate pair.
+///
+/// It lives on the [`Circuit`], is built by the first solve and rebuilt
+/// only when the unknown count or the dense/sparse backend changes, so a
+/// dense Newton iteration allocates nothing.
+#[derive(Debug)]
+pub(crate) struct NewtonWorkspace {
+    stamper: Stamper,
+    sparse: bool,
+    /// Dense factor, refactored in place every iteration.
+    dense_lu: LuFactor,
+    /// Sparse factor: its symbolic analysis and pivot order survive across
+    /// solves (and time steps), so iterations with an unchanged matrix
+    /// pattern only pay a numeric refactorization.
+    sparse_lu: Option<SparseLu>,
+    /// Current iterate.
+    x: Vec<f64>,
+    /// Next iterate: the linear solve's result, then the damped update.
+    x_next: Vec<f64>,
+}
+
+impl NewtonWorkspace {
+    fn new(n_nodes: usize, n: usize, sparse: bool) -> Self {
+        NewtonWorkspace {
+            stamper: Stamper::with_backend(n_nodes, n - n_nodes, Mode::Dc, sparse),
+            sparse,
+            dense_lu: LuFactor::default(),
+            sparse_lu: None,
+            x: vec![0.0; n],
+            x_next: vec![0.0; n],
+        }
+    }
+
+    fn fits(&self, n_nodes: usize, n: usize, sparse: bool) -> bool {
+        self.stamper.n_nodes() == n_nodes && self.x.len() == n && self.sparse == sparse
+    }
+}
+
 /// Runs a damped Newton iteration for the given mode, starting from `x0`.
 ///
 /// Uses the Norton-companion formulation: each assembled linear system yields
@@ -48,13 +87,18 @@ pub(crate) fn newton_solve(
     stats: &mut SimStats,
 ) -> Result<NewtonOutcome, SimError> {
     let _span = gabm_trace::span("sim.newton");
-    // The cached sparse factorization lives on the circuit so its
-    // symbolic analysis survives across solves (and time steps). Take it
-    // out for the iteration and put it back on every exit path.
-    let mut lu_cache = circuit.lu_cache.take();
+    let n_nodes = circuit.n_nodes();
+    let n = circuit.n_unknowns();
+    let sparse = n >= circuit.options.sparse_threshold;
+    // Take the workspace out for the iteration and put it back on every
+    // exit path.
+    let mut ws = match circuit.newton.take() {
+        Some(ws) if ws.fits(n_nodes, n, sparse) => ws,
+        _ => NewtonWorkspace::new(n_nodes, n, sparse),
+    };
     let iters_before = stats.newton_iterations;
-    let result = newton_iterate(circuit, mode, x0, setup, stats, &mut lu_cache);
-    circuit.lu_cache = lu_cache;
+    let result = newton_iterate(circuit, mode, x0, setup, stats, &mut ws);
+    circuit.newton = Some(ws);
     gabm_trace::add(
         "sim.newton.iterations",
         (stats.newton_iterations - iters_before) as u64,
@@ -68,33 +112,36 @@ fn newton_iterate(
     x0: &[f64],
     setup: SolveSetup,
     stats: &mut SimStats,
-    lu_cache: &mut Option<SparseLu>,
+    ws: &mut NewtonWorkspace,
 ) -> Result<NewtonOutcome, SimError> {
     let n_nodes = circuit.n_nodes();
-    let n = circuit.n_unknowns();
-    debug_assert_eq!(x0.len(), n, "initial guess length mismatch");
-    let opts = circuit.options.clone();
+    debug_assert_eq!(x0.len(), ws.x.len(), "initial guess length mismatch");
     let nonlinear = circuit.is_nonlinear();
-    let is_voltage: Vec<bool> = (0..n).map(|i| i < n_nodes).collect();
-
-    let sparse = n >= opts.sparse_threshold;
-    let mut stamper = Stamper::with_backend(n_nodes, n - n_nodes, mode, sparse);
+    let NewtonWorkspace {
+        stamper,
+        dense_lu,
+        sparse_lu,
+        x,
+        x_next,
+        ..
+    } = ws;
+    let opts = &circuit.options;
     stamper.gmin = opts.gmin;
     stamper.vt = opts.thermal_voltage();
     stamper.temperature = opts.temperature;
     stamper.source_scale = setup.source_scale;
     stamper.gshunt = setup.gshunt;
+    let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
 
     for d in circuit.devices_mut() {
         d.begin_solve();
     }
 
-    let mut x = x0.to_vec();
-    let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
+    x.copy_from_slice(x0);
     for iter in 0..max_iters {
-        stamper.reset(&x, mode);
+        stamper.reset(x, mode);
         for d in circuit.devices_mut() {
-            d.stamp(&mut stamper);
+            d.stamp(stamper);
         }
         stats.device_evals += 1;
         let limited = stamper.was_limited();
@@ -105,12 +152,13 @@ fn newton_iterate(
             },
             other => SimError::from(other),
         };
-        let x_new = match mat {
+        match mat {
             crate::device::MatrixStore::Dense(m) => {
-                let lu = LuFactor::new(m).map_err(singular)?;
+                dense_lu.refactor(m).map_err(singular)?;
                 stats.factorizations += 1;
                 gabm_trace::add("sim.lu.full", 1);
-                lu.solve(rhs)?
+                x_next.copy_from_slice(rhs);
+                dense_lu.solve_in_place(x_next)?;
             }
             crate::device::MatrixStore::Sparse(t) => {
                 let a = t.to_csc();
@@ -118,7 +166,7 @@ fn newton_iterate(
                 // pivot collapsing under the frozen order (or a pattern
                 // change from e.g. gmin stepping) falls back to a full
                 // re-pivoting factorization.
-                let lu = match lu_cache.take() {
+                let lu = match sparse_lu.take() {
                     Some(mut lu) if lu.pattern_matches(&a) => match lu.refactor(&a) {
                         Ok(()) => {
                             stats.refactorizations += 1;
@@ -137,35 +185,38 @@ fn newton_iterate(
                         SparseLu::new(&a).map_err(singular)?
                     }
                 };
-                let solved = lu.solve(rhs)?;
-                *lu_cache = Some(lu);
-                solved
+                x_next.copy_from_slice(&lu.solve(rhs)?);
+                *sparse_lu = Some(lu);
             }
-        };
+        }
         stats.newton_iterations += 1;
         // A non-finite iterate never recovers (damping turns it into NaN),
         // so fail at once, naming the unknown.
-        if let Some(bad) = x_new.iter().position(|v| !v.is_finite()) {
+        if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
             return Err(SimError::NonFinite {
                 unknown: unknown_name(circuit, bad, n_nodes),
             });
         }
         if !nonlinear {
             return Ok(NewtonOutcome {
-                x: x_new,
+                x: x_next.clone(),
                 iterations: 1,
             });
         }
-        // Damped update.
-        let mut delta: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
-        let scale = damp_update(&mut delta, opts.max_voltage_step);
-        let x_next: Vec<f64> = x.iter().zip(&delta).map(|(a, d)| a + d).collect();
-        let converged =
-            scale == 1.0 && !limited && opts.tolerances.converged(&x_next, &x, &is_voltage);
-        x = x_next;
+        // Damped update, in place: x_next ← x + damp(x_next − x).
+        let opts = &circuit.options;
+        for (next, cur) in x_next.iter_mut().zip(x.iter()) {
+            *next -= cur;
+        }
+        let scale = damp_update(x_next, opts.max_voltage_step);
+        for (next, cur) in x_next.iter_mut().zip(x.iter()) {
+            *next += cur;
+        }
+        let converged = scale == 1.0 && !limited && opts.tolerances.converged(x_next, x, n_nodes);
+        std::mem::swap(x, x_next);
         if converged {
             return Ok(NewtonOutcome {
-                x,
+                x: x.clone(),
                 iterations: iter + 1,
             });
         }
@@ -350,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn lu_cache_survives_consecutive_solves() {
+    fn sparse_factor_survives_consecutive_solves() {
         let mut c = diode_ladder();
         let n = c.n_unknowns();
         let mut stats = SimStats::default();
@@ -367,6 +418,58 @@ mod tests {
         newton_solve(&mut c, Mode::Dc, &out.x, SolveSetup::default(), &mut stats).unwrap();
         assert_eq!(stats.factorizations, 1);
         assert!(stats.refactorizations >= out.iterations);
+    }
+
+    #[test]
+    fn workspace_follows_backend_and_size_changes() {
+        let mut c = diode_ladder();
+        c.options.sparse_threshold = usize::MAX;
+        let n = c.n_unknowns();
+        let mut stats = SimStats::default();
+        let dense = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(stats.refactorizations, 0);
+        // Switching to the sparse backend rebuilds the workspace: one full
+        // factorization, numeric refactorizations after it, same answer.
+        c.options.sparse_threshold = 1;
+        let mut stats = SimStats::default();
+        let sparse = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(stats.factorizations, 1);
+        assert_eq!(stats.refactorizations, sparse.iterations - 1);
+        for (d, s) in dense.x.iter().zip(&sparse.x) {
+            assert!((d - s).abs() <= 1e-9 * d.abs().max(1.0), "{d} vs {s}");
+        }
+        // A new node changes the unknown count: the workspace is rebuilt
+        // at the new size.
+        let top = c.find_node("top").unwrap();
+        let extra = c.node("extra");
+        c.add_resistor("RX", top, extra, 1.0e3).unwrap();
+        c.add_resistor("RY", extra, Circuit::GROUND, 1.0e3).unwrap();
+        let n = c.n_unknowns();
+        let out = newton_solve(
+            &mut c,
+            Mode::Dc,
+            &vec![0.0; n],
+            SolveSetup::default(),
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(out.x.len(), n);
+        let v_extra = out.x[extra.index() - 1];
+        assert!((v_extra - 2.5).abs() < 1e-9, "v(extra) = {v_extra}");
     }
 
     #[test]

@@ -276,12 +276,13 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                 for d in circuit.devices_mut() {
                     d.accept_step(&sv);
                 }
-                hist_x[1] = std::mem::replace(&mut hist_x[0], out.x.clone());
+                hist_x.swap(0, 1);
+                hist_x[0].copy_from_slice(&out.x);
                 hist_t[1] = hist_t[0];
                 hist_t[0] = t_new;
-                x = out.x;
+                x.copy_from_slice(&out.x);
                 times.push(t_new);
-                states.push(x.clone());
+                states.push(out.x);
                 stats.accepted_steps += 1;
                 gabm_trace::add("sim.tran.accepted", 1);
                 t = t_new;

@@ -72,10 +72,9 @@ pub struct Circuit {
     n_branches: usize,
     /// Simulator options used by all analyses on this circuit.
     pub options: Options,
-    /// Cached sparse factorization: the symbolic analysis and pivot order
-    /// survive across Newton solves and time steps, so iterations with an
-    /// unchanged matrix pattern only pay a numeric refactorization.
-    pub(crate) lu_cache: Option<gabm_numeric::SparseLu>,
+    /// Newton buffers (assembly surface, LU factors, iterates) reused by
+    /// every solve on this circuit; built by the first one.
+    pub(crate) newton: Option<crate::analysis::engine::NewtonWorkspace>,
 }
 
 impl Circuit {
@@ -91,7 +90,7 @@ impl Circuit {
             device_names: HashMap::new(),
             n_branches: 0,
             options: Options::default(),
-            lu_cache: None,
+            newton: None,
         }
     }
 

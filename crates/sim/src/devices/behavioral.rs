@@ -240,7 +240,7 @@ impl Device for BehavioralDevice {
         // non-singular, exactly as ELDO's GMIN does for devices.
         let gmin = s.gmin;
         self.gmin_last = gmin;
-        for pin in self.pins.clone() {
+        for &pin in &self.pins {
             s.stamp_conductance(pin, crate::circuit::Circuit::GROUND, gmin);
         }
     }

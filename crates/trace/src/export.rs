@@ -112,14 +112,6 @@ impl Trace {
                 ts_us(self.end_ns, zero_ts)
             ));
         }
-        for (name, value) in &self.gauges {
-            lines.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\
-                 \"args\":{{\"max\":{value}}}}}",
-                escape(name),
-                ts_us(self.end_ns, zero_ts)
-            ));
-        }
         let mut out = String::from("{\"traceEvents\":[\n");
         out.push_str(&lines.join(",\n"));
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
@@ -184,7 +176,7 @@ impl Trace {
     }
 
     /// Plain-text hierarchical summary: call counts and cumulative wall
-    /// time per span path, then counter and gauge totals.
+    /// time per span path, then counter totals.
     pub fn summary(&self) -> String {
         let mut agg: BTreeMap<String, (usize, u64)> = BTreeMap::new();
         self.walk(&mut |path, dur| {
@@ -219,12 +211,6 @@ impl Trace {
                 let _ = writeln!(out, "  {name:<48} {v:>8}");
             }
         }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "gauges (max):");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<48} {v:>8}");
-            }
-        }
         out
     }
 }
@@ -232,7 +218,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use crate::tests::lock;
-    use crate::{add, enable, finish, gauge_max, span, span_root};
+    use crate::{add, enable, finish, span, span_root};
 
     #[test]
     fn chrome_json_balances_and_escapes() {
@@ -243,14 +229,12 @@ mod tests {
             let _b = crate::span_with("x.inner", "k", || "a\"b\\c".to_string());
         }
         add("x.count", 2);
-        gauge_max("x.depth", 4);
         let t = finish();
         let json = t.to_chrome_json(true);
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
         assert!(json.contains("\\\"b\\\\c"));
         assert!(json.contains("\"x.count\""));
-        assert!(json.contains("\"max\":4"));
         assert!(json.contains("\"ts\":0.000"));
         assert!(!t.to_chrome_json(false).contains("\"ts\":0.000}"));
     }

@@ -1,7 +1,7 @@
 //! # gabm-trace — structured tracing for the simulation stack
 //!
 //! An in-tree, zero-external-dependency observability layer: hierarchical
-//! spans with nanosecond timing, named counters and gauges, and per-thread
+//! spans with nanosecond timing, named counters, and per-thread
 //! event buffers that merge at flush. The collector exports Chrome
 //! trace-event JSON (loadable in `chrome://tracing` / Perfetto) and a
 //! plain-text hierarchical summary.
@@ -32,8 +32,7 @@
 //!   map wraps every job in one, which is what makes span structure
 //!   identical at any thread count (a job inlined on the caller's thread
 //!   would otherwise nest under the caller).
-//! * [`add`] bumps a named counter; [`gauge_max`] keeps the maximum of a
-//!   named gauge. Both merge across threads at flush (sum / max).
+//! * [`add`] bumps a named counter; counters sum across threads at flush.
 //! * Each thread owns its buffer behind an uncontended mutex registered in
 //!   a process-wide list; nothing is shared on the hot path, and
 //!   [`snapshot`] / [`finish`] merge the buffers into a [`Trace`].
@@ -130,7 +129,6 @@ struct Buffer {
     seq: usize,
     events: Vec<Event>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
 }
 
 struct Tls {
@@ -175,7 +173,6 @@ fn with_buffer(f: impl FnOnce(&mut Buffer, u64)) {
             b.epoch = epoch;
             b.events.clear();
             b.counters.clear();
-            b.gauges.clear();
         }
         f(&mut b, now);
     });
@@ -278,21 +275,6 @@ pub fn add(name: &str, delta: u64) {
     });
 }
 
-/// Records a gauge observation, keeping the maximum (per thread, then the
-/// maximum across threads at flush).
-#[inline]
-pub fn gauge_max(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_buffer(|b, _| match b.gauges.get_mut(name) {
-        Some(v) => *v = (*v).max(value),
-        None => {
-            b.gauges.insert(name.to_string(), value);
-        }
-    });
-}
-
 /// Event stream of one thread, in emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadTrace {
@@ -303,7 +285,7 @@ pub struct ThreadTrace {
 }
 
 /// A merged, immutable trace session: per-thread event streams plus
-/// cross-thread counter and gauge totals.
+/// cross-thread counter totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Per-thread streams, sorted by thread name (registration order
@@ -311,8 +293,6 @@ pub struct Trace {
     pub threads: Vec<ThreadTrace>,
     /// Counter totals, summed across threads, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge maxima across threads, sorted by name.
-    pub gauges: Vec<(String, u64)>,
     /// Largest event timestamp (ns); used to close unfinished spans.
     pub end_ns: u64,
 }
@@ -324,7 +304,6 @@ pub fn snapshot() -> Trace {
     let bufs: Vec<Arc<Mutex<Buffer>>> = registry().lock().unwrap().clone();
     let mut picked: Vec<(String, usize, Vec<Event>)> = Vec::new();
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
     for buf in bufs {
         let b = buf.lock().unwrap();
         if b.epoch != epoch {
@@ -332,10 +311,6 @@ pub fn snapshot() -> Trace {
         }
         for (name, v) in &b.counters {
             *counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, v) in &b.gauges {
-            let slot = gauges.entry(name.clone()).or_insert(0);
-            *slot = (*slot).max(*v);
         }
         if !b.events.is_empty() {
             picked.push((b.thread.clone(), b.seq, b.events.clone()));
@@ -353,7 +328,6 @@ pub fn snapshot() -> Trace {
             .map(|(name, _, events)| ThreadTrace { name, events })
             .collect(),
         counters: counters.into_iter().collect(),
-        gauges: gauges.into_iter().collect(),
         end_ns,
     }
 }
@@ -381,12 +355,10 @@ mod tests {
         disable();
         let _s = span("t.nothing");
         add("t.counter", 5);
-        gauge_max("t.gauge", 9);
         enable();
         let t = finish();
         assert!(t.threads.is_empty());
         assert!(t.counters.is_empty());
-        assert!(t.gauges.is_empty());
     }
 
     #[test]
@@ -425,25 +397,21 @@ mod tests {
     }
 
     #[test]
-    fn threads_merge_and_gauges_take_max() {
+    fn threads_merge_counters() {
         let _g = lock();
         enable();
         add("t.shared", 1);
-        gauge_max("t.depth", 2);
         std::thread::Builder::new()
             .name("trace-test-worker".into())
             .spawn(|| {
                 let _s = span_root("t.job");
                 add("t.shared", 10);
-                gauge_max("t.depth", 7);
-                gauge_max("t.depth", 3);
             })
             .unwrap()
             .join()
             .unwrap();
         let t = finish();
         assert_eq!(t.counters, vec![("t.shared".to_string(), 11)]);
-        assert_eq!(t.gauges, vec![("t.depth".to_string(), 7)]);
         let worker = t
             .threads
             .iter()

@@ -140,8 +140,10 @@ echo "==> gabm --trace smoke"
 # deterministic counters in every round and, at the reference seed 1 and
 # the held-out seed 2, match perfbench/fingerprints.json. The benchmark
 # is only run, never edited; --locked keeps perfbench/Cargo.lock as is.
+# comparator-cmos is the one workload whose 17-unknown dense LU pivots
+# through MOSFET limiting.
 echo "==> perfbench fingerprint gate"
-for workload in comparator-fas characterize; do
+for workload in comparator-fas characterize comparator-cmos; do
     for seed in 1 2; do
         out=$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
             --workload "$workload" --seed "$seed" --seconds 1 --trace 1)

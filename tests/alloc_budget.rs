@@ -1,4 +1,5 @@
-//! Deterministic allocation budget of the model front end.
+//! Deterministic allocation budgets of the model front end and of the
+//! transient's Newton loop.
 //!
 //! A counting global allocator tallies the heap allocations made by the
 //! calling thread only, so the test harness's other threads cannot disturb
@@ -20,6 +21,22 @@
 //! | `generate` (FAS, incl. its check) | 10,971 |    407 |
 //! | FAS `compile`                     |  1,397 |  1,397 |
 //! | `card()` + `model()`              | 16,438 |  2,343 |
+//!
+//! The Newton-loop budgets were set from the 60 µs Fig. 7 transient
+//! (`ComparatorStimulus::default()`), before and after the dense LU
+//! became an in-place refactor and each circuit kept one reusable Newton
+//! workspace (stamper, LU factor, iterate buffers):
+//!
+//! | transient (unknowns)              | before |  after |
+//! |-----------------------------------|-------:|-------:|
+//! | behavioural (FAS) comparator (12) |  5,206 |    272 |
+//! | transistor (CMOS) comparator (17) | 16,154 |    638 |
+//!
+//! What is left is per time step, not per Newton iteration: the solution
+//! vector each Newton solve returns (kept as the stored `states` row when
+//! the step is accepted) and the growth of the result vectors. The
+//! budgets sit below one allocation per Newton iteration (518 and 2,033),
+//! so an allocation creeping back into the iteration fails the test.
 
 // The counting allocator is the workspace's one `unsafe` code: a
 // `GlobalAlloc` impl cannot be written without it.
@@ -29,6 +46,9 @@ use gabm::codegen::{generate, Backend};
 use gabm::core::check_diagram;
 use gabm::fas::compile;
 use gabm::models::ComparatorSpec;
+use gabm::sim::analysis::tran::{TranResult, TranSpec};
+use gabm::sim::circuit::Circuit;
+use gabm_bench::{behavioural_comparator_circuit, cmos_comparator_circuit, ComparatorStimulus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -94,5 +114,37 @@ fn comparator_front_end_stays_within_its_allocation_budget() {
     assert!(
         front_end <= 6_000,
         "card() + model() made {front_end} allocations"
+    );
+}
+
+/// Allocations of one 60 µs transient on `ckt`, with its result.
+fn transient_allocations(mut ckt: Circuit) -> (u64, TranResult) {
+    allocations(|| ckt.tran(&TranSpec::new(60.0e-6)).unwrap())
+}
+
+#[test]
+fn comparator_transients_stay_within_their_allocation_budgets() {
+    let stim = ComparatorStimulus::default();
+    let (fas, r) = transient_allocations(behavioural_comparator_circuit(&stim).unwrap().0);
+    // The same work as before the budget was set: equal Newton iteration
+    // and step counts.
+    let work = |r: &TranResult| {
+        (
+            r.stats.newton_iterations,
+            r.stats.accepted_steps,
+            r.stats.rejected_steps,
+        )
+    };
+    assert_eq!(work(&r), (518, 197, 33));
+    let (cmos, r) = transient_allocations(cmos_comparator_circuit(&stim).unwrap().0);
+    assert_eq!(work(&r), (2033, 468, 129));
+    println!("transient allocations: FAS {fas}, CMOS {cmos}");
+    assert!(
+        fas <= 500,
+        "FAS comparator transient made {fas} allocations"
+    );
+    assert!(
+        cmos <= 1_000,
+        "CMOS comparator transient made {cmos} allocations"
     );
 }

@@ -121,9 +121,8 @@ fn chrome_json_round_trips_through_core_json() {
         .and_then(Value::as_array)
         .expect("traceEvents is an array");
     // process_name + one thread_name per thread + span events + one C
-    // event per counter/gauge.
-    let expected =
-        1 + trace.threads.len() + trace.event_count() + trace.counters.len() + trace.gauges.len();
+    // event per counter.
+    let expected = 1 + trace.threads.len() + trace.event_count() + trace.counters.len();
     assert_eq!(events.len(), expected);
     let mut begins = 0usize;
     let mut ends = 0usize;
