@@ -742,15 +742,10 @@ fn fasvm() {
     let spec = gabm_models::comparator::ComparatorSpec::default();
     let model = spec.model().expect("comparator model compiles");
     let prog = gabm_fasvm::compile_program(&model).expect("comparator bytecode compiles");
-    let st = prog.stats();
     println!(
-        "bytecode: {} ops, {} regs ({} vinsts lowered; {} folded, {} selects, {} dce'd)",
+        "bytecode: {} ops, {} regs",
         prog.op_count(),
-        prog.reg_count(),
-        st.vinsts,
-        st.folded,
-        st.selects,
-        st.dce_removed
+        prog.reg_count()
     );
 
     // Both executors are built directly from the bench's model: the

@@ -166,11 +166,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// [`JsonError::Parse`] with the byte offset of the failure.
+    /// [`JsonError::Parse`] with the byte offset of the failure,
+    /// including arrays and objects nested past [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -285,9 +287,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Parsing,
+/// writing and dropping a [`Value`] recurse once per level, so the bound
+/// keeps any accepted document within a thread's stack; the documents
+/// this crate persists nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -332,11 +342,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, rejecting it at its opening bracket
+    /// past [`MAX_DEPTH`] before the recursion can exhaust the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -1193,6 +1218,30 @@ mod tests {
     fn parse_rejects_malformed() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "1 2", "\"unterminated", "nul"] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_located_error() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = Value::parse(&arrays(MAX_DEPTH)).expect("parses at the bound");
+        assert_eq!(Value::parse(&deepest.to_pretty()).unwrap(), deepest);
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        // Rejected at the first bracket past the bound.
+        let cases = [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (arrays(100_000), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), 5 * MAX_DEPTH),
+        ];
+        for (text, want) in cases {
+            match Value::parse(&text) {
+                Err(JsonError::Parse { offset, message }) => {
+                    assert_eq!(offset, want, "{message}");
+                    assert_eq!(message, "nested deeper than 128 levels");
+                }
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
         }
     }
 

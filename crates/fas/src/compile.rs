@@ -383,60 +383,68 @@ fn lower_stmt(stmt: &Stmt, lw: &mut Lowerer) -> Result<CStmt, FasError> {
     }
 }
 
-fn lower_expr(expr: &Expr, lw: &mut Lowerer) -> Result<CExpr, FasError> {
-    Ok(match expr {
-        Expr::Num(v) => CExpr::Num(*v),
-        Expr::Var(name) => match name.as_str() {
+impl Lowerer {
+    /// Resolves a name read in an expression.
+    fn name(&self, name: &str) -> Result<CExpr, FasError> {
+        Ok(match name {
             "time" => CExpr::Time,
             "temp" => CExpr::Temp,
             "timestep" => CExpr::TimeStep,
             _ => {
-                if let Some(&p) = lw.params.get(name) {
+                if let Some(&p) = self.params.get(name) {
                     CExpr::Param(p)
-                } else if let Some(&v) = lw.vars.get(name) {
+                } else if let Some(&v) = self.vars.get(name) {
                     CExpr::Var(v)
                 } else {
                     return Err(FasError::Semantic(format!("unknown identifier '{name}'")));
                 }
             }
-        },
-        Expr::PinValue { quantity, pin } => {
-            if !ACROSS_PREFIXES.contains(&quantity.as_str()) {
-                return Err(FasError::Semantic(format!(
-                    "'{quantity}.value' is not an across-quantity probe (expected one of {ACROSS_PREFIXES:?})"
-                )));
-            }
-            let pin_id = *lw
-                .pins
-                .get(pin)
-                .ok_or_else(|| FasError::Semantic(format!("undeclared pin '{pin}'")))?;
-            CExpr::PinValue(pin_id)
+        })
+    }
+
+    /// Resolves an across-quantity probe `quantity.value(pin)`.
+    fn probe(&self, quantity: &str, pin: &str) -> Result<CExpr, FasError> {
+        if !ACROSS_PREFIXES.contains(&quantity) {
+            return Err(FasError::Semantic(format!(
+                "'{quantity}.value' is not an across-quantity probe (expected one of {ACROSS_PREFIXES:?})"
+            )));
         }
-        Expr::Unary(UnaryOp::Neg, e) => CExpr::Neg(Box::new(lower_expr(e, lw)?)),
-        Expr::Binary(op, a, b) => CExpr::Bin(
-            *op,
-            Box::new(lower_expr(a, lw)?),
-            Box::new(lower_expr(b, lw)?),
-        ),
-        Expr::Call { func, args } => lower_call(func, args, lw)?,
-        Expr::StateDt { inst, arg } => CExpr::Dt {
-            inst: *inst,
-            arg: Box::new(lower_expr(arg, lw)?),
-        },
-        Expr::StateDelay { var } => CExpr::Delay { var: lw.vars[var] },
+        let pin_id = *self
+            .pins
+            .get(pin)
+            .ok_or_else(|| FasError::Semantic(format!("undeclared pin '{pin}'")))?;
+        Ok(CExpr::PinValue(pin_id))
+    }
+}
+
+/// Recurses once per level of the expression tree, so it keeps its
+/// frame small: leaves resolve in [`Lowerer`] methods, and a single `?`
+/// unwinds errors.
+fn lower_expr(expr: &Expr, lw: &mut Lowerer) -> Result<CExpr, FasError> {
+    let sub = |e: &Expr, lw: &mut Lowerer| lower_expr(e, lw).map(Box::new);
+    match expr {
+        Expr::Num(v) => Ok(CExpr::Num(*v)),
+        Expr::Var(name) => lw.name(name),
+        Expr::PinValue { quantity, pin } => lw.probe(quantity, pin),
+        Expr::Unary(UnaryOp::Neg, e) => sub(e, lw).map(CExpr::Neg),
+        Expr::Binary(op, a, b) => {
+            let a = sub(a, lw)?;
+            sub(b, lw).map(|b| CExpr::Bin(*op, a, b))
+        }
+        Expr::Call { func, args } => lower_call(func, args, lw),
+        Expr::StateDt { inst, arg } => sub(arg, lw).map(|arg| CExpr::Dt { inst: *inst, arg }),
+        Expr::StateDelay { var } => Ok(CExpr::Delay { var: lw.vars[var] }),
         Expr::StateDelayT { inst, var, td } => {
-            lw.delayt_vars[*inst] = lw.vars[var];
-            CExpr::DelayT {
+            let var = lw.vars[var];
+            lw.delayt_vars[*inst] = var;
+            sub(td, lw).map(|td| CExpr::DelayT {
                 inst: *inst,
-                var: lw.vars[var],
-                td: Box::new(lower_expr(td, lw)?),
-            }
+                var,
+                td,
+            })
         }
-        Expr::StateIdt { inst, arg } => CExpr::Idt {
-            inst: *inst,
-            arg: Box::new(lower_expr(arg, lw)?),
-        },
-    })
+        Expr::StateIdt { inst, arg } => sub(arg, lw).map(|arg| CExpr::Idt { inst: *inst, arg }),
+    }
 }
 
 fn lower_call(func: &str, args: &[Expr], lw: &mut Lowerer) -> Result<CExpr, FasError> {

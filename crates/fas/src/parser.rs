@@ -4,16 +4,34 @@ use crate::ast::{BinOp, Cond, Expr, Model, RelOp, Stmt, UnaryOp};
 use crate::lexer::{tokenize, Spanned, Token};
 use crate::{FasError, Pos};
 
+/// Deepest nesting the parser accepts: `if` statements, parentheses,
+/// unary signs and function or `state.*` arguments may enclose one
+/// another at most this many levels deep. The parser recurses once per
+/// level. The repository's models nest at most eight levels deep.
+pub const MAX_NESTING: usize = 64;
+
+/// Highest expression tree the parser accepts, in nodes from root to
+/// leaf. A chain of binary operators parses without recursion but
+/// builds a tree one node higher per operator, so a sum of
+/// `MAX_TREE_HEIGHT` terms is the longest chain. Every later stage
+/// (lowering, lint passes, evaluation, printing) recurses once per node
+/// of height; together with [`MAX_NESTING`] the bound keeps any
+/// accepted model within a thread's stack. The highest tree in the
+/// repository is the 301-node sum of the VM's register-capacity test.
+pub const MAX_TREE_HEIGHT: usize = 512;
+
 /// Parses one FAS model file.
 ///
 /// # Errors
 ///
-/// [`FasError::Lex`] / [`FasError::Parse`] with positions.
+/// [`FasError::Lex`] / [`FasError::Parse`] with positions, including
+/// input nested past [`MAX_NESTING`] or [`MAX_TREE_HEIGHT`].
 pub fn parse(src: &str) -> Result<Model, FasError> {
     let tokens = tokenize(src)?;
     let mut p = Parser {
         tokens,
         idx: 0,
+        depth: 0,
         n_dt: 0,
         n_delayt: 0,
         n_idt: 0,
@@ -24,10 +42,15 @@ pub fn parse(src: &str) -> Result<Model, FasError> {
 struct Parser {
     tokens: Vec<Spanned>,
     idx: usize,
+    /// Enclosing `if`s and open sub-expressions at the current token.
+    depth: usize,
     n_dt: usize,
     n_delayt: usize,
     n_idt: usize,
 }
+
+/// A parsed expression and the height of its tree (a leaf is 1).
+type Sub = (Expr, usize);
 
 impl Parser {
     fn peek(&self) -> &Token {
@@ -51,6 +74,34 @@ impl Parser {
             pos: self.pos(),
             message: message.into(),
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, rejecting the current
+    /// token past [`MAX_NESTING`] before the recursion can exhaust the
+    /// stack.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, FasError>,
+    ) -> Result<T, FasError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nested deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Height of a new expression node over children at most `h` high,
+    /// rejected at `pos` past [`MAX_TREE_HEIGHT`].
+    fn node(h: usize, pos: Pos) -> Result<usize, FasError> {
+        if h >= MAX_TREE_HEIGHT {
+            return Err(FasError::Parse {
+                pos,
+                message: format!("expression tree higher than {MAX_TREE_HEIGHT} nodes"),
+            });
+        }
+        Ok(h + 1)
     }
 
     fn expect(&mut self, want: &Token, what: &str) -> Result<(), FasError> {
@@ -156,8 +207,10 @@ impl Parser {
                 }
                 Token::Ident(kw) if kw == "if" => {
                     let pos = self.pos();
-                    self.bump();
-                    out.push(self.if_stmt(pos)?);
+                    out.push(self.nested(|p| {
+                        p.bump();
+                        p.if_stmt(pos)
+                    })?);
                 }
                 Token::Eof => return self.err("unexpected end of file inside analog body"),
                 other => return self.err(format!("expected statement, found {other:?}")),
@@ -175,7 +228,7 @@ impl Parser {
             let pin = self.ident("pin name")?;
             self.expect(&Token::RParen, "')'")?;
             self.expect(&Token::Eq, "'='")?;
-            let expr = self.expr()?;
+            let (expr, _) = self.expr()?;
             Ok(Stmt::Impose {
                 quantity: first,
                 pin,
@@ -184,7 +237,7 @@ impl Parser {
             })
         } else {
             self.expect(&Token::Eq, "'='")?;
-            let expr = self.expr()?;
+            let (expr, _) = self.expr()?;
             Ok(Stmt::Make {
                 var: first,
                 expr,
@@ -225,7 +278,7 @@ impl Parser {
                 other => self.err(format!("unknown mode '{other}'")),
             };
         }
-        let lhs = self.expr()?;
+        let (lhs, _) = self.expr()?;
         let op = match self.bump() {
             Token::Eq => RelOp::Eq,
             Token::Ne => RelOp::Ne,
@@ -235,56 +288,71 @@ impl Parser {
             Token::Ge => RelOp::Ge,
             other => return self.err(format!("expected comparison operator, found {other:?}")),
         };
-        let rhs = self.expr()?;
+        let (rhs, _) = self.expr()?;
         Ok(Cond::Cmp(op, lhs, rhs))
     }
 
-    fn expr(&mut self) -> Result<Expr, FasError> {
-        let mut lhs = self.term()?;
+    fn expr(&mut self) -> Result<Sub, FasError> {
+        let (mut lhs, mut h) = self.term()?;
         loop {
             let op = match self.peek() {
                 Token::Plus => BinOp::Add,
                 Token::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
+            let pos = self.pos();
             self.bump();
-            let rhs = self.term()?;
+            let (rhs, rh) = self.term()?;
+            h = Self::node(h.max(rh), pos)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn term(&mut self) -> Result<Expr, FasError> {
-        let mut lhs = self.unary()?;
+    fn term(&mut self) -> Result<Sub, FasError> {
+        let (mut lhs, mut h) = self.unary()?;
         loop {
             let op = match self.peek() {
                 Token::Star => BinOp::Mul,
                 Token::Slash => BinOp::Div,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
+            let pos = self.pos();
             self.bump();
-            let rhs = self.unary()?;
+            let (rhs, rh) = self.unary()?;
+            h = Self::node(h.max(rh), pos)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, FasError> {
-        if *self.peek() == Token::Minus {
-            self.bump();
-            let inner = self.unary()?;
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)));
-        }
-        if *self.peek() == Token::Plus {
-            self.bump();
-            return self.unary();
-        }
-        self.primary()
+    /// Every recursion into a sub-expression passes through here, so
+    /// this is where the nesting depth is counted.
+    fn unary(&mut self) -> Result<Sub, FasError> {
+        self.nested(|p| {
+            let pos = p.pos();
+            match p.peek() {
+                Token::Minus => {
+                    p.bump();
+                    let (inner, h) = p.unary()?;
+                    Ok((
+                        Expr::Unary(UnaryOp::Neg, Box::new(inner)),
+                        Self::node(h, pos)?,
+                    ))
+                }
+                Token::Plus => {
+                    p.bump();
+                    p.unary()
+                }
+                _ => p.primary(),
+            }
+        })
     }
 
-    fn primary(&mut self) -> Result<Expr, FasError> {
+    fn primary(&mut self) -> Result<Sub, FasError> {
+        let pos = self.pos();
         match self.peek().clone() {
             Token::Number(v) => {
                 self.bump();
-                Ok(Expr::Num(v))
+                Ok((Expr::Num(v), 1))
             }
             Token::LParen => {
                 self.bump();
@@ -299,77 +367,92 @@ impl Parser {
                         self.bump();
                         let method = self.ident("access method")?;
                         if name == "state" {
-                            self.state_access(&method)
+                            self.state_access(&method, pos)
                         } else if method == "value" {
                             self.expect(&Token::LParen, "'('")?;
                             let pin = self.ident("pin name")?;
                             self.expect(&Token::RParen, "')'")?;
-                            Ok(Expr::PinValue {
-                                quantity: name,
-                                pin,
-                            })
+                            Ok((
+                                Expr::PinValue {
+                                    quantity: name,
+                                    pin,
+                                },
+                                1,
+                            ))
                         } else {
                             self.err(format!("unknown access '{name}.{method}'"))
                         }
                     }
                     Token::LParen => {
                         self.bump();
-                        let mut args = vec![self.expr()?];
+                        let (first, mut h) = self.expr()?;
+                        let mut args = vec![first];
                         while *self.peek() == Token::Comma {
                             self.bump();
-                            args.push(self.expr()?);
+                            let (arg, ah) = self.expr()?;
+                            args.push(arg);
+                            h = h.max(ah);
                         }
                         self.expect(&Token::RParen, "')'")?;
-                        Ok(Expr::Call { func: name, args })
+                        Ok((Expr::Call { func: name, args }, Self::node(h, pos)?))
                     }
-                    _ => Ok(Expr::Var(name)),
+                    _ => Ok((Expr::Var(name), 1)),
                 }
             }
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }
 
-    fn state_access(&mut self, method: &str) -> Result<Expr, FasError> {
+    fn state_access(&mut self, method: &str, pos: Pos) -> Result<Sub, FasError> {
         self.expect(&Token::LParen, "'('")?;
-        let expr = match method {
+        let (expr, h) = match method {
             "dt" => {
-                let arg = self.expr()?;
+                let (arg, h) = self.expr()?;
                 let inst = self.n_dt;
                 self.n_dt += 1;
-                Expr::StateDt {
-                    inst,
-                    arg: Box::new(arg),
-                }
+                (
+                    Expr::StateDt {
+                        inst,
+                        arg: Box::new(arg),
+                    },
+                    h,
+                )
             }
             "delay" => {
                 let var = self.ident("delayed variable")?;
-                Expr::StateDelay { var }
+                (Expr::StateDelay { var }, 0)
             }
             "delayt" => {
                 let var = self.ident("delayed variable")?;
                 self.expect(&Token::Comma, "','")?;
-                let td = self.expr()?;
+                let (td, h) = self.expr()?;
                 let inst = self.n_delayt;
                 self.n_delayt += 1;
-                Expr::StateDelayT {
-                    inst,
-                    var,
-                    td: Box::new(td),
-                }
+                (
+                    Expr::StateDelayT {
+                        inst,
+                        var,
+                        td: Box::new(td),
+                    },
+                    h,
+                )
             }
             "idt" => {
-                let arg = self.expr()?;
+                let (arg, h) = self.expr()?;
                 let inst = self.n_idt;
                 self.n_idt += 1;
-                Expr::StateIdt {
-                    inst,
-                    arg: Box::new(arg),
-                }
+                (
+                    Expr::StateIdt {
+                        inst,
+                        arg: Box::new(arg),
+                    },
+                    h,
+                )
             }
             other => return self.err(format!("unknown state access 'state.{other}'")),
         };
         self.expect(&Token::RParen, "')'")?;
-        Ok(expr)
+        Ok((expr, Self::node(h, pos)?))
     }
 }
 
@@ -522,6 +605,67 @@ endmodel
         )
         .is_err());
         assert!(parse("model m pin (a)\nanalog\nmake x = 1\n").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_located_error() {
+        let model =
+            |body: String| format!("model m pin (a)\nanalog\n{body}\nendanalog\nendmodel\n");
+        let (ifs, endifs) = ("if (mode=dc) then\n", "endif\n");
+        let too_deep = "nested deeper than 64 levels";
+        // `make x = ` puts the expression at column 10.
+        let cases = [
+            (
+                model(format!(
+                    "make x = {}1{}",
+                    "(".repeat(10_000),
+                    ")".repeat(10_000)
+                )),
+                (3, 10 + MAX_NESTING),
+                too_deep,
+            ),
+            (
+                model(format!("make x = {}1", "-".repeat(30_000))),
+                (3, 10 + MAX_NESTING),
+                too_deep,
+            ),
+            // The `+` that makes the tree one node too high.
+            (
+                model(format!("make x = {}", vec!["1"; 50_000].join(" + "))),
+                (3, 8 + 4 * MAX_TREE_HEIGHT),
+                "expression tree higher than 512 nodes",
+            ),
+            (
+                model(format!(
+                    "{}make x = 1\n{}",
+                    ifs.repeat(50_000),
+                    endifs.repeat(50_000)
+                )),
+                (3 + MAX_NESTING, 1),
+                too_deep,
+            ),
+        ];
+        for (src, (line, col), want) in cases {
+            match parse(&src) {
+                Err(FasError::Parse { pos, message }) => {
+                    assert_eq!((pos, message.as_str()), (Pos { line, col }, want));
+                }
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
+        // At the bounds everything parses.
+        let chain = model(format!(
+            "make x = {}",
+            vec!["1"; MAX_TREE_HEIGHT].join(" + ")
+        ));
+        assert!(parse(&chain).is_ok());
+        let deep = MAX_NESTING - 1;
+        let deep_ifs = model(format!(
+            "{}make x = 1\n{}",
+            ifs.repeat(deep),
+            endifs.repeat(deep)
+        ));
+        assert!(parse(&deep_ifs).is_ok());
     }
 
     #[test]

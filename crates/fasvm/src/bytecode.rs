@@ -124,16 +124,6 @@ pub enum Op {
         pin: u8,
         src: u8,
     },
-    /// `r[dst] = if op(r[a], r[b]) { r[t] } else { r[f] }` — a
-    /// branch-free `if (cmp) then make x=… else make x=… endif`.
-    Select {
-        dst: u8,
-        op: RelOp,
-        a: u8,
-        b: u8,
-        t: u8,
-        f: u8,
-    },
     Jump {
         target: u16,
     },
@@ -151,24 +141,6 @@ pub enum Op {
     },
 }
 
-/// Pipeline counters, carried in the [`Program`] for diagnostics and the
-/// disassembly header.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileStats {
-    /// Linear-IR instructions produced by lowering (before DCE).
-    pub vinsts: usize,
-    /// Virtual registers created.
-    pub vregs: usize,
-    /// Expression nodes folded to constants.
-    pub folded: usize,
-    /// `if` statements whose condition folded, dropping the dead branch.
-    pub static_branches: usize,
-    /// `if` statements converted to branch-free selects.
-    pub selects: usize,
-    /// Instructions removed by dead-code elimination.
-    pub dce_removed: usize,
-}
-
 /// A compiled FAS bytecode program: the VM equivalent of
 /// [`gabm_fas::CompiledModel`]. Immutable; instantiate per device with
 /// [`Program::instantiate`].
@@ -178,7 +150,6 @@ pub struct Program {
     pub(crate) consts: Vec<f64>,
     pub(crate) ops: Vec<Op>,
     pub(crate) n_regs: usize,
-    pub(crate) stats: CompileStats,
 }
 
 impl Program {
@@ -205,11 +176,6 @@ impl Program {
     /// Physical registers used.
     pub fn reg_count(&self) -> usize {
         self.n_regs
-    }
-
-    /// Pipeline counters.
-    pub fn stats(&self) -> CompileStats {
-        self.stats
     }
 
     /// Instantiates the program as an executable VM device.
@@ -243,12 +209,6 @@ impl Program {
             self.sig.n_dt,
             self.sig.n_idt,
             self.sig.delayt_vars.len()
-        );
-        let s = self.stats;
-        let _ = writeln!(
-            out,
-            "; lowered {} vinsts ({} vregs), folded {}, static branches {}, selects {}, dce {}",
-            s.vinsts, s.vregs, s.folded, s.static_branches, s.selects, s.dce_removed
         );
         for (pc, op) in self.ops.iter().enumerate() {
             let _ = writeln!(out, "{:4}: {}", pc, self.fmt_op(op));
@@ -303,14 +263,6 @@ impl Program {
             Op::Impose { pin, src } => {
                 format!("impose {} += r{src}", self.sig.pins[pin as usize])
             }
-            Op::Select {
-                dst,
-                op,
-                a,
-                b,
-                t,
-                f,
-            } => format!("r{dst} <- select r{a} {} r{b} ? r{t} : r{f}", rel_txt(op)),
             Op::Jump { target } => format!("jump {target}"),
             Op::JumpIfNot { op, a, b, target } => {
                 format!("jump {target} unless r{a} {} r{b}", rel_txt(op))

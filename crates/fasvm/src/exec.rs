@@ -62,17 +62,6 @@ impl Body for Program {
                     p.impose(pin as usize, p.reg(src));
                     continue;
                 }
-                Op::Select {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    t,
-                    f,
-                } => {
-                    let taken = op.apply(p.reg(a).value(), p.reg(b).value());
-                    (dst, p.reg(if taken { t } else { f }))
-                }
                 Op::Jump { target } => {
                     pc = target as usize;
                     continue;

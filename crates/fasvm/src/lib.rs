@@ -8,11 +8,14 @@
 //! model" pipeline the paper's §5 timings assume:
 //!
 //! ```text
-//! CompiledModel ──lower──▶ linear IR ──dce──▶ IR ──regalloc──▶ Program
-//!                 (const folding,                (linear scan,
-//!                  select conversion,             ≤256 f64 regs)
-//!                  dead branches)
+//! CompiledModel ──lower──▶ linear IR ──regalloc──▶ u8 registers ──emit──▶ Program
+//!                (var forwarding,      (linear scan,
+//!                 leaf-load sharing)    ≤256 f64 regs)
 //! ```
+//!
+//! Compilation evaluates nothing: every expression node becomes an
+//! instruction that runs by the same [`gabm_fas::dual::Lane`] rule the
+//! interpreter applies, so the two executors have one evaluation rule.
 //!
 //! [`FasVm`] is the interpreter's runtime shell
 //! ([`gabm_fas::machine::FasRuntime`]) around a [`Program`]: committed
@@ -46,7 +49,7 @@ mod ir;
 mod regalloc;
 
 pub use backend::{Executable, FasBackend};
-pub use bytecode::{CompileStats, Op, Program};
+pub use bytecode::{Op, Program};
 pub use exec::FasVm;
 
 use gabm_fas::compile::CompiledModel;
@@ -91,27 +94,18 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Compiles a model to bytecode: lowering (with constant folding, dead
-/// branches and select conversion), dead-code elimination, linear-scan
-/// register allocation and emission.
+/// Compiles a model to bytecode: lowering (with variable forwarding and
+/// leaf-load sharing), linear-scan register allocation and emission.
+/// Every expression is evaluated at run time, by the interpreter's rule.
 ///
 /// # Errors
 ///
 /// [`VmError`] on encoding-capacity overflow; see its docs.
 pub fn compile_program(model: &CompiledModel) -> Result<Program, VmError> {
     let _span = gabm_trace::span_with("fasvm.compile", "model", || model.name().to_string());
-    let lowered = {
+    let ir::Lowered { insts, n_vregs } = {
         let _p = gabm_trace::span("fasvm.lower");
         ir::lower(model)
-    };
-    let ir::Lowered {
-        insts,
-        n_vregs,
-        mut stats,
-    } = lowered;
-    let insts = {
-        let _p = gabm_trace::span("fasvm.dce");
-        ir::dce(insts, &mut stats)
     };
     let (assign, n_regs) = {
         let _p = gabm_trace::span("fasvm.regalloc");
@@ -126,7 +120,6 @@ pub fn compile_program(model: &CompiledModel) -> Result<Program, VmError> {
         consts,
         ops,
         n_regs,
-        stats,
     })
 }
 
@@ -253,21 +246,6 @@ fn emit(
             V::Impose { pin, src } => Op::Impose {
                 pin: pin as u8,
                 src: r(src),
-            },
-            V::Select {
-                dst,
-                op,
-                a,
-                b,
-                t,
-                f,
-            } => Op::Select {
-                dst: r(dst),
-                op,
-                a: r(a),
-                b: r(b),
-                t: r(t),
-                f: r(f),
             },
             V::Jump(l) => Op::Jump { target: target(l) },
             V::JumpIfNot {

@@ -114,20 +114,6 @@ fn visit(inst: &VInst, mut f: impl FnMut(VReg, bool)) {
             f(dst, true);
         }
         VInst::StoreVar { src, .. } | VInst::Impose { src, .. } => f(src, false),
-        VInst::Select {
-            dst,
-            a,
-            b,
-            t,
-            f: fr,
-            ..
-        } => {
-            f(a, false);
-            f(b, false);
-            f(t, false);
-            f(fr, false);
-            f(dst, true);
-        }
         VInst::Label(_) | VInst::Jump(_) | VInst::JumpIfModeNot { .. } => {}
         VInst::JumpIfNot { a, b, .. } => {
             f(a, false);

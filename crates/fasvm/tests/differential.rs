@@ -3,11 +3,12 @@
 //! either can run. The interpreter is the specification; any divergence
 //! beyond ulp noise is a VM bug.
 //!
-//! Coverage comes from three sources:
+//! Coverage comes from four sources:
 //! - ≥500 generated models over the full FAS vocabulary
 //!   (`gabm_fas::testgen::rich_model_source`),
 //! - every `tests/fixtures/*.fas` file that compiles,
-//! - the four §3.3 paper constructs via the FAS code generator.
+//! - the four §3.3 paper constructs via the FAS code generator,
+//! - hand-written models with singular literal sub-expressions.
 
 use gabm_core::constructs::{InputStageSpec, OutputStageSpec, PowerSupplySpec, SlewRateSpec};
 use gabm_fas::compile::CompiledModel;
@@ -203,6 +204,25 @@ fn fixture_models_agree() {
         checked += 1;
     }
     assert!(checked >= 3, "only {checked} fixtures compiled");
+}
+
+/// Models whose literal sub-expressions are singular. The VM evaluates
+/// literal arithmetic at run time by the interpreter's rule, so the
+/// infinities meet the pin tangents where the interpreter's do and both
+/// Jacobians are NaN.
+#[test]
+fn constant_singular_models_agree() {
+    let bodies = [
+        "make k = ln(0)\nmake curr.on(a) = k * volt.value(a)",
+        "make curr.on(a) = volt.value(a) * (1 / 0)",
+        "make curr.on(a) = volt.value(a) / 1000 + ln(1 - 1)",
+    ];
+    let mut rng = Rng::new(0xD1FF_0007);
+    for body in bodies {
+        let src = format!("model singular pin (a)\nanalog\n{body}\nendanalog\nendmodel\n");
+        let model = gabm_fas::compile(&src).expect("singular model compiles");
+        check_model(&model, &src, &mut rng);
+    }
 }
 
 /// The four §3.3 constructs, through the real code generator.

@@ -2,8 +2,10 @@
 //!
 //! `gabm compile --disasm` and `Program::disasm` promise a stable,
 //! diffable listing; this test pins it for a model that exercises the
-//! whole lowering pipeline (constant folding, select conversion, state
-//! ops, register reuse). Regenerate with:
+//! whole lowering pipeline: literal arithmetic evaluated at run time
+//! (`g * (2 + 3)`, `0 - 1`), a mode branch, a relational `if` with one
+//! store per arm, a state op, variable forwarding and register reuse.
+//! Regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p gabm-fasvm --test disasm_golden

@@ -61,8 +61,6 @@ impl Mode {
     }
 }
 
-/// Assembly surface for one Newton iteration of a real (DC or transient)
-/// solve.
 /// Backing store for the assembled Jacobian: dense for small systems,
 /// coordinate triplets (solved by the sparse LU) above the
 /// `sparse_threshold` option.
@@ -102,6 +100,8 @@ impl std::ops::Index<(usize, usize)> for MatrixStore {
     }
 }
 
+/// Assembly surface for one Newton iteration of a real (DC or transient)
+/// solve.
 #[derive(Debug)]
 pub struct Stamper {
     n_nodes: usize,

@@ -73,29 +73,39 @@ done
 echo "==> fasvm differential suite + disasm golden"
 cargo test -q -p gabm-fasvm --test differential --test disasm_golden
 
-# Perf row: interpreter vs VM vs CMOS on the comparator transient.
-# The harness asserts the backends agree and writes BENCH_fasvm.json;
-# check the speedup field made it to disk and the counters match.
+# Perf rows: the harness experiments below write their BENCH_*.json
+# into $BENCH_DIR.
 BENCH_DIR=target/ci-bench
 HARNESS="$ROOT/target/release/harness"
 rm -rf "$BENCH_DIR"
 mkdir -p "$BENCH_DIR"
+
+# Exact-counter gate: `check_counters FILE KEY...` fails unless each
+# named key's line in the fresh $BENCH_DIR/FILE equals its line in the
+# committed FILE baseline.
+check_counters() {
+    file=$1
+    shift
+    for key in "$@"; do
+        want=$(grep "\"$key\":" "$file" || true)
+        got=$(grep "\"$key\":" "$BENCH_DIR/$file" || true)
+        if [ -z "$want" ] || [ "$want" != "$got" ]; then
+            echo "FAIL: $file $key is '$got', committed baseline '$want'" >&2
+            exit 1
+        fi
+    done
+}
+
+# Interpreter vs VM vs CMOS on the comparator transient. The harness
+# asserts the backends agree; the counters pin the Newton trajectory and
+# the size of the comparator's bytecode program.
 echo "==> harness fasvm ($BENCH_DIR/BENCH_fasvm.json)"
 (cd "$BENCH_DIR" && "$HARNESS" fasvm)
 case "$(cat "$BENCH_DIR/BENCH_fasvm.json")" in
     *'"speedup_vm_over_interp"'*) ;;
     *) echo "FAIL: BENCH_fasvm.json missing speedup field" >&2; exit 1 ;;
 esac
-# Exact-counter gate: the comparator transient's deterministic counters
-# must equal the committed BENCH_fasvm.json baseline.
-for key in newton_iterations accepted_steps rejected_steps; do
-    want=$(grep "\"$key\":" BENCH_fasvm.json || true)
-    got=$(grep "\"$key\":" "$BENCH_DIR/BENCH_fasvm.json" || true)
-    if [ -z "$want" ] || [ "$want" != "$got" ]; then
-        echo "FAIL: BENCH_fasvm.json $key is '$got', committed baseline '$want'" >&2
-        exit 1
-    fi
-done
+check_counters BENCH_fasvm.json newton_iterations accepted_steps rejected_steps ops regs
 
 # Parallel characterization gate: the harness asserts in-process that the
 # Monte-Carlo distribution is bitwise identical on pools of 1/2/4/8
@@ -104,10 +114,8 @@ done
 # the run and fails this step.
 echo "==> harness parchar ($BENCH_DIR/BENCH_parchar.json)"
 (cd "$BENCH_DIR" && "$HARNESS" parchar)
-case "$(cat "$BENCH_DIR/BENCH_parchar.json")" in
-    *'"refactorizations"'*) ;;
-    *) echo "FAIL: BENCH_parchar.json missing refactorizations" >&2; exit 1 ;;
-esac
+check_counters BENCH_parchar.json factorizations refactorizations newton_iterations \
+    accepted_steps rejected_steps mc_failures mc_mean_s mc_std_s
 
 # Tracing gate: the disabled-probe overhead on the comparator transient
 # must stay within 2% (asserted in-process by the harness — a violation
@@ -119,6 +127,7 @@ case "$(cat "$BENCH_DIR/BENCH_traceov.json")" in
     *'"overhead_disabled_pct"'*) ;;
     *) echo "FAIL: BENCH_traceov.json missing overhead_disabled_pct" >&2; exit 1 ;;
 esac
+check_counters BENCH_traceov.json accepted_steps rejected_steps probes_per_run
 trace_report=$("$GABM" trace "$BENCH_DIR/TRACE_traceov.json") || {
     echo "FAIL: gabm trace rejected TRACE_traceov.json" >&2
     exit 1

@@ -336,21 +336,13 @@ fn run_compile(args: &[String]) -> Result<ExitCode, String> {
     if disasm {
         print!("{}", prog.disasm());
     } else {
-        let stats = prog.stats();
         println!(
-            "{}: {} pins, {} params -> {} ops in {} registers \
-             ({} vinsts lowered; {} constants folded, {} static branches, \
-             {} selects, {} dce'd)",
+            "{}: {} pins, {} params -> {} ops in {} registers",
             prog.name(),
             prog.pins().len(),
             prog.params().len(),
             prog.op_count(),
             prog.reg_count(),
-            stats.vinsts,
-            stats.folded,
-            stats.static_branches,
-            stats.selects,
-            stats.dce_removed
         );
     }
     Ok(ExitCode::SUCCESS)

@@ -44,16 +44,63 @@ fn compile_disasm_lists_bytecode() {
     assert!(stdout.contains("impose out"), "{stdout}");
 }
 
+/// Malformed input, including nesting deep enough to exhaust the stack
+/// of an unbounded recursive-descent parser, is a located parse error
+/// and exit code 2 from `compile` and `lint` alike.
 #[test]
 fn compile_reports_parse_errors() {
     let dir = std::env::temp_dir().join("gabm_compile_cli_bad");
     std::fs::create_dir_all(&dir).unwrap();
+    let model = |body: String| format!("model deep pin (a)\nanalog\n{body}\nendanalog\nendmodel\n");
+    let cases = [
+        ("model broken pin (\n".to_string(), "parse error at 2:1"),
+        (
+            model(format!(
+                "make x = {}1{}",
+                "(".repeat(10_000),
+                ")".repeat(10_000)
+            )),
+            "parse error at 3:74: nested deeper than 64 levels",
+        ),
+        (
+            model(format!("make x = {}1", "-".repeat(30_000))),
+            "parse error at 3:74: nested deeper than 64 levels",
+        ),
+        (
+            model(format!("make x = {}", vec!["1"; 50_000].join(" + "))),
+            "parse error at 3:2056: expression tree higher than 512 nodes",
+        ),
+        (
+            model(format!(
+                "{}make x = 1\n{}",
+                "if (mode=dc) then\n".repeat(50_000),
+                "endif\n".repeat(50_000)
+            )),
+            "parse error at 67:1: nested deeper than 64 levels",
+        ),
+    ];
     let bad = dir.join("bad.fas");
-    std::fs::write(&bad, "model broken pin (\n").unwrap();
-    let out = gabm(&["compile", bad.to_str().unwrap()]);
+    for (text, want) in cases {
+        std::fs::write(&bad, text).unwrap();
+        for command in ["compile", "lint"] {
+            let out = gabm(&[command, bad.to_str().unwrap()]);
+            assert_eq!(exit_code(&out), 2, "{command}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("bad.fas") && stderr.contains(want),
+                "{stderr}"
+            );
+        }
+    }
+    let json = dir.join("deep.json");
+    std::fs::write(&json, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
+    let out = gabm(&["lint", json.to_str().unwrap()]);
     assert_eq!(exit_code(&out), 2, "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("bad.fas"), "{stderr}");
+    assert!(
+        stderr.contains("JSON parse error at byte 128: nested deeper than 128 levels"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
