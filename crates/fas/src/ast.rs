@@ -1,6 +1,38 @@
 //! Abstract syntax tree of a FAS model.
+//!
+//! The tree borrows every name from the source text it was parsed from
+//! (`'src`). The parser numbers the names of pins, parameters and
+//! variables as it meets them ([`Ident::id`]), so later stages resolve a
+//! name by indexing a per-model table instead of hashing its text.
 
 use crate::Pos;
+use std::fmt;
+
+/// A pin, parameter, variable or builtin name, as written in the source.
+///
+/// Every occurrence of the same text in one model carries the same
+/// [`id`](Ident::id). Equality compares the text only: ids number one
+/// model's names and mean nothing across models.
+#[derive(Debug, Clone, Copy)]
+pub struct Ident<'src> {
+    /// The name's source text.
+    pub text: &'src str,
+    /// Index of the name in its model's name table, in order of first
+    /// appearance (below [`Model::n_names`]).
+    pub id: usize,
+}
+
+impl PartialEq for Ident<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+    }
+}
+
+impl fmt::Display for Ident<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.text)
+    }
+}
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,69 +87,69 @@ impl RelOp {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'src> {
     /// Numeric literal.
     Num(f64),
     /// Variable / parameter / builtin reference.
-    Var(String),
+    Var(Ident<'src>),
     /// Pin access such as `volt.value(in)`.
     PinValue {
         /// Access prefix (`volt`, `omega`, `temp`).
-        quantity: String,
+        quantity: &'src str,
         /// Pin name.
-        pin: String,
+        pin: Ident<'src>,
     },
     /// Unary operation.
-    Unary(UnaryOp, Box<Expr>),
+    Unary(UnaryOp, Box<Expr<'src>>),
     /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Binary(BinOp, Box<Expr<'src>>, Box<Expr<'src>>),
     /// Intrinsic function call (`sin`, `limit`, `max`, …).
     Call {
         /// Function name.
-        func: String,
+        func: &'src str,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'src>>,
     },
     /// `state.dt(expr)` — time derivative.
     StateDt {
         /// Per-model instance index (assigned by the parser).
         inst: usize,
         /// Differentiated expression.
-        arg: Box<Expr>,
+        arg: Box<Expr<'src>>,
     },
     /// `state.delay(var)` — value of `var` at the previous accepted point.
     StateDelay {
         /// Delayed variable name.
-        var: String,
+        var: Ident<'src>,
     },
     /// `state.delayt(var, td)` — value of `var` a fixed time ago.
     StateDelayT {
         /// Instance index.
         inst: usize,
         /// Delayed variable name.
-        var: String,
+        var: Ident<'src>,
         /// Delay time expression.
-        td: Box<Expr>,
+        td: Box<Expr<'src>>,
     },
     /// `state.idt(expr)` — running time integral.
     StateIdt {
         /// Instance index.
         inst: usize,
         /// Integrated expression.
-        arg: Box<Expr>,
+        arg: Box<Expr<'src>>,
     },
 }
 
 /// A condition of an `if` statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Cond {
+pub enum Cond<'src> {
     /// `mode = dc` (`true`) or `mode = tran` (`false`).
     ModeIs {
         /// Whether the tested mode is DC.
         dc: bool,
     },
     /// Numeric comparison.
-    Cmp(RelOp, Expr, Expr),
+    Cmp(RelOp, Expr<'src>, Expr<'src>),
 }
 
 /// A statement of the analog body.
@@ -127,41 +159,41 @@ pub enum Cond {
 /// deliberately excluded from equality: a printed-and-reparsed model
 /// compares equal to the original even though the layout moved.
 #[derive(Debug, Clone)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// `make var = expr`.
     Make {
         /// Target variable.
-        var: String,
+        var: Ident<'src>,
         /// Value expression.
-        expr: Expr,
+        expr: Expr<'src>,
         /// Source position of the statement.
         pos: Pos,
     },
     /// `make curr.on(pin) = expr` — impose a through quantity.
     Impose {
         /// Access prefix (`curr`, `torque`, `heat`).
-        quantity: String,
+        quantity: &'src str,
         /// Pin name.
-        pin: String,
+        pin: Ident<'src>,
         /// Imposed expression.
-        expr: Expr,
+        expr: Expr<'src>,
         /// Source position of the statement.
         pos: Pos,
     },
     /// `if (cond) then … [else …] endif`.
     If {
         /// Branch condition.
-        cond: Cond,
+        cond: Cond<'src>,
         /// Taken when the condition holds.
-        then_branch: Vec<Stmt>,
+        then_branch: Vec<Stmt<'src>>,
         /// Taken otherwise.
-        else_branch: Vec<Stmt>,
+        else_branch: Vec<Stmt<'src>>,
         /// Source position of the statement.
         pos: Pos,
     },
 }
 
-impl Stmt {
+impl Stmt<'_> {
     /// Source position of the statement's first token.
     pub fn pos(&self) -> Pos {
         match self {
@@ -172,7 +204,7 @@ impl Stmt {
 
 // Positions are presentation metadata, not meaning: two models with the
 // same statements at different places in the file are the same model.
-impl PartialEq for Stmt {
+impl PartialEq for Stmt<'_> {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (
@@ -218,21 +250,23 @@ impl PartialEq for Stmt {
 
 /// A parsed model file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Model {
+pub struct Model<'src> {
     /// Model name.
-    pub name: String,
+    pub name: &'src str,
     /// Pin names in declaration order (= device pin order).
-    pub pins: Vec<String>,
+    pub pins: Vec<Ident<'src>>,
     /// Parameters with default values.
-    pub params: Vec<(String, f64)>,
+    pub params: Vec<(Ident<'src>, f64)>,
     /// Analog body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
     /// Number of `state.dt` instances.
     pub n_dt: usize,
     /// Number of `state.delayt` instances.
     pub n_delayt: usize,
     /// Number of `state.idt` instances.
     pub n_idt: usize,
+    /// Number of distinct names ([`Ident::id`] is below it).
+    pub n_names: usize,
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Semantic analysis and lowering to an index-resolved executable form.
 
-use crate::ast::{BinOp, Cond, Expr, Model, RelOp, Stmt, UnaryOp};
+use crate::ast::{BinOp, Cond, Expr, Ident, Model, RelOp, Stmt, UnaryOp};
 use crate::parser::parse;
 use crate::FasError;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One-argument intrinsic functions; [`Lane::call1`](crate::dual::Lane::call1)
 /// evaluates them.
@@ -30,9 +31,13 @@ pub enum Func2 {
     Pow,
 }
 
-/// Index-resolved expression: the executable tree form the interpreter
+/// Index of an expression node in its body's [`CBody::exprs`].
+pub type ExprId = usize;
+
+/// Index-resolved expression node: the executable form the interpreter
 /// walks and the bytecode compiler (`gabm-fasvm`) lowers further.
-#[derive(Debug, Clone, PartialEq)]
+/// Operands are the ids of earlier nodes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub enum CExpr {
     Num(f64),
@@ -42,15 +47,15 @@ pub enum CExpr {
     Time,
     Temp,
     TimeStep,
-    Neg(Box<CExpr>),
-    Bin(BinOp, Box<CExpr>, Box<CExpr>),
-    Call1(Func1, Box<CExpr>),
-    Call2(Func2, Box<CExpr>, Box<CExpr>),
-    Limit(Box<CExpr>, Box<CExpr>, Box<CExpr>),
+    Neg(ExprId),
+    Bin(BinOp, ExprId, ExprId),
+    Call1(Func1, ExprId),
+    Call2(Func2, ExprId, ExprId),
+    Limit(ExprId, ExprId, ExprId),
     /// `state.dt(arg)` — time derivative instance `inst`.
     Dt {
         inst: usize,
-        arg: Box<CExpr>,
+        arg: ExprId,
     },
     /// `state.delay(var)` — the committed value of `var`.
     Delay {
@@ -60,30 +65,40 @@ pub enum CExpr {
     DelayT {
         inst: usize,
         var: usize,
-        td: Box<CExpr>,
+        td: ExprId,
     },
     /// `state.idt(arg)` — running integral instance `inst`.
     Idt {
         inst: usize,
-        arg: Box<CExpr>,
+        arg: ExprId,
     },
 }
 
 /// Index-resolved condition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub enum CCond {
     ModeIs(bool),
-    Cmp(RelOp, CExpr, CExpr),
+    Cmp(RelOp, ExprId, ExprId),
 }
 
 /// Index-resolved statement.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum CStmt {
-    Set(usize, CExpr),
-    Impose(usize, CExpr),
+    Set(usize, ExprId),
+    Impose(usize, ExprId),
     If(CCond, Vec<CStmt>, Vec<CStmt>),
+}
+
+/// Index-resolved analog body: the statements, and every expression
+/// node they use in one array, each node after its operands.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CBody {
+    /// Top-level statements.
+    pub stmts: Vec<CStmt>,
+    /// Expression nodes, indexed by [`ExprId`].
+    pub exprs: Vec<CExpr>,
 }
 
 /// What the simulator sees of a compiled model besides its executable
@@ -107,11 +122,37 @@ pub struct Signature {
     pub delayt_vars: Vec<usize>,
 }
 
+impl Signature {
+    /// Parameter values of an instance: the defaults, with `overrides`
+    /// applied.
+    ///
+    /// # Errors
+    ///
+    /// [`FasError::Instantiate`] for overrides of undeclared parameters.
+    pub fn param_values(&self, overrides: &BTreeMap<String, f64>) -> Result<Vec<f64>, FasError> {
+        let mut values: Vec<f64> = self.params.iter().map(|(_, v)| *v).collect();
+        for (name, value) in overrides {
+            let idx = self
+                .params
+                .iter()
+                .position(|(n, _)| n == name)
+                .ok_or_else(|| {
+                    FasError::Instantiate(format!("model {} has no parameter '{name}'", self.name))
+                })?;
+            values[idx] = *value;
+        }
+        Ok(values)
+    }
+}
+
 /// A compiled FAS model, ready to instantiate as a simulator device.
+///
+/// Immutable and shared: clones, the bytecode compiled from it and every
+/// instance hold the same signature and body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
-    pub(crate) sig: Signature,
-    pub(crate) body: Vec<CStmt>,
+    pub(crate) sig: Arc<Signature>,
+    pub(crate) body: Arc<CBody>,
 }
 
 impl CompiledModel {
@@ -136,12 +177,12 @@ impl CompiledModel {
     }
 
     /// Pins, parameters, variables and state instances.
-    pub fn signature(&self) -> &Signature {
+    pub fn signature(&self) -> &Arc<Signature> {
         &self.sig
     }
 
     /// Lowered analog body.
-    pub fn body(&self) -> &[CStmt] {
+    pub fn body(&self) -> &CBody {
         &self.body
     }
 
@@ -165,86 +206,124 @@ impl CompiledModel {
 /// Lexical, syntax or semantic errors.
 pub fn compile(src: &str) -> Result<CompiledModel, FasError> {
     let model = parse(src)?;
-    lower(model)
+    lower(&model)
 }
 
-struct Lowerer {
-    pins: HashMap<String, usize>,
-    params: HashMap<String, usize>,
-    vars: HashMap<String, usize>,
-    var_names: Vec<String>,
-    delayt_vars: Vec<usize>,
-}
-
+/// Names no parameter may take and no `make` may assign, in the order
+/// the shadowing check reports them.
+const BUILTINS: [&str; 4] = ["time", "temp", "timestep", "mode"];
 const ACROSS_PREFIXES: [&str; 3] = ["volt", "omega", "temp"];
 const THROUGH_PREFIXES: [&str; 3] = ["curr", "torque", "heat"];
 
-fn lower(model: Model) -> Result<CompiledModel, FasError> {
-    let mut pins = HashMap::new();
+/// What a name reads as in expressions. Parameters and variables are
+/// bound from the declarations and `make` targets; any other name is
+/// resolved at its first read.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+enum Role {
+    #[default]
+    Unresolved,
+    Param(usize),
+    Var(usize),
+    Time,
+    Temp,
+    TimeStep,
+    Unknown,
+}
+
+/// Per-model name table, indexed by [`Ident::id`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    pin: Option<usize>,
+    role: Role,
+}
+
+struct Lowerer {
+    slots: Vec<Slot>,
+    var_names: Vec<String>,
+    delayt_vars: Vec<usize>,
+    exprs: Vec<CExpr>,
+}
+
+fn lower(model: &Model<'_>) -> Result<CompiledModel, FasError> {
+    let mut lw = Lowerer {
+        slots: vec![Slot::default(); model.n_names],
+        var_names: Vec::new(),
+        delayt_vars: vec![0; model.n_delayt],
+        exprs: Vec::new(),
+    };
     for (i, p) in model.pins.iter().enumerate() {
-        if pins.insert(p.clone(), i).is_some() {
+        if lw.slots[p.id].pin.replace(i).is_some() {
             return Err(FasError::Semantic(format!("duplicate pin '{p}'")));
         }
     }
-    let mut params = HashMap::new();
     for (i, (p, _)) in model.params.iter().enumerate() {
-        if params.insert(p.clone(), i).is_some() {
+        let role = &mut lw.slots[p.id].role;
+        if *role != Role::Unresolved {
             return Err(FasError::Semantic(format!("duplicate parameter '{p}'")));
         }
+        *role = Role::Param(i);
     }
-    for builtin in ["time", "temp", "timestep", "mode"] {
-        if params.contains_key(builtin) {
-            return Err(FasError::Semantic(format!(
-                "parameter '{builtin}' shadows a builtin"
-            )));
-        }
+    if let Some(builtin) = BUILTINS
+        .iter()
+        .find(|b| model.params.iter().any(|(p, _)| p.text == **b))
+    {
+        return Err(FasError::Semantic(format!(
+            "parameter '{builtin}' shadows a builtin"
+        )));
     }
-    // Collect all assigned variables.
-    let mut lw = Lowerer {
-        pins,
-        params,
-        vars: HashMap::new(),
-        var_names: Vec::new(),
-        delayt_vars: vec![0; model.n_delayt],
-    };
     collect_vars(&model.body, &mut lw)?;
     // Use-before-definition analysis (forward references allowed only in
     // state.delay / state.delayt).
-    let mut defined: HashSet<usize> = HashSet::new();
-    check_order(&model.body, &lw, &mut defined)?;
-    // Lower.
-    let body = lower_stmts(&model.body, &mut lw)?;
+    let mut order = Order {
+        defined: vec![false; lw.var_names.len()],
+        trail: Vec::new(),
+        in_then: vec![false; lw.var_names.len()],
+    };
+    order.stmts(&model.body, &mut lw)?;
+    let stmts = lw.stmts(&model.body)?;
     Ok(CompiledModel {
-        sig: Signature {
-            name: model.name,
-            pins: model.pins,
-            params: model.params,
+        sig: Arc::new(Signature {
+            name: model.name.to_string(),
+            pins: model.pins.iter().map(|p| p.text.to_string()).collect(),
+            params: model
+                .params
+                .iter()
+                .map(|(p, v)| (p.text.to_string(), *v))
+                .collect(),
             var_names: lw.var_names,
             n_dt: model.n_dt,
             n_idt: model.n_idt,
             delayt_vars: lw.delayt_vars,
-        },
-        body,
+        }),
+        body: Arc::new(CBody {
+            stmts,
+            exprs: lw.exprs,
+        }),
     })
 }
 
-fn collect_vars(stmts: &[Stmt], lw: &mut Lowerer) -> Result<(), FasError> {
+/// Numbers the variables in order of their first `make`.
+fn collect_vars(stmts: &[Stmt<'_>], lw: &mut Lowerer) -> Result<(), FasError> {
     for stmt in stmts {
         match stmt {
             Stmt::Make { var, .. } => {
-                if lw.params.contains_key(var) {
-                    return Err(FasError::Semantic(format!(
-                        "cannot assign to parameter '{var}'"
-                    )));
-                }
-                if ["time", "temp", "timestep", "mode"].contains(&var.as_str()) {
-                    return Err(FasError::Semantic(format!(
-                        "cannot assign to builtin '{var}'"
-                    )));
-                }
-                if !lw.vars.contains_key(var) {
-                    lw.vars.insert(var.clone(), lw.var_names.len());
-                    lw.var_names.push(var.clone());
+                let role = &mut lw.slots[var.id].role;
+                match *role {
+                    Role::Param(_) => {
+                        return Err(FasError::Semantic(format!(
+                            "cannot assign to parameter '{var}'"
+                        )))
+                    }
+                    Role::Var(_) => {}
+                    _ if BUILTINS.contains(&var.text) => {
+                        return Err(FasError::Semantic(format!(
+                            "cannot assign to builtin '{var}'"
+                        )))
+                    }
+                    _ => {
+                        *role = Role::Var(lw.var_names.len());
+                        lw.var_names.push(var.text.to_string());
+                    }
                 }
             }
             Stmt::Impose { .. } => {}
@@ -261,248 +340,302 @@ fn collect_vars(stmts: &[Stmt], lw: &mut Lowerer) -> Result<(), FasError> {
     Ok(())
 }
 
-fn check_order(stmts: &[Stmt], lw: &Lowerer, defined: &mut HashSet<usize>) -> Result<(), FasError> {
-    for stmt in stmts {
+/// Definite-assignment state of the ordering check: `defined[v]` while
+/// variable `v` is assigned on every path to the current statement.
+/// `trail` lists the variables defined since entering each enclosing
+/// statement list, so a branch is undone and joined without copying
+/// the set.
+struct Order {
+    defined: Vec<bool>,
+    trail: Vec<usize>,
+    /// Scratch marks for joining two branches.
+    in_then: Vec<bool>,
+}
+
+impl Order {
+    fn define(&mut self, var: usize) {
+        if !self.defined[var] {
+            self.defined[var] = true;
+            self.trail.push(var);
+        }
+    }
+
+    /// Checks `stmts`; on return `trail` ends with the variables they
+    /// newly defined.
+    fn stmts(&mut self, stmts: &[Stmt<'_>], lw: &mut Lowerer) -> Result<(), FasError> {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Make { var, expr, .. } => {
+                    self.expr(expr, lw)?;
+                    if let Role::Var(v) = lw.slots[var.id].role {
+                        self.define(v);
+                    }
+                }
+                Stmt::Impose { expr, .. } => self.expr(expr, lw)?,
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    if let Cond::Cmp(_, a, b) = cond {
+                        self.expr(a, lw)?;
+                        self.expr(b, lw)?;
+                    }
+                    let start = self.trail.len();
+                    self.stmts(then_branch, lw)?;
+                    let mid = self.trail.len();
+                    for &v in &self.trail[start..mid] {
+                        self.defined[v] = false;
+                        self.in_then[v] = true;
+                    }
+                    self.stmts(else_branch, lw)?;
+                    // Only variables defined on both paths are definitely
+                    // available afterwards: keep those of the else branch
+                    // that the then branch defined too.
+                    let mut kept = mid;
+                    for i in mid..self.trail.len() {
+                        let v = self.trail[i];
+                        if self.in_then[v] {
+                            self.trail[kept] = v;
+                            kept += 1;
+                        } else {
+                            self.defined[v] = false;
+                        }
+                    }
+                    for &v in &self.trail[start..mid] {
+                        self.in_then[v] = false;
+                    }
+                    self.trail.copy_within(mid..kept, start);
+                    self.trail.truncate(start + kept - mid);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn expr(&mut self, expr: &Expr<'_>, lw: &mut Lowerer) -> Result<(), FasError> {
+        match expr {
+            Expr::Num(_) | Expr::PinValue { .. } => Ok(()),
+            Expr::Var(name) => match lw.role(*name) {
+                Role::Var(v) if !self.defined[v] => Err(FasError::Semantic(format!(
+                    "variable '{name}' used before it is assigned (forward references are only legal inside state.delay)"
+                ))),
+                Role::Unknown => Err(unknown_identifier(name)),
+                _ => Ok(()),
+            },
+            Expr::Unary(_, e) | Expr::StateDt { arg: e, .. } | Expr::StateIdt { arg: e, .. } => {
+                self.expr(e, lw)
+            }
+            Expr::Binary(_, a, b) => {
+                self.expr(a, lw)?;
+                self.expr(b, lw)
+            }
+            Expr::Call { args, .. } => args.iter().try_for_each(|a| self.expr(a, lw)),
+            // Forward references read committed state: legal as long as
+            // the variable is assigned *somewhere* in the model.
+            Expr::StateDelay { var } => lw.delayed(*var).map(drop),
+            Expr::StateDelayT { var, td, .. } => {
+                lw.delayed(*var)?;
+                self.expr(td, lw)
+            }
+        }
+    }
+}
+
+fn unknown_identifier(name: &Ident<'_>) -> FasError {
+    FasError::Semantic(format!("unknown identifier '{name}'"))
+}
+
+impl Lowerer {
+    /// What `name` reads as, resolving it on its first read.
+    fn role(&mut self, name: Ident<'_>) -> Role {
+        let role = &mut self.slots[name.id].role;
+        if *role == Role::Unresolved {
+            *role = match name.text {
+                "time" => Role::Time,
+                "temp" => Role::Temp,
+                "timestep" => Role::TimeStep,
+                _ => Role::Unknown,
+            };
+        }
+        *role
+    }
+
+    /// The variable a `state.delay` / `state.delayt` reads.
+    fn delayed(&self, var: Ident<'_>) -> Result<usize, FasError> {
+        match self.slots[var.id].role {
+            Role::Var(v) => Ok(v),
+            _ => Err(FasError::Semantic(format!(
+                "state.delay of unknown variable '{var}'"
+            ))),
+        }
+    }
+
+    /// The pin `pin` names.
+    fn pin(&self, pin: Ident<'_>) -> Result<usize, FasError> {
+        self.slots[pin.id]
+            .pin
+            .ok_or_else(|| FasError::Semantic(format!("undeclared pin '{pin}'")))
+    }
+
+    fn stmts(&mut self, stmts: &[Stmt<'_>]) -> Result<Vec<CStmt>, FasError> {
+        let mut out = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            out.push(self.stmt(stmt)?);
+        }
+        Ok(out)
+    }
+
+    fn stmt(&mut self, stmt: &Stmt<'_>) -> Result<CStmt, FasError> {
         match stmt {
             Stmt::Make { var, expr, .. } => {
-                check_expr_order(expr, lw, defined)?;
-                defined.insert(lw.vars[var]);
+                let Role::Var(v) = self.slots[var.id].role else {
+                    unreachable!("every make target is numbered by collect_vars")
+                };
+                Ok(CStmt::Set(v, self.expr(expr)?))
             }
-            Stmt::Impose { expr, .. } => check_expr_order(expr, lw, defined)?,
+            Stmt::Impose {
+                quantity,
+                pin,
+                expr,
+                ..
+            } => {
+                if !THROUGH_PREFIXES.contains(quantity) {
+                    return Err(FasError::Semantic(format!(
+                        "'{quantity}.on' is not a through-quantity imposition (expected one of {THROUGH_PREFIXES:?})"
+                    )));
+                }
+                let pin = self.pin(*pin)?;
+                Ok(CStmt::Impose(pin, self.expr(expr)?))
+            }
             Stmt::If {
                 cond,
                 then_branch,
                 else_branch,
                 ..
             } => {
-                if let Cond::Cmp(_, a, b) = cond {
-                    check_expr_order(a, lw, defined)?;
-                    check_expr_order(b, lw, defined)?;
-                }
-                let mut then_defined = defined.clone();
-                check_order(then_branch, lw, &mut then_defined)?;
-                let mut else_defined = defined.clone();
-                check_order(else_branch, lw, &mut else_defined)?;
-                // Only variables defined on both paths are definitely
-                // available afterwards.
-                for v in then_defined.intersection(&else_defined) {
-                    defined.insert(*v);
-                }
+                let ccond = match cond {
+                    Cond::ModeIs { dc } => CCond::ModeIs(*dc),
+                    Cond::Cmp(op, a, b) => CCond::Cmp(*op, self.expr(a)?, self.expr(b)?),
+                };
+                Ok(CStmt::If(
+                    ccond,
+                    self.stmts(then_branch)?,
+                    self.stmts(else_branch)?,
+                ))
             }
         }
     }
-    Ok(())
-}
 
-fn check_expr_order(expr: &Expr, lw: &Lowerer, defined: &HashSet<usize>) -> Result<(), FasError> {
-    match expr {
-        Expr::Num(_) | Expr::PinValue { .. } => Ok(()),
-        Expr::Var(name) => {
-            if lw.params.contains_key(name) || ["time", "temp", "timestep"].contains(&name.as_str())
-            {
-                return Ok(());
-            }
-            match lw.vars.get(name) {
-                Some(id) if defined.contains(id) => Ok(()),
-                Some(_) => Err(FasError::Semantic(format!(
-                    "variable '{name}' used before it is assigned (forward references are only legal inside state.delay)"
-                ))),
-                None => Err(FasError::Semantic(format!("unknown identifier '{name}'"))),
-            }
-        }
-        Expr::Unary(_, e) | Expr::StateDt { arg: e, .. } | Expr::StateIdt { arg: e, .. } => {
-            check_expr_order(e, lw, defined)
-        }
-        Expr::Binary(_, a, b) => {
-            check_expr_order(a, lw, defined)?;
-            check_expr_order(b, lw, defined)
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                check_expr_order(a, lw, defined)?;
-            }
-            Ok(())
-        }
-        Expr::StateDelay { var } | Expr::StateDelayT { var, .. } => {
-            // Forward references read committed state: legal as long as the
-            // variable is assigned *somewhere* in the model.
-            if lw.vars.contains_key(var) {
-                if let Expr::StateDelayT { td, .. } = expr {
-                    check_expr_order(td, lw, defined)?;
-                }
-                Ok(())
-            } else {
-                Err(FasError::Semantic(format!(
-                    "state.delay of unknown variable '{var}'"
-                )))
-            }
-        }
+    /// Appends an expression node.
+    fn push(&mut self, e: CExpr) -> ExprId {
+        self.exprs.push(e);
+        self.exprs.len() - 1
     }
-}
 
-fn lower_stmts(stmts: &[Stmt], lw: &mut Lowerer) -> Result<Vec<CStmt>, FasError> {
-    stmts.iter().map(|s| lower_stmt(s, lw)).collect()
-}
-
-fn lower_stmt(stmt: &Stmt, lw: &mut Lowerer) -> Result<CStmt, FasError> {
-    match stmt {
-        Stmt::Make { var, expr, .. } => Ok(CStmt::Set(lw.vars[var], lower_expr(expr, lw)?)),
-        Stmt::Impose {
-            quantity,
-            pin,
-            expr,
-            ..
-        } => {
-            if !THROUGH_PREFIXES.contains(&quantity.as_str()) {
-                return Err(FasError::Semantic(format!(
-                    "'{quantity}.on' is not a through-quantity imposition (expected one of {THROUGH_PREFIXES:?})"
-                )));
-            }
-            let pin_id = *lw
-                .pins
-                .get(pin)
-                .ok_or_else(|| FasError::Semantic(format!("undeclared pin '{pin}'")))?;
-            Ok(CStmt::Impose(pin_id, lower_expr(expr, lw)?))
-        }
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            let ccond = match cond {
-                Cond::ModeIs { dc } => CCond::ModeIs(*dc),
-                Cond::Cmp(op, a, b) => CCond::Cmp(*op, lower_expr(a, lw)?, lower_expr(b, lw)?),
-            };
-            Ok(CStmt::If(
-                ccond,
-                lower_stmts(then_branch, lw)?,
-                lower_stmts(else_branch, lw)?,
-            ))
-        }
-    }
-}
-
-impl Lowerer {
     /// Resolves a name read in an expression.
-    fn name(&self, name: &str) -> Result<CExpr, FasError> {
-        Ok(match name {
-            "time" => CExpr::Time,
-            "temp" => CExpr::Temp,
-            "timestep" => CExpr::TimeStep,
-            _ => {
-                if let Some(&p) = self.params.get(name) {
-                    CExpr::Param(p)
-                } else if let Some(&v) = self.vars.get(name) {
-                    CExpr::Var(v)
-                } else {
-                    return Err(FasError::Semantic(format!("unknown identifier '{name}'")));
-                }
-            }
+    fn name(&mut self, name: Ident<'_>) -> Result<CExpr, FasError> {
+        Ok(match self.role(name) {
+            Role::Param(p) => CExpr::Param(p),
+            Role::Var(v) => CExpr::Var(v),
+            Role::Time => CExpr::Time,
+            Role::Temp => CExpr::Temp,
+            Role::TimeStep => CExpr::TimeStep,
+            Role::Unresolved | Role::Unknown => return Err(unknown_identifier(&name)),
         })
     }
 
     /// Resolves an across-quantity probe `quantity.value(pin)`.
-    fn probe(&self, quantity: &str, pin: &str) -> Result<CExpr, FasError> {
+    fn probe(&self, quantity: &str, pin: Ident<'_>) -> Result<CExpr, FasError> {
         if !ACROSS_PREFIXES.contains(&quantity) {
             return Err(FasError::Semantic(format!(
                 "'{quantity}.value' is not an across-quantity probe (expected one of {ACROSS_PREFIXES:?})"
             )));
         }
-        let pin_id = *self
-            .pins
-            .get(pin)
-            .ok_or_else(|| FasError::Semantic(format!("undeclared pin '{pin}'")))?;
-        Ok(CExpr::PinValue(pin_id))
+        self.pin(pin).map(CExpr::PinValue)
     }
-}
 
-/// Recurses once per level of the expression tree, so it keeps its
-/// frame small: leaves resolve in [`Lowerer`] methods, and a single `?`
-/// unwinds errors.
-fn lower_expr(expr: &Expr, lw: &mut Lowerer) -> Result<CExpr, FasError> {
-    let sub = |e: &Expr, lw: &mut Lowerer| lower_expr(e, lw).map(Box::new);
-    match expr {
-        Expr::Num(v) => Ok(CExpr::Num(*v)),
-        Expr::Var(name) => lw.name(name),
-        Expr::PinValue { quantity, pin } => lw.probe(quantity, pin),
-        Expr::Unary(UnaryOp::Neg, e) => sub(e, lw).map(CExpr::Neg),
-        Expr::Binary(op, a, b) => {
-            let a = sub(a, lw)?;
-            sub(b, lw).map(|b| CExpr::Bin(*op, a, b))
-        }
-        Expr::Call { func, args } => lower_call(func, args, lw),
-        Expr::StateDt { inst, arg } => sub(arg, lw).map(|arg| CExpr::Dt { inst: *inst, arg }),
-        Expr::StateDelay { var } => Ok(CExpr::Delay { var: lw.vars[var] }),
-        Expr::StateDelayT { inst, var, td } => {
-            let var = lw.vars[var];
-            lw.delayt_vars[*inst] = var;
-            sub(td, lw).map(|td| CExpr::DelayT {
+    /// Lowers `expr`, operands first, and returns its node. Recurses once
+    /// per level of the expression tree, so it keeps its frame small:
+    /// leaves resolve in helper methods, and a single `?` unwinds errors.
+    fn expr(&mut self, expr: &Expr<'_>) -> Result<ExprId, FasError> {
+        let node = match expr {
+            Expr::Num(v) => CExpr::Num(*v),
+            Expr::Var(name) => self.name(*name)?,
+            Expr::PinValue { quantity, pin } => self.probe(quantity, *pin)?,
+            Expr::Unary(UnaryOp::Neg, e) => CExpr::Neg(self.expr(e)?),
+            Expr::Binary(op, a, b) => {
+                let a = self.expr(a)?;
+                CExpr::Bin(*op, a, self.expr(b)?)
+            }
+            Expr::Call { func, args } => self.call(func, args)?,
+            Expr::StateDt { inst, arg } => CExpr::Dt {
                 inst: *inst,
-                var,
-                td,
-            })
-        }
-        Expr::StateIdt { inst, arg } => sub(arg, lw).map(|arg| CExpr::Idt { inst: *inst, arg }),
+                arg: self.expr(arg)?,
+            },
+            Expr::StateDelay { var } => CExpr::Delay {
+                var: self.delayed(*var)?,
+            },
+            Expr::StateDelayT { inst, var, td } => {
+                let var = self.delayed(*var)?;
+                self.delayt_vars[*inst] = var;
+                CExpr::DelayT {
+                    inst: *inst,
+                    var,
+                    td: self.expr(td)?,
+                }
+            }
+            Expr::StateIdt { inst, arg } => CExpr::Idt {
+                inst: *inst,
+                arg: self.expr(arg)?,
+            },
+        };
+        Ok(self.push(node))
     }
-}
 
-fn lower_call(func: &str, args: &[Expr], lw: &mut Lowerer) -> Result<CExpr, FasError> {
-    let arity_err = |want: usize| {
-        Err(FasError::Semantic(format!(
-            "function '{func}' takes {want} argument(s), got {}",
-            args.len()
-        )))
-    };
-    let f1 = |f: Func1, args: &[Expr], lw: &mut Lowerer| -> Result<CExpr, FasError> {
-        Ok(CExpr::Call1(f, Box::new(lower_expr(&args[0], lw)?)))
-    };
-    let f2 = |f: Func2, args: &[Expr], lw: &mut Lowerer| -> Result<CExpr, FasError> {
-        Ok(CExpr::Call2(
-            f,
-            Box::new(lower_expr(&args[0], lw)?),
-            Box::new(lower_expr(&args[1], lw)?),
-        ))
-    };
-    match func {
-        "sin" | "cos" | "exp" | "ln" | "abs" | "sqrt" | "tanh" | "atan" => {
-            if args.len() != 1 {
-                return arity_err(1);
-            }
-            let f = match func {
-                "sin" => Func1::Sin,
-                "cos" => Func1::Cos,
-                "exp" => Func1::Exp,
-                "ln" => Func1::Ln,
-                "abs" => Func1::Abs,
-                "sqrt" => Func1::Sqrt,
-                "tanh" => Func1::Tanh,
-                _ => Func1::Atan,
-            };
-            f1(f, args, lw)
+    fn call(&mut self, func: &str, args: &[Expr<'_>]) -> Result<CExpr, FasError> {
+        let want = match func {
+            "sin" | "cos" | "exp" | "ln" | "abs" | "sqrt" | "tanh" | "atan" => 1,
+            "min" | "max" | "pow" => 2,
+            "limit" => 3,
+            other => return Err(FasError::Semantic(format!("unknown function '{other}'"))),
+        };
+        if args.len() != want {
+            return Err(FasError::Semantic(format!(
+                "function '{func}' takes {want} argument(s), got {}",
+                args.len()
+            )));
         }
-        "min" | "max" | "pow" => {
-            if args.len() != 2 {
-                return arity_err(2);
+        Ok(match func {
+            "min" | "max" | "pow" => {
+                let f = match func {
+                    "min" => Func2::Min,
+                    "max" => Func2::Max,
+                    _ => Func2::Pow,
+                };
+                let a = self.expr(&args[0])?;
+                CExpr::Call2(f, a, self.expr(&args[1])?)
             }
-            let f = match func {
-                "min" => Func2::Min,
-                "max" => Func2::Max,
-                _ => Func2::Pow,
-            };
-            f2(f, args, lw)
-        }
-        "limit" => {
-            if args.len() != 3 {
-                return arity_err(3);
+            "limit" => {
+                let x = self.expr(&args[0])?;
+                let lo = self.expr(&args[1])?;
+                CExpr::Limit(x, lo, self.expr(&args[2])?)
             }
-            Ok(CExpr::Limit(
-                Box::new(lower_expr(&args[0], lw)?),
-                Box::new(lower_expr(&args[1], lw)?),
-                Box::new(lower_expr(&args[2], lw)?),
-            ))
-        }
-        other => Err(FasError::Semantic(format!("unknown function '{other}'"))),
+            _ => {
+                let f = match func {
+                    "sin" => Func1::Sin,
+                    "cos" => Func1::Cos,
+                    "exp" => Func1::Exp,
+                    "ln" => Func1::Ln,
+                    "abs" => Func1::Abs,
+                    "sqrt" => Func1::Sqrt,
+                    "tanh" => Func1::Tanh,
+                    _ => Func1::Atan,
+                };
+                CExpr::Call1(f, self.expr(&args[0])?)
+            }
+        })
     }
 }
 
@@ -554,6 +687,25 @@ mod tests {
         .is_ok());
         // Defined only in one branch ⇒ not definitely assigned.
         assert!(compile(&wrap("if (mode=dc) then\nmake x = 0\nendif\nmake y = x")).is_err());
+    }
+
+    #[test]
+    fn nested_branch_definitions_join() {
+        // `x` and `u` are defined on every path, in different orders;
+        // `w`, `y` and `v` on one arm only.
+        let body = "if (mode=dc) then\n\
+                    if (time > 1) then\nmake x = 1\nelse\nmake x = 2\nmake w = 0\nendif\n\
+                    make y = 1\nmake u = 1\n\
+                    else\nmake u = 2\nmake x = 3\nmake v = 4\nendif\n";
+        for (tail, ok) in [
+            ("make z = x + u", true),
+            ("make z = y", false),
+            ("make z = w", false),
+            ("make z = v", false),
+        ] {
+            let result = compile(&wrap(&format!("{body}{tail}")));
+            assert_eq!(result.is_ok(), ok, "{tail}: {result:?}");
+        }
     }
 
     #[test]

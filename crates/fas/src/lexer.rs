@@ -1,14 +1,23 @@
 //! Tokenizer for FAS source text.
+//!
+//! Tokens borrow their text from the source: an identifier is a `&str`
+//! span of the input, so tokenizing allocates only the token vector.
 
 use crate::{FasError, Pos};
+use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'src> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// Numeric literal.
-    Number(f64),
+    Number {
+        /// Its value.
+        value: f64,
+        /// Its source text.
+        text: &'src str,
+    },
     /// `(`.
     LParen,
     /// `)`.
@@ -41,18 +50,44 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     /// `true` if the token is the given keyword/identifier.
     pub fn is_ident(&self, s: &str) -> bool {
-        matches!(self, Token::Ident(i) if i == s)
+        matches!(self, Token::Ident(i) if *i == s)
+    }
+}
+
+/// The token as diagnostics name it: its source text in quotes, or
+/// `end of input`.
+impl fmt::Display for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let text = match self {
+            Token::Ident(text) | Token::Number { text, .. } => text,
+            Token::LParen => "(",
+            Token::RParen => ")",
+            Token::Comma => ",",
+            Token::Eq => "=",
+            Token::Ne => "!=",
+            Token::Lt => "<",
+            Token::Le => "<=",
+            Token::Gt => ">",
+            Token::Ge => ">=",
+            Token::Plus => "+",
+            Token::Minus => "-",
+            Token::Star => "*",
+            Token::Slash => "/",
+            Token::Dot => ".",
+            Token::Eof => return f.write_str("end of input"),
+        };
+        write!(f, "'{text}'")
     }
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// Where it starts.
     pub pos: Pos,
 }
@@ -65,206 +100,168 @@ pub struct Spanned {
 /// # Errors
 ///
 /// [`FasError::Lex`] on malformed numbers or unexpected characters.
-pub fn tokenize(src: &str) -> Result<Vec<Spanned>, FasError> {
-    let mut out = Vec::new();
-    for (line_idx, raw_line) in src.lines().enumerate() {
-        let line_no = line_idx + 1;
-        let trimmed = raw_line.trim_start();
-        if trimmed.starts_with('*') || trimmed.starts_with('#') {
-            continue;
-        }
-        // `//` trailing comments are handled in the `'/'` arm below, on
-        // the untruncated line, so every column is a byte offset into
-        // `raw_line` — positions cannot drift for tokens adjacent to a
-        // comment.
-        let line = raw_line;
-        let bytes = line.as_bytes();
-        let mut i = 0usize;
-        while i < bytes.len() {
-            let c = bytes[i] as char;
-            let pos = Pos {
-                line: line_no,
-                col: i + 1,
-            };
-            match c {
-                ' ' | '\t' | '\r' => {
-                    i += 1;
-                }
-                '(' => {
-                    out.push(Spanned {
-                        token: Token::LParen,
-                        pos,
-                    });
-                    i += 1;
-                }
-                ')' => {
-                    out.push(Spanned {
-                        token: Token::RParen,
-                        pos,
-                    });
-                    i += 1;
-                }
-                ',' => {
-                    out.push(Spanned {
-                        token: Token::Comma,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '+' => {
-                    out.push(Spanned {
-                        token: Token::Plus,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '-' => {
-                    out.push(Spanned {
-                        token: Token::Minus,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '*' => {
-                    out.push(Spanned {
-                        token: Token::Star,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '/' => {
-                    if bytes.get(i + 1) == Some(&b'/') {
-                        // Trailing comment: the rest of the line is ignored.
-                        break;
-                    }
-                    out.push(Spanned {
-                        token: Token::Slash,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '.' => {
-                    out.push(Spanned {
-                        token: Token::Dot,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '=' => {
-                    out.push(Spanned {
-                        token: Token::Eq,
-                        pos,
-                    });
-                    i += 1;
-                }
-                '!' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(Spanned {
-                            token: Token::Ne,
-                            pos,
-                        });
-                        i += 2;
-                    } else {
-                        return Err(FasError::Lex {
-                            pos,
-                            message: "expected '=' after '!'".into(),
-                        });
-                    }
-                }
-                '<' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(Spanned {
-                            token: Token::Le,
-                            pos,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(Spanned {
-                            token: Token::Lt,
-                            pos,
-                        });
-                        i += 1;
-                    }
-                }
-                '>' => {
-                    if bytes.get(i + 1) == Some(&b'=') {
-                        out.push(Spanned {
-                            token: Token::Ge,
-                            pos,
-                        });
-                        i += 2;
-                    } else {
-                        out.push(Spanned {
-                            token: Token::Gt,
-                            pos,
-                        });
-                        i += 1;
-                    }
-                }
-                _ if c.is_ascii_digit() => {
-                    let start = i;
-                    while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                        i += 1;
-                    }
-                    // Exponent part.
-                    if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                        let mut j = i + 1;
-                        if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                            j += 1;
-                        }
-                        if j < bytes.len() && bytes[j].is_ascii_digit() {
-                            i = j;
-                            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                                i += 1;
-                            }
-                        }
-                    }
-                    let text = &line[start..i];
-                    let value: f64 = text.parse().map_err(|_| FasError::Lex {
-                        pos,
-                        message: format!("malformed number '{text}'"),
-                    })?;
-                    out.push(Spanned {
-                        token: Token::Number(value),
-                        pos,
-                    });
-                }
-                _ if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    while i < bytes.len()
-                        && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                    {
-                        i += 1;
-                    }
-                    out.push(Spanned {
-                        token: Token::Ident(line[start..i].to_string()),
-                        pos,
-                    });
-                }
-                other => {
-                    return Err(FasError::Lex {
-                        pos,
-                        message: format!("unexpected character '{other}'"),
-                    });
-                }
-            }
+pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, FasError> {
+    // About one token per four bytes of typical FAS text.
+    let mut out = Vec::with_capacity(src.len() / 4 + 1);
+    for token in Lexer::new(src) {
+        out.push(token?);
+    }
+    Ok(out)
+}
+
+/// The tokens of a source text, one at a time, as [`tokenize`] reads
+/// them: the token stream ends with [`Token::Eof`] or with the first
+/// lexical error.
+#[derive(Debug, Clone)]
+pub(crate) struct Lexer<'src> {
+    lines: std::str::Lines<'src>,
+    /// The current line, empty for a comment line.
+    line: &'src str,
+    /// 1-based number of the current line.
+    line_no: usize,
+    /// Byte offset of the next token in `line`. Columns are byte offsets
+    /// into the untruncated line, so positions cannot drift for tokens
+    /// adjacent to a `//` comment. Only ASCII is ever consumed, so `i`
+    /// stays on a character boundary.
+    i: usize,
+    finished: bool,
+}
+
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub(crate) fn new(src: &'src str) -> Self {
+        Lexer {
+            lines: src.lines(),
+            line: "",
+            line_no: 0,
+            i: 0,
+            finished: false,
         }
     }
-    out.push(Spanned {
-        token: Token::Eof,
-        pos: Pos {
-            line: src.lines().count() + 1,
-            col: 1,
-        },
-    });
-    Ok(out)
+
+    #[inline]
+    fn token(&mut self) -> Result<Spanned<'src>, FasError> {
+        let (line, bytes, i) = loop {
+            let (line, bytes) = (self.line, self.line.as_bytes());
+            let mut i = self.i;
+            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\r') {
+                i += 1;
+            }
+            // A trailing comment ends the line.
+            if i < bytes.len() && !bytes[i..].starts_with(b"//") {
+                break (line, bytes, i);
+            }
+            let Some(next_line) = self.lines.next() else {
+                return Ok(Spanned {
+                    token: Token::Eof,
+                    pos: Pos {
+                        line: self.line_no + 1,
+                        col: 1,
+                    },
+                });
+            };
+            self.line_no += 1;
+            self.i = 0;
+            let trimmed = next_line.trim_start();
+            let comment = trimmed.starts_with('*') || trimmed.starts_with('#');
+            self.line = if comment { "" } else { next_line };
+        };
+        let pos = Pos {
+            line: self.line_no,
+            col: i + 1,
+        };
+        let next = bytes.get(i + 1).copied();
+        let (token, len) = match bytes[i] {
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b',' => (Token::Comma, 1),
+            b'+' => (Token::Plus, 1),
+            b'-' => (Token::Minus, 1),
+            b'*' => (Token::Star, 1),
+            b'/' => (Token::Slash, 1),
+            b'.' => (Token::Dot, 1),
+            b'=' => (Token::Eq, 1),
+            b'!' if next == Some(b'=') => (Token::Ne, 2),
+            b'!' => {
+                return Err(FasError::Lex {
+                    pos,
+                    message: "expected '=' after '!'".into(),
+                })
+            }
+            b'<' if next == Some(b'=') => (Token::Le, 2),
+            b'<' => (Token::Lt, 1),
+            b'>' if next == Some(b'=') => (Token::Ge, 2),
+            b'>' => (Token::Gt, 1),
+            b'0'..=b'9' => {
+                let text = &line[i..i + number_len(&bytes[i..])];
+                let value: f64 = text.parse().map_err(|_| FasError::Lex {
+                    pos,
+                    message: format!("malformed number '{text}'"),
+                })?;
+                (Token::Number { value, text }, text.len())
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                (Token::Ident(&line[i..i + len]), len)
+            }
+            _ => {
+                let other = line[i..].chars().next().unwrap_or_default();
+                return Err(FasError::Lex {
+                    pos,
+                    message: format!("unexpected character '{other}'"),
+                });
+            }
+        };
+        self.i = i + len;
+        Ok(Spanned { token, pos })
+    }
+}
+
+impl<'src> Iterator for Lexer<'src> {
+    type Item = Result<Spanned<'src>, FasError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.finished {
+            return None;
+        }
+        let item = self.token();
+        self.finished = !matches!(item, Ok(Spanned { token, .. }) if token != Token::Eof);
+        Some(item)
+    }
+}
+
+/// Length of the numeric literal `bytes` starts with: digits and dots,
+/// then an exponent only when digits follow it (`1e` is the number 1
+/// followed by the identifier `e`).
+fn number_len(bytes: &[u8]) -> usize {
+    let mut i = bytes
+        .iter()
+        .position(|b| !(b.is_ascii_digit() || *b == b'.'))
+        .unwrap_or(bytes.len());
+    if matches!(bytes.get(i), Some(b'e' | b'E')) {
+        let mut j = i + 1;
+        if matches!(bytes.get(j), Some(b'+' | b'-')) {
+            j += 1;
+        }
+        if bytes.get(j).is_some_and(u8::is_ascii_digit) {
+            i = j + bytes[j..]
+                .iter()
+                .position(|b| !b.is_ascii_digit())
+                .unwrap_or(bytes.len() - j);
+        }
+    }
+    i
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         tokenize(src)
             .unwrap()
             .into_iter()
@@ -272,19 +269,23 @@ mod tests {
             .collect()
     }
 
+    fn num(value: f64, text: &str) -> Token<'_> {
+        Token::Number { value, text }
+    }
+
     #[test]
     fn basic_tokens() {
         assert_eq!(
             toks("make v2 = volt.value(in)"),
             vec![
-                Token::Ident("make".into()),
-                Token::Ident("v2".into()),
+                Token::Ident("make"),
+                Token::Ident("v2"),
                 Token::Eq,
-                Token::Ident("volt".into()),
+                Token::Ident("volt"),
                 Token::Dot,
-                Token::Ident("value".into()),
+                Token::Ident("value"),
                 Token::LParen,
-                Token::Ident("in".into()),
+                Token::Ident("in"),
                 Token::RParen,
                 Token::Eof,
             ]
@@ -296,10 +297,10 @@ mod tests {
         assert_eq!(
             toks("1 2.5 1e-12 3.0E+2"),
             vec![
-                Token::Number(1.0),
-                Token::Number(2.5),
-                Token::Number(1e-12),
-                Token::Number(300.0),
+                num(1.0, "1"),
+                num(2.5, "2.5"),
+                num(1e-12, "1e-12"),
+                num(300.0, "3.0E+2"),
                 Token::Eof,
             ]
         );
@@ -310,7 +311,7 @@ mod tests {
         // `1e` without digits is the number 1 followed by ident `e`.
         assert_eq!(
             toks("1e"),
-            vec![Token::Number(1.0), Token::Ident("e".into()), Token::Eof]
+            vec![num(1.0, "1"), Token::Ident("e"), Token::Eof]
         );
     }
 
@@ -319,17 +320,17 @@ mod tests {
         assert_eq!(
             toks("a <= b >= c != d < e > f"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Le,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::Ge,
-                Token::Ident("c".into()),
+                Token::Ident("c"),
                 Token::Ne,
-                Token::Ident("d".into()),
+                Token::Ident("d"),
                 Token::Lt,
-                Token::Ident("e".into()),
+                Token::Ident("e"),
                 Token::Gt,
-                Token::Ident("f".into()),
+                Token::Ident("f"),
                 Token::Eof,
             ]
         );
@@ -340,10 +341,10 @@ mod tests {
         assert_eq!(
             toks("* a title line\nmake x = 1 // trailing\n# hash comment"),
             vec![
-                Token::Ident("make".into()),
-                Token::Ident("x".into()),
+                Token::Ident("make"),
+                Token::Ident("x"),
                 Token::Eq,
-                Token::Number(1.0),
+                num(1.0, "1"),
                 Token::Eof,
             ]
         );
@@ -359,16 +360,16 @@ mod tests {
         assert_eq!(
             positions,
             vec![
-                (Token::Ident("make".into()), Pos { line: 1, col: 1 }),
-                (Token::Ident("x".into()), Pos { line: 1, col: 6 }),
+                (Token::Ident("make"), Pos { line: 1, col: 1 }),
+                (Token::Ident("x"), Pos { line: 1, col: 6 }),
                 (Token::Eq, Pos { line: 1, col: 8 }),
-                (Token::Number(12.0), Pos { line: 1, col: 10 }),
-                (Token::Ident("make".into()), Pos { line: 2, col: 1 }),
-                (Token::Ident("y".into()), Pos { line: 2, col: 6 }),
+                (num(12.0, "12"), Pos { line: 1, col: 10 }),
+                (Token::Ident("make"), Pos { line: 2, col: 1 }),
+                (Token::Ident("y"), Pos { line: 2, col: 6 }),
                 (Token::Eq, Pos { line: 2, col: 8 }),
-                (Token::Ident("x".into()), Pos { line: 2, col: 10 }),
+                (Token::Ident("x"), Pos { line: 2, col: 10 }),
                 (Token::Slash, Pos { line: 2, col: 12 }),
-                (Token::Number(2.0), Pos { line: 2, col: 14 }),
+                (num(2.0, "2"), Pos { line: 2, col: 14 }),
                 (Token::Eof, Pos { line: 3, col: 1 }),
             ]
         );
@@ -379,9 +380,9 @@ mod tests {
         assert_eq!(
             toks("a / b"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Slash,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::Eof,
             ]
         );
@@ -391,6 +392,45 @@ mod tests {
     fn lex_errors() {
         assert!(tokenize("a ! b").is_err());
         assert!(tokenize("price: $5").is_err());
+    }
+
+    #[test]
+    fn unexpected_character_is_named_whole() {
+        // A non-ASCII character is reported as itself, not as its first
+        // UTF-8 byte; the column is its byte offset.
+        for (src, col, want) in [("make x = 2 é 3", 12, 'é'), ("π", 1, 'π'), ("a ✓", 3, '✓')]
+        {
+            assert_eq!(
+                tokenize(src),
+                Err(FasError::Lex {
+                    pos: Pos { line: 1, col },
+                    message: format!("unexpected character '{want}'"),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn tokens_display_their_source_text() {
+        let shown: Vec<String> = tokenize("make x1 = 3.0E+2 <= (y) //")
+            .unwrap()
+            .iter()
+            .map(|s| s.token.to_string())
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                "'make'",
+                "'x1'",
+                "'='",
+                "'3.0E+2'",
+                "'<='",
+                "'('",
+                "'y'",
+                "')'",
+                "end of input"
+            ]
+        );
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //!
 //! * [`lexer`] / [`parser`] — text → AST for `model … analog … endanalog`
 //!   files, with `make` assignments, `if (mode=dc)` guards and the
-//!   `volt.value` / `curr.on` / `state.*` access functions;
+//!   `volt.value` / `curr.on` / `state.*` access functions. Tokens and the
+//!   [`ast`] borrow their text from the source, and the parser numbers
+//!   every pin, parameter and variable name once, as it first meets it
+//!   ([`ast::Ident`]);
 //! * [`compile`](mod@compile) — semantic analysis (declared pins/params, use before
 //!   definition, forward references only inside `state.delay`) and lowering
-//!   to an index-resolved executable form;
+//!   to an index-resolved executable form. Names resolve through a table
+//!   indexed by those numbers, never by hashing their text again, and
+//!   error text is rendered only when an error is returned. The
+//!   [`CompiledModel`] is immutable and shared: its clones, the bytecode
+//!   compiled from it and every instance hold one signature and body;
 //! * [`machine`] — the runtime: a [`machine::FasRuntime`] holds a model's
 //!   committed state and implements `gabm-sim`'s
 //!   [`BehavioralModel`](gabm_sim::devices::BehavioralModel) for any

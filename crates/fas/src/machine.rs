@@ -9,7 +9,7 @@
 //! `gabm-fasvm` runs its program, and is held to the tree walk by a
 //! differential test suite.
 
-use crate::compile::{CCond, CExpr, CStmt, CompiledModel, Signature};
+use crate::compile::{CCond, CExpr, CStmt, CompiledModel, ExprId, Signature};
 use crate::dual::{Dual, Lane, MAX_TANGENTS};
 use crate::FasError;
 use gabm_sim::devices::{BehavioralModel, EvalCtx};
@@ -273,17 +273,7 @@ impl<B: Body> FasRuntime<B> {
     /// [`FasError::Instantiate`] for overrides of undeclared parameters.
     pub fn new(body: B, overrides: &BTreeMap<String, f64>) -> Result<Self, FasError> {
         let sig = body.signature();
-        let mut params: Vec<f64> = sig.params.iter().map(|(_, v)| *v).collect();
-        for (name, value) in overrides {
-            let idx = sig
-                .params
-                .iter()
-                .position(|(n, _)| n == name)
-                .ok_or_else(|| {
-                    FasError::Instantiate(format!("model {} has no parameter '{name}'", sig.name))
-                })?;
-            params[idx] = *value;
-        }
+        let params = sig.param_values(overrides)?;
         let state = Committed {
             vars: vec![0.0; sig.var_names.len()],
             dt_args: vec![0.0; sig.n_dt],
@@ -474,71 +464,71 @@ impl Body for CompiledModel {
     }
 
     fn run<L: Lane>(&self, pass: &mut Pass<'_, L>) {
-        exec(pass, &self.body);
+        exec(pass, &self.body.exprs, &self.body.stmts);
     }
 }
 
-fn exec<L: Lane>(p: &mut Pass<'_, L>, stmts: &[CStmt]) {
+fn exec<L: Lane>(p: &mut Pass<'_, L>, exprs: &[CExpr], stmts: &[CStmt]) {
     for stmt in stmts {
         match stmt {
             CStmt::Set(var, expr) => {
-                let v = eval(p, expr);
+                let v = eval(p, exprs, *expr);
                 p.set(*var, v);
             }
             CStmt::Impose(pin, expr) => {
-                let v = eval(p, expr);
+                let v = eval(p, exprs, *expr);
                 p.impose(*pin, v);
             }
             CStmt::If(cond, then_b, else_b) => {
-                let taken = match cond {
-                    CCond::ModeIs(dc) => *dc == p.mode_dc(),
+                let taken = match *cond {
+                    CCond::ModeIs(dc) => dc == p.mode_dc(),
                     CCond::Cmp(op, a, b) => {
-                        let a = eval(p, a).value();
-                        op.apply(a, eval(p, b).value())
+                        let a = eval(p, exprs, a).value();
+                        op.apply(a, eval(p, exprs, b).value())
                     }
                 };
-                exec(p, if taken { then_b } else { else_b });
+                exec(p, exprs, if taken { then_b } else { else_b });
             }
         }
     }
 }
 
-fn eval<L: Lane>(p: &mut Pass<'_, L>, expr: &CExpr) -> L {
-    match expr {
-        CExpr::Num(v) => L::constant(*v),
-        CExpr::Var(i) => p.var(*i),
-        CExpr::Param(i) => p.param(*i),
-        CExpr::PinValue(i) => p.pin(*i),
+fn eval<L: Lane>(p: &mut Pass<'_, L>, exprs: &[CExpr], expr: ExprId) -> L {
+    match exprs[expr] {
+        CExpr::Num(v) => L::constant(v),
+        CExpr::Var(i) => p.var(i),
+        CExpr::Param(i) => p.param(i),
+        CExpr::PinValue(i) => p.pin(i),
         CExpr::Time => p.time(),
         CExpr::Temp => p.temp(),
         CExpr::TimeStep => p.timestep(),
-        CExpr::Neg(a) => -eval(p, a),
+        CExpr::Neg(a) => -eval(p, exprs, a),
         CExpr::Bin(op, a, b) => {
-            let a = eval(p, a);
-            a.bin(*op, eval(p, b))
+            let a = eval(p, exprs, a);
+            a.bin(op, eval(p, exprs, b))
         }
-        CExpr::Call1(f, a) => eval(p, a).call1(*f),
+        CExpr::Call1(f, a) => eval(p, exprs, a).call1(f),
         CExpr::Call2(f, a, b) => {
-            let a = eval(p, a);
-            a.call2(*f, eval(p, b))
+            let a = eval(p, exprs, a);
+            a.call2(f, eval(p, exprs, b))
         }
         CExpr::Limit(x, lo, hi) => {
-            let x = eval(p, x);
-            let lo = eval(p, lo);
-            x.limit(lo, eval(p, hi))
+            let x = eval(p, exprs, x);
+            let lo = eval(p, exprs, lo);
+            x.limit(lo, eval(p, exprs, hi))
         }
         CExpr::Dt { inst, arg } => {
-            let a = eval(p, arg);
-            p.dt(*inst, a)
+            let a = eval(p, exprs, arg);
+            p.dt(inst, a)
         }
-        CExpr::Delay { var } => p.delay(*var),
+        CExpr::Delay { var } => p.delay(var),
         CExpr::DelayT { inst, var, td } => {
-            let td = eval(p, td);
-            p.delayt(*inst, *var, td)
+            let td = eval(p, exprs, td);
+            p.delayt(inst, var, td)
         }
         CExpr::Idt { inst, arg } => {
-            let a = eval(p, arg);
-            p.idt(*inst, a)
+            let a = eval(p, exprs, arg);
+            p.idt(inst, a)
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Recursive-descent parser for FAS model files.
 
-use crate::ast::{BinOp, Cond, Expr, Model, RelOp, Stmt, UnaryOp};
-use crate::lexer::{tokenize, Spanned, Token};
+use crate::ast::{BinOp, Cond, Expr, Ident, Model, RelOp, Stmt, UnaryOp};
+use crate::lexer::{Lexer, Spanned, Token};
 use crate::{FasError, Pos};
+use std::collections::HashMap;
 
 /// Deepest nesting the parser accepts: `if` statements, parentheses,
 /// unary signs and function or `state.*` arguments may enclose one
@@ -26,47 +27,84 @@ pub const MAX_TREE_HEIGHT: usize = 512;
 ///
 /// [`FasError::Lex`] / [`FasError::Parse`] with positions, including
 /// input nested past [`MAX_NESTING`] or [`MAX_TREE_HEIGHT`].
-pub fn parse(src: &str) -> Result<Model, FasError> {
-    let tokens = tokenize(src)?;
+pub fn parse(src: &str) -> Result<Model<'_>, FasError> {
     let mut p = Parser {
-        tokens,
-        idx: 0,
+        lexer: Lexer::new(src),
+        tok: Spanned {
+            token: Token::Eof,
+            pos: Pos::default(),
+        },
+        lex_error: None,
         depth: 0,
         n_dt: 0,
         n_delayt: 0,
         n_idt: 0,
+        // Far more than a model's distinct names: one allocation.
+        names: NameTable::with_capacity(src.len() / 16),
     };
-    p.model()
+    p.advance();
+    let model = p.model();
+    // A lexical error anywhere in the input is the error, whatever the
+    // parser made of the tokens before it: the tokens after a parse
+    // error are lexed for it too.
+    if let Some(e) = p.lex_error {
+        return Err(e);
+    }
+    if model.is_err() {
+        if let Some(Err(e)) = p.lexer.find(Result::is_err) {
+            return Err(e);
+        }
+    }
+    model
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    idx: usize,
+/// Name text → [`Ident::id`], for one model. The names come from
+/// outside the program, so the map keeps the default (keyed) hasher.
+type NameTable<'src> = HashMap<&'src str, usize>;
+
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The current token.
+    tok: Spanned<'src>,
+    /// The lexical error the token stream stopped at, if any.
+    lex_error: Option<FasError>,
     /// Enclosing `if`s and open sub-expressions at the current token.
     depth: usize,
     n_dt: usize,
     n_delayt: usize,
     n_idt: usize,
+    names: NameTable<'src>,
 }
 
 /// A parsed expression and the height of its tree (a leaf is 1).
-type Sub = (Expr, usize);
+type Sub<'src> = (Expr<'src>, usize);
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.idx].token
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Token<'src> {
+        self.tok.token
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.idx].pos
+        self.tok.pos
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.idx].token.clone();
-        if self.idx + 1 < self.tokens.len() {
-            self.idx += 1;
+    fn bump(&mut self) -> Token<'src> {
+        let t = self.peek();
+        if t != Token::Eof {
+            self.advance();
         }
         t
+    }
+
+    fn advance(&mut self) {
+        match self.lexer.next() {
+            Some(Ok(tok)) => self.tok = tok,
+            // Where the token stream stops, the parser sees end of input.
+            stop => {
+                self.tok.token = Token::Eof;
+                self.lex_error = stop.and_then(Result::err);
+            }
+        }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, FasError> {
@@ -104,12 +142,12 @@ impl Parser {
         Ok(h + 1)
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), FasError> {
+    fn expect(&mut self, want: Token<'_>, what: &str) -> Result<(), FasError> {
         if self.peek() == want {
             self.bump();
             Ok(())
         } else {
-            self.err(format!("expected {what}, found {:?}", self.peek()))
+            self.err(format!("expected {what}, found {}", self.peek()))
         }
     }
 
@@ -118,69 +156,82 @@ impl Parser {
             self.bump();
             Ok(())
         } else {
-            self.err(format!("expected '{kw}', found {:?}", self.peek()))
+            self.err(format!("expected '{kw}', found {}", self.peek()))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, FasError> {
-        match self.peek().clone() {
-            Token::Ident(name) => {
+    fn ident(&mut self, what: &str) -> Result<&'src str, FasError> {
+        match self.peek() {
+            Token::Ident(text) => {
                 self.bump();
-                Ok(name)
+                Ok(text)
             }
-            other => self.err(format!("expected {what}, found {other:?}")),
+            other => self.err(format!("expected {what}, found {other}")),
         }
+    }
+
+    /// An identifier naming a pin, parameter or variable, numbered in the
+    /// model's name table.
+    fn name(&mut self, what: &str) -> Result<Ident<'src>, FasError> {
+        let text = self.ident(what)?;
+        Ok(self.intern(text))
+    }
+
+    fn intern(&mut self, text: &'src str) -> Ident<'src> {
+        let next = self.names.len();
+        let id = *self.names.entry(text).or_insert(next);
+        Ident { text, id }
     }
 
     fn number(&mut self) -> Result<f64, FasError> {
-        let neg = if *self.peek() == Token::Minus {
+        let neg = if self.peek() == Token::Minus {
             self.bump();
             true
         } else {
             false
         };
-        match *self.peek() {
-            Token::Number(v) => {
+        match self.peek() {
+            Token::Number { value, .. } => {
                 self.bump();
-                Ok(if neg { -v } else { v })
+                Ok(if neg { -value } else { value })
             }
             _ => self.err("expected number"),
         }
     }
 
-    fn model(&mut self) -> Result<Model, FasError> {
+    fn model(&mut self) -> Result<Model<'src>, FasError> {
         self.expect_keyword("model")?;
         let name = self.ident("model name")?;
         self.expect_keyword("pin")?;
-        self.expect(&Token::LParen, "'('")?;
-        let mut pins = vec![self.ident("pin name")?];
-        while *self.peek() == Token::Comma {
+        self.expect(Token::LParen, "'('")?;
+        let mut pins = vec![self.name("pin name")?];
+        while self.peek() == Token::Comma {
             self.bump();
-            pins.push(self.ident("pin name")?);
+            pins.push(self.name("pin name")?);
         }
-        self.expect(&Token::RParen, "')'")?;
+        self.expect(Token::RParen, "')'")?;
         let mut params = Vec::new();
         if self.peek().is_ident("param") {
             self.bump();
-            self.expect(&Token::LParen, "'('")?;
+            self.expect(Token::LParen, "'('")?;
             loop {
-                let pname = self.ident("parameter name")?;
-                self.expect(&Token::Eq, "'='")?;
+                let pname = self.name("parameter name")?;
+                self.expect(Token::Eq, "'='")?;
                 let value = self.number()?;
                 params.push((pname, value));
-                if *self.peek() == Token::Comma {
+                if self.peek() == Token::Comma {
                     self.bump();
                 } else {
                     break;
                 }
             }
-            self.expect(&Token::RParen, "')'")?;
+            self.expect(Token::RParen, "')'")?;
         }
         self.expect_keyword("analog")?;
         let body = self.statements(&["endanalog"])?;
         self.expect_keyword("endanalog")?;
         self.expect_keyword("endmodel")?;
-        if *self.peek() != Token::Eof {
+        if self.peek() != Token::Eof {
             return self.err("trailing input after endmodel");
         }
         Ok(Model {
@@ -191,21 +242,22 @@ impl Parser {
             n_dt: self.n_dt,
             n_delayt: self.n_delayt,
             n_idt: self.n_idt,
+            n_names: self.names.len(),
         })
     }
 
     /// Parses statements until one of the stop keywords (not consumed).
-    fn statements(&mut self, stops: &[&str]) -> Result<Vec<Stmt>, FasError> {
+    fn statements(&mut self, stops: &[&str]) -> Result<Vec<Stmt<'src>>, FasError> {
         let mut out = Vec::new();
         loop {
             match self.peek() {
-                Token::Ident(kw) if stops.iter().any(|s| kw == s) => return Ok(out),
-                Token::Ident(kw) if kw == "make" => {
+                Token::Ident(kw) if stops.contains(&kw) => return Ok(out),
+                Token::Ident("make") => {
                     let pos = self.pos();
                     self.bump();
                     out.push(self.make_stmt(pos)?);
                 }
-                Token::Ident(kw) if kw == "if" => {
+                Token::Ident("if") => {
                     let pos = self.pos();
                     out.push(self.nested(|p| {
                         p.bump();
@@ -213,21 +265,21 @@ impl Parser {
                     })?);
                 }
                 Token::Eof => return self.err("unexpected end of file inside analog body"),
-                other => return self.err(format!("expected statement, found {other:?}")),
+                other => return self.err(format!("expected statement, found {other}")),
             }
         }
     }
 
-    fn make_stmt(&mut self, pos: Pos) -> Result<Stmt, FasError> {
+    fn make_stmt(&mut self, pos: Pos) -> Result<Stmt<'src>, FasError> {
         let first = self.ident("variable or access prefix")?;
-        if *self.peek() == Token::Dot {
+        if self.peek() == Token::Dot {
             // make curr.on(pin) = expr
             self.bump();
             self.expect_keyword("on")?;
-            self.expect(&Token::LParen, "'('")?;
-            let pin = self.ident("pin name")?;
-            self.expect(&Token::RParen, "')'")?;
-            self.expect(&Token::Eq, "'='")?;
+            self.expect(Token::LParen, "'('")?;
+            let pin = self.name("pin name")?;
+            self.expect(Token::RParen, "')'")?;
+            self.expect(Token::Eq, "'='")?;
             let (expr, _) = self.expr()?;
             Ok(Stmt::Impose {
                 quantity: first,
@@ -236,20 +288,17 @@ impl Parser {
                 pos,
             })
         } else {
-            self.expect(&Token::Eq, "'='")?;
+            let var = self.intern(first);
+            self.expect(Token::Eq, "'='")?;
             let (expr, _) = self.expr()?;
-            Ok(Stmt::Make {
-                var: first,
-                expr,
-                pos,
-            })
+            Ok(Stmt::Make { var, expr, pos })
         }
     }
 
-    fn if_stmt(&mut self, pos: Pos) -> Result<Stmt, FasError> {
-        self.expect(&Token::LParen, "'('")?;
+    fn if_stmt(&mut self, pos: Pos) -> Result<Stmt<'src>, FasError> {
+        self.expect(Token::LParen, "'('")?;
         let cond = self.condition()?;
-        self.expect(&Token::RParen, "')'")?;
+        self.expect(Token::RParen, "')'")?;
         self.expect_keyword("then")?;
         let then_branch = self.statements(&["else", "endif"])?;
         let else_branch = if self.peek().is_ident("else") {
@@ -267,12 +316,12 @@ impl Parser {
         })
     }
 
-    fn condition(&mut self) -> Result<Cond, FasError> {
+    fn condition(&mut self) -> Result<Cond<'src>, FasError> {
         if self.peek().is_ident("mode") {
             self.bump();
-            self.expect(&Token::Eq, "'='")?;
+            self.expect(Token::Eq, "'='")?;
             let mode = self.ident("'dc' or 'tran'")?;
-            return match mode.as_str() {
+            return match mode {
                 "dc" => Ok(Cond::ModeIs { dc: true }),
                 "tran" => Ok(Cond::ModeIs { dc: false }),
                 other => self.err(format!("unknown mode '{other}'")),
@@ -286,13 +335,13 @@ impl Parser {
             Token::Le => RelOp::Le,
             Token::Gt => RelOp::Gt,
             Token::Ge => RelOp::Ge,
-            other => return self.err(format!("expected comparison operator, found {other:?}")),
+            other => return self.err(format!("expected comparison operator, found {other}")),
         };
         let (rhs, _) = self.expr()?;
         Ok(Cond::Cmp(op, lhs, rhs))
     }
 
-    fn expr(&mut self) -> Result<Sub, FasError> {
+    fn expr(&mut self) -> Result<Sub<'src>, FasError> {
         let (mut lhs, mut h) = self.term()?;
         loop {
             let op = match self.peek() {
@@ -308,7 +357,7 @@ impl Parser {
         }
     }
 
-    fn term(&mut self) -> Result<Sub, FasError> {
+    fn term(&mut self) -> Result<Sub<'src>, FasError> {
         let (mut lhs, mut h) = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -326,7 +375,7 @@ impl Parser {
 
     /// Every recursion into a sub-expression passes through here, so
     /// this is where the nesting depth is counted.
-    fn unary(&mut self) -> Result<Sub, FasError> {
+    fn unary(&mut self) -> Result<Sub<'src>, FasError> {
         self.nested(|p| {
             let pos = p.pos();
             match p.peek() {
@@ -347,17 +396,17 @@ impl Parser {
         })
     }
 
-    fn primary(&mut self) -> Result<Sub, FasError> {
+    fn primary(&mut self) -> Result<Sub<'src>, FasError> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Token::Number(v) => {
+        match self.peek() {
+            Token::Number { value, .. } => {
                 self.bump();
-                Ok((Expr::Num(v), 1))
+                Ok((Expr::Num(value), 1))
             }
             Token::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&Token::RParen, "')'")?;
+                self.expect(Token::RParen, "')'")?;
                 Ok(e)
             }
             Token::Ident(name) => {
@@ -367,11 +416,11 @@ impl Parser {
                         self.bump();
                         let method = self.ident("access method")?;
                         if name == "state" {
-                            self.state_access(&method, pos)
+                            self.state_access(method, pos)
                         } else if method == "value" {
-                            self.expect(&Token::LParen, "'('")?;
-                            let pin = self.ident("pin name")?;
-                            self.expect(&Token::RParen, "')'")?;
+                            self.expect(Token::LParen, "'('")?;
+                            let pin = self.name("pin name")?;
+                            self.expect(Token::RParen, "')'")?;
                             Ok((
                                 Expr::PinValue {
                                     quantity: name,
@@ -387,24 +436,24 @@ impl Parser {
                         self.bump();
                         let (first, mut h) = self.expr()?;
                         let mut args = vec![first];
-                        while *self.peek() == Token::Comma {
+                        while self.peek() == Token::Comma {
                             self.bump();
                             let (arg, ah) = self.expr()?;
                             args.push(arg);
                             h = h.max(ah);
                         }
-                        self.expect(&Token::RParen, "')'")?;
+                        self.expect(Token::RParen, "')'")?;
                         Ok((Expr::Call { func: name, args }, Self::node(h, pos)?))
                     }
-                    _ => Ok((Expr::Var(name), 1)),
+                    _ => Ok((Expr::Var(self.intern(name)), 1)),
                 }
             }
-            other => self.err(format!("expected expression, found {other:?}")),
+            other => self.err(format!("expected expression, found {other}")),
         }
     }
 
-    fn state_access(&mut self, method: &str, pos: Pos) -> Result<Sub, FasError> {
-        self.expect(&Token::LParen, "'('")?;
+    fn state_access(&mut self, method: &str, pos: Pos) -> Result<Sub<'src>, FasError> {
+        self.expect(Token::LParen, "'('")?;
         let (expr, h) = match method {
             "dt" => {
                 let (arg, h) = self.expr()?;
@@ -419,12 +468,12 @@ impl Parser {
                 )
             }
             "delay" => {
-                let var = self.ident("delayed variable")?;
+                let var = self.name("delayed variable")?;
                 (Expr::StateDelay { var }, 0)
             }
             "delayt" => {
-                let var = self.ident("delayed variable")?;
-                self.expect(&Token::Comma, "','")?;
+                let var = self.name("delayed variable")?;
+                self.expect(Token::Comma, "','")?;
                 let (td, h) = self.expr()?;
                 let inst = self.n_delayt;
                 self.n_delayt += 1;
@@ -451,7 +500,7 @@ impl Parser {
             }
             other => return self.err(format!("unknown state access 'state.{other}'")),
         };
-        self.expect(&Token::RParen, "')'")?;
+        self.expect(Token::RParen, "')'")?;
         Ok((expr, Self::node(h, pos)?))
     }
 }
@@ -481,20 +530,24 @@ endmodel
     fn parses_paper_listing() {
         let m = parse(INPUT_STAGE).unwrap();
         assert_eq!(m.name, "input_stage");
-        assert_eq!(m.pins, vec!["in"]);
-        assert_eq!(m.params, vec![("gin".into(), 1e-6), ("cin".into(), 5e-12)]);
+        assert_eq!(m.pins.iter().map(|p| p.text).collect::<Vec<_>>(), ["in"]);
+        let params: Vec<_> = m.params.iter().map(|(p, v)| (p.text, *v)).collect();
+        assert_eq!(params, [("gin", 1e-6), ("cin", 5e-12)]);
+        // One id per distinct name: in, gin, cin, v2, yd4, yout5..yout7.
+        assert_eq!(m.n_names, 8);
         assert_eq!(m.body.len(), 6);
         assert_eq!(m.n_dt, 1);
         match &m.body[0] {
             Stmt::Make { var, expr, .. } => {
-                assert_eq!(var, "v2");
-                assert_eq!(
-                    *expr,
-                    Expr::PinValue {
-                        quantity: "volt".into(),
-                        pin: "in".into()
+                assert_eq!(var.text, "v2");
+                match expr {
+                    Expr::PinValue { quantity, pin } => {
+                        assert_eq!((*quantity, pin.text), ("volt", "in"));
+                        // The pin reference shares the declaration's id.
+                        assert_eq!(pin.id, m.pins[0].id);
                     }
-                );
+                    other => panic!("unexpected {other:?}"),
+                }
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -513,8 +566,8 @@ endmodel
         }
         match m.body.last().unwrap() {
             Stmt::Impose { quantity, pin, .. } => {
-                assert_eq!(quantity, "curr");
-                assert_eq!(pin, "in");
+                assert_eq!(*quantity, "curr");
+                assert_eq!(pin.text, "in");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -552,7 +605,7 @@ endmodel
         match &m.body[0] {
             Stmt::Make { expr, .. } => match expr {
                 Expr::Call { func, args } => {
-                    assert_eq!(func, "limit");
+                    assert_eq!(*func, "limit");
                     assert_eq!(args.len(), 3);
                 }
                 other => panic!("unexpected {other:?}"),
@@ -605,6 +658,57 @@ endmodel
         )
         .is_err());
         assert!(parse("model m pin (a)\nanalog\nmake x = 1\n").is_err());
+    }
+
+    #[test]
+    fn parse_errors_name_the_token_by_its_source_text() {
+        let model = |body: &str| format!("model m pin (a)\nanalog\n{body}\nendmodel\n");
+        let cases = [
+            (
+                model("make x = (1\nendanalog"),
+                (4, 1),
+                "expected ')', found 'endanalog'",
+            ),
+            (
+                model("make x = 1 +\n) endanalog"),
+                (4, 1),
+                "expected expression, found ')'",
+            ),
+            (
+                "model m pin (a".to_string(),
+                (2, 1),
+                "expected ')', found end of input",
+            ),
+            (
+                model("make 2.50 = x\nendanalog"),
+                (3, 6),
+                "expected variable or access prefix, found '2.50'",
+            ),
+        ];
+        for (src, (line, col), want) in cases {
+            match parse(&src) {
+                Err(FasError::Parse { pos, message }) => {
+                    assert_eq!((pos, message.as_str()), (Pos { line, col }, want));
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_lex_error_anywhere_is_the_error() {
+        // Before the parser would fail, after it failed, and after a
+        // complete model: the input does not lex, whatever else is wrong.
+        for (src, line, col) in [
+            ("model m pin (a $", 1, 16),
+            ("model m pim (a)\nmake x = $\n", 2, 10),
+            ("model m pin (a)\nanalog\nendanalog\nendmodel\n$", 5, 1),
+        ] {
+            match parse(src) {
+                Err(FasError::Lex { pos, .. }) => assert_eq!(pos, Pos { line, col }, "{src}"),
+                other => panic!("expected a lex error for {src:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::ast::{BinOp, Cond, Expr, Model, RelOp, Stmt, UnaryOp};
 use std::fmt::Write as _;
 
 /// Operator precedence for minimal parenthesisation.
-fn precedence(e: &Expr) -> u8 {
+fn precedence(e: &Expr<'_>) -> u8 {
     match e {
         Expr::Binary(BinOp::Add | BinOp::Sub, _, _) => 1,
         Expr::Binary(BinOp::Mul | BinOp::Div, _, _) => 2,
@@ -25,10 +25,10 @@ fn fmt_number(v: f64) -> String {
     }
 }
 
-fn print_expr(e: &Expr, out: &mut String) {
+fn print_expr(e: &Expr<'_>, out: &mut String) {
     match e {
         Expr::Num(v) => out.push_str(&fmt_number(*v)),
-        Expr::Var(name) => out.push_str(name),
+        Expr::Var(name) => out.push_str(name.text),
         Expr::PinValue { quantity, pin } => {
             let _ = write!(out, "{quantity}.value({pin})");
         }
@@ -106,7 +106,7 @@ fn print_expr(e: &Expr, out: &mut String) {
     }
 }
 
-fn print_cond(c: &Cond, out: &mut String) {
+fn print_cond(c: &Cond<'_>, out: &mut String) {
     match c {
         Cond::ModeIs { dc } => {
             out.push_str(if *dc { "mode=dc" } else { "mode=tran" });
@@ -127,7 +127,7 @@ fn print_cond(c: &Cond, out: &mut String) {
     }
 }
 
-fn print_stmts(stmts: &[Stmt], out: &mut String) {
+fn print_stmts(stmts: &[Stmt<'_>], out: &mut String) {
     for stmt in stmts {
         match stmt {
             Stmt::Make { var, expr, .. } => {
@@ -166,9 +166,10 @@ fn print_stmts(stmts: &[Stmt], out: &mut String) {
 }
 
 /// Renders the model as canonical FAS source.
-pub fn print_model(m: &Model) -> String {
+pub fn print_model(m: &Model<'_>) -> String {
     let mut out = String::new();
-    let _ = write!(out, "model {} pin ({})", m.name, m.pins.join(", "));
+    let pins: Vec<&str> = m.pins.iter().map(|p| p.text).collect();
+    let _ = write!(out, "model {} pin ({})", m.name, pins.join(", "));
     if !m.params.is_empty() {
         let params: Vec<String> = m
             .params

@@ -11,6 +11,7 @@ use gabm_fas::machine::FasRuntime;
 use gabm_fas::FasError;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One bytecode instruction.
 ///
@@ -143,12 +144,13 @@ pub enum Op {
 
 /// A compiled FAS bytecode program: the VM equivalent of
 /// [`gabm_fas::CompiledModel`]. Immutable; instantiate per device with
-/// [`Program::instantiate`].
+/// [`Program::instantiate`]. Clones and instances share the code and the
+/// model's signature.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    pub(crate) sig: Signature,
-    pub(crate) consts: Vec<f64>,
-    pub(crate) ops: Vec<Op>,
+    pub(crate) sig: Arc<Signature>,
+    pub(crate) consts: Arc<[f64]>,
+    pub(crate) ops: Arc<[Op]>,
     pub(crate) n_regs: usize,
 }
 

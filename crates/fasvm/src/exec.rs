@@ -27,13 +27,13 @@ impl Body for Program {
     }
 
     fn run<L: Lane>(&self, p: &mut Pass<'_, L>) {
-        let ops = &self.ops;
+        let (ops, consts): (&[Op], &[f64]) = (&self.ops, &self.consts);
         let mut pc = 0usize;
         while pc < ops.len() {
             let op = ops[pc];
             pc += 1;
             let (dst, v) = match op {
-                Op::Const { dst, k } => (dst, L::constant(self.consts[k as usize])),
+                Op::Const { dst, k } => (dst, L::constant(consts[k as usize])),
                 Op::LoadPin { dst, pin } => (dst, p.pin(pin as usize)),
                 Op::LoadParam { dst, p: i } => (dst, p.param(i as usize)),
                 Op::LoadScratch { dst, var } => (dst, p.var(var as usize)),

@@ -9,15 +9,18 @@
 //! Two mechanisms keep the instruction stream short:
 //!
 //! - **Variable forwarding** — variable reads forward through a scoped
-//!   map (var → operand of its last store) so chains of `make`
-//!   statements never round-trip through the scratch array; the map
-//!   joins by intersection at branch merges, which guarantees every
-//!   forwarded register is defined on all paths.
+//!   per-variable table (the operand of its last store) so chains of
+//!   `make` statements never round-trip through the scratch array; the
+//!   table joins by intersection at branch merges, which guarantees
+//!   every forwarded register is defined on all paths.
 //! - **Leaf-load sharing** — repeated reads of the same pin, parameter,
 //!   literal or time quantity share one register within a scope.
+//!
+//! Both caches are dense tables indexed by the model's variable, pin and
+//! parameter numbers; only literals are looked up by value.
 
 use gabm_fas::ast::{BinOp, RelOp};
-use gabm_fas::compile::{CCond, CExpr, CStmt, CompiledModel, Func1, Func2};
+use gabm_fas::compile::{CCond, CExpr, CStmt, CompiledModel, ExprId, Func1, Func2};
 use std::collections::HashMap;
 
 /// Virtual register: one per value definition (SSA-ish — nothing is
@@ -145,7 +148,7 @@ impl PartialEq for Operand {
 
 /// Pass-invariant leaf loads, cached per scope so repeated reads of the
 /// same pin/param/constant share one register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum LeafKey {
     Const(u64),
     Pin(usize),
@@ -156,42 +159,113 @@ enum LeafKey {
     TimeStep,
 }
 
+/// The scoped cache of materialised leaf loads: one slot per pin,
+/// parameter, committed variable and time quantity, and a map for
+/// literals. `log` lists the keys in insertion order, so leaving a
+/// branch undoes its entries instead of restoring a copy.
+struct Leaves {
+    pin: Vec<Option<VReg>>,
+    param: Vec<Option<VReg>>,
+    committed: Vec<Option<VReg>>,
+    clock: [Option<VReg>; 3],
+    consts: HashMap<u64, VReg>,
+    log: Vec<LeafKey>,
+}
+
+impl Leaves {
+    fn get(&self, key: LeafKey) -> Option<VReg> {
+        match key {
+            LeafKey::Const(bits) => self.consts.get(&bits).copied(),
+            LeafKey::Pin(i) => self.pin[i],
+            LeafKey::Param(i) => self.param[i],
+            LeafKey::Committed(i) => self.committed[i],
+            LeafKey::Time => self.clock[0],
+            LeafKey::Temp => self.clock[1],
+            LeafKey::TimeStep => self.clock[2],
+        }
+    }
+
+    fn set(&mut self, key: LeafKey, reg: Option<VReg>) {
+        let slot = match key {
+            LeafKey::Const(bits) => {
+                match reg {
+                    Some(r) => self.consts.insert(bits, r),
+                    None => self.consts.remove(&bits),
+                };
+                return;
+            }
+            LeafKey::Pin(i) => &mut self.pin[i],
+            LeafKey::Param(i) => &mut self.param[i],
+            LeafKey::Committed(i) => &mut self.committed[i],
+            LeafKey::Time => &mut self.clock[0],
+            LeafKey::Temp => &mut self.clock[1],
+            LeafKey::TimeStep => &mut self.clock[2],
+        };
+        *slot = reg;
+    }
+
+    fn insert(&mut self, key: LeafKey, reg: VReg) {
+        self.set(key, Some(reg));
+        self.log.push(key);
+    }
+
+    /// Forgets every entry made since the log was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        while self.log.len() > mark {
+            if let Some(key) = self.log.pop() {
+                self.set(key, None);
+            }
+        }
+    }
+}
+
 pub(crate) struct Lowered {
     pub insts: Vec<VInst>,
     pub n_vregs: usize,
+    pub n_labels: usize,
 }
 
-struct Lower {
+struct Lower<'m> {
+    /// The model's expression nodes.
+    exprs: &'m [CExpr],
     out: Vec<VInst>,
     next_vreg: VReg,
     next_label: Label,
-    /// var index → operand of its most recent store on every path here.
-    fwd: HashMap<usize, Operand>,
-    /// Scoped cache of materialised leaf loads.
-    leaf: HashMap<LeafKey, VReg>,
+    /// Per variable: the operand of its most recent store on every path
+    /// here, if there is one.
+    fwd: Vec<Option<Operand>>,
+    leaf: Leaves,
 }
 
 pub(crate) fn lower(model: &CompiledModel) -> Lowered {
+    let sig = model.signature();
+    let body = model.body();
     let mut lo = Lower {
+        exprs: &body.exprs,
         out: Vec::new(),
         next_vreg: 0,
         next_label: 0,
-        fwd: HashMap::new(),
-        leaf: HashMap::new(),
+        // Scratch variables start each pass at 0.0, so an un-assigned
+        // read is the constant zero.
+        fwd: vec![Some(Operand::Const(0.0)); sig.var_names.len()],
+        leaf: Leaves {
+            pin: vec![None; sig.pins.len()],
+            param: vec![None; sig.params.len()],
+            committed: vec![None; sig.var_names.len()],
+            clock: [None; 3],
+            consts: HashMap::new(),
+            log: Vec::new(),
+        },
     };
-    // Scratch variables start each pass at 0.0, so an un-assigned read
-    // is the constant zero.
-    for v in 0..model.var_names().len() {
-        lo.fwd.insert(v, Operand::Const(0.0));
-    }
-    lo.block(model.body());
+    lo.block(&body.stmts);
     Lowered {
         insts: lo.out,
         n_vregs: lo.next_vreg as usize,
+        n_labels: lo.next_label as usize,
     }
 }
 
-impl Lower {
+impl Lower<'_> {
     fn fresh(&mut self) -> VReg {
         let r = self.next_vreg;
         self.next_vreg += 1;
@@ -215,7 +289,7 @@ impl Lower {
     }
 
     fn leaf_load(&mut self, key: LeafKey, make: impl FnOnce(VReg) -> VInst) -> VReg {
-        if let Some(&r) = self.leaf.get(&key) {
+        if let Some(r) = self.leaf.get(key) {
             return r;
         }
         let dst = self.def(make);
@@ -227,13 +301,13 @@ impl Lower {
         for stmt in stmts {
             match stmt {
                 CStmt::Set(var, expr) => {
-                    let op = self.expr(expr);
+                    let op = self.expr(*expr);
                     let src = self.reg(op);
                     self.out.push(VInst::StoreVar { var: *var, src });
-                    self.fwd.insert(*var, op);
+                    self.fwd[*var] = Some(op);
                 }
                 CStmt::Impose(pin, expr) => {
-                    let op = self.expr(expr);
+                    let op = self.expr(*expr);
                     let src = self.reg(op);
                     self.out.push(VInst::Impose { pin: *pin, src });
                 }
@@ -247,16 +321,13 @@ impl Lower {
     /// (identical ⇒ defined before the branch, or the same literal).
     fn if_stmt(&mut self, cond: &CCond, then_b: &[CStmt], else_b: &[CStmt]) {
         let els = self.label();
-        let jump = match cond {
-            CCond::ModeIs(dc) => VInst::JumpIfModeNot {
-                dc: *dc,
-                target: els,
-            },
+        let jump = match *cond {
+            CCond::ModeIs(dc) => VInst::JumpIfModeNot { dc, target: els },
             CCond::Cmp(op, a, b) => {
                 let ao = self.expr(a);
                 let bo = self.expr(b);
                 VInst::JumpIfNot {
-                    op: *op,
+                    op,
                     a: self.reg(ao),
                     b: self.reg(bo),
                     target: els,
@@ -264,11 +335,11 @@ impl Lower {
             }
         };
         self.out.push(jump);
-        let leaf_entry = self.leaf.clone();
+        let leaf_entry = self.leaf.log.len();
         let fwd_entry = self.fwd.clone();
         self.block(then_b);
-        let then_map = std::mem::replace(&mut self.fwd, fwd_entry);
-        self.leaf = leaf_entry.clone();
+        let then_fwd = std::mem::replace(&mut self.fwd, fwd_entry);
+        self.leaf.undo(leaf_entry);
         // Without an else arm, the untaken path jumps straight to `els`.
         let end = (!else_b.is_empty()).then(|| {
             let end = self.label();
@@ -278,58 +349,51 @@ impl Lower {
         self.out.push(VInst::Label(els));
         self.block(else_b);
         self.out.extend(end.map(VInst::Label));
-        self.leaf = leaf_entry;
-        let else_map = std::mem::take(&mut self.fwd);
-        join_fwd(&mut self.fwd, &then_map, &else_map);
+        self.leaf.undo(leaf_entry);
+        // Join: keep a binding only when both paths carry the identical
+        // operand. Register identity across arms implies the register was
+        // defined before the branch (arm-local definitions are fresh and
+        // disjoint), so dominance holds by construction.
+        for (var, then_op) in self.fwd.iter_mut().zip(&then_fwd) {
+            if var != then_op {
+                *var = None;
+            }
+        }
     }
 
-    fn expr(&mut self, e: &CExpr) -> Operand {
-        let dst = match e {
-            CExpr::Num(v) => return Operand::Const(*v),
-            CExpr::Var(i) => match self.fwd.get(i) {
-                Some(&op) => return op,
+    fn expr(&mut self, e: ExprId) -> Operand {
+        let dst = match self.exprs[e] {
+            CExpr::Num(v) => return Operand::Const(v),
+            CExpr::Var(var) => match self.fwd[var] {
+                Some(op) => return op,
                 // Scratch-variable reads are invalidated by stores, so
                 // they never enter the leaf cache.
-                None => {
-                    let var = *i;
-                    self.def(|dst| VInst::LoadScratch { dst, var })
-                }
+                None => self.def(|dst| VInst::LoadScratch { dst, var }),
             },
-            CExpr::Param(i) => {
-                let p = *i;
-                self.leaf_load(LeafKey::Param(p), |dst| VInst::LoadParam { dst, p })
-            }
-            CExpr::PinValue(i) => {
-                let pin = *i;
+            CExpr::Param(p) => self.leaf_load(LeafKey::Param(p), |dst| VInst::LoadParam { dst, p }),
+            CExpr::PinValue(pin) => {
                 self.leaf_load(LeafKey::Pin(pin), |dst| VInst::LoadPin { dst, pin })
             }
             CExpr::Time => self.leaf_load(LeafKey::Time, |dst| VInst::LoadTime { dst }),
             CExpr::Temp => self.leaf_load(LeafKey::Temp, |dst| VInst::LoadTemp { dst }),
             CExpr::TimeStep => self.leaf_load(LeafKey::TimeStep, |dst| VInst::LoadTimeStep { dst }),
-            CExpr::Delay { var } => {
-                let var = *var;
-                self.leaf_load(LeafKey::Committed(var), |dst| VInst::LoadCommitted {
-                    dst,
-                    var,
-                })
-            }
+            CExpr::Delay { var } => self.leaf_load(LeafKey::Committed(var), |dst| {
+                VInst::LoadCommitted { dst, var }
+            }),
             CExpr::Neg(a) => {
                 let [a] = self.operands([a]);
                 self.def(|dst| VInst::Neg { dst, a })
             }
             CExpr::Bin(op, a, b) => {
                 let [a, b] = self.operands([a, b]);
-                let op = *op;
                 self.def(|dst| VInst::Bin { dst, op, a, b })
             }
             CExpr::Call1(f, a) => {
                 let [a] = self.operands([a]);
-                let f = *f;
                 self.def(|dst| VInst::Call1 { dst, f, a })
             }
             CExpr::Call2(f, a, b) => {
                 let [a, b] = self.operands([a, b]);
-                let f = *f;
                 self.def(|dst| VInst::Call2 { dst, f, a, b })
             }
             CExpr::Limit(x, lo, hi) => {
@@ -338,17 +402,14 @@ impl Lower {
             }
             CExpr::Dt { inst, arg } => {
                 let [a] = self.operands([arg]);
-                let inst = *inst;
                 self.def(|dst| VInst::Dt { dst, inst, a })
             }
             CExpr::DelayT { inst, var, td } => {
                 let [td] = self.operands([td]);
-                let (inst, var) = (*inst, *var);
                 self.def(|dst| VInst::DelayT { dst, inst, var, td })
             }
             CExpr::Idt { inst, arg } => {
                 let [a] = self.operands([arg]);
-                let inst = *inst;
                 self.def(|dst| VInst::Idt { dst, inst, a })
             }
         };
@@ -357,7 +418,7 @@ impl Lower {
 
     /// Lowers sub-expressions left to right, then loads the literals
     /// among them, so literal loads follow the operands' code.
-    fn operands<const N: usize>(&mut self, es: [&CExpr; N]) -> [VReg; N] {
+    fn operands<const N: usize>(&mut self, es: [ExprId; N]) -> [VReg; N] {
         let mut ops = [Operand::Const(0.0); N];
         for (op, e) in ops.iter_mut().zip(es) {
             *op = self.expr(e);
@@ -370,24 +431,5 @@ impl Lower {
         let dst = self.fresh();
         self.out.push(make(dst));
         dst
-    }
-}
-
-/// Join rule at a branch merge: keep a binding only when both paths
-/// carry the identical operand. Register identity across arms implies
-/// the register was defined before the branch (arm-local definitions
-/// are fresh and disjoint), so dominance holds by construction.
-fn join_fwd(
-    out: &mut HashMap<usize, Operand>,
-    then_map: &HashMap<usize, Operand>,
-    else_map: &HashMap<usize, Operand>,
-) {
-    out.clear();
-    for (var, t) in then_map {
-        if let Some(e) = else_map.get(var) {
-            if t == e {
-                out.insert(*var, *t);
-            }
-        }
     }
 }

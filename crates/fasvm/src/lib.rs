@@ -55,6 +55,7 @@ pub use exec::FasVm;
 use gabm_fas::compile::CompiledModel;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytecode-compilation failure. These are capacity errors, not model
 /// errors — any model the front end accepts is semantically lowerable,
@@ -103,7 +104,11 @@ impl std::error::Error for VmError {}
 /// [`VmError`] on encoding-capacity overflow; see its docs.
 pub fn compile_program(model: &CompiledModel) -> Result<Program, VmError> {
     let _span = gabm_trace::span_with("fasvm.compile", "model", || model.name().to_string());
-    let ir::Lowered { insts, n_vregs } = {
+    let ir::Lowered {
+        insts,
+        n_vregs,
+        n_labels,
+    } = {
         let _p = gabm_trace::span("fasvm.lower");
         ir::lower(model)
     };
@@ -113,12 +118,12 @@ pub fn compile_program(model: &CompiledModel) -> Result<Program, VmError> {
     };
     let (ops, consts) = {
         let _p = gabm_trace::span("fasvm.emit");
-        emit(&insts, &assign, model)?
+        emit(&insts, n_labels, &assign, model)?
     };
     Ok(Program {
-        sig: model.signature().clone(),
-        consts,
-        ops,
+        sig: Arc::clone(model.signature()),
+        consts: consts.into(),
+        ops: ops.into(),
         n_regs,
     })
 }
@@ -132,24 +137,26 @@ fn narrow<T: TryFrom<usize>>(v: usize, what: &'static str) -> Result<T, VmError>
 /// every index to its encoded width.
 fn emit(
     insts: &[ir::VInst],
+    n_labels: usize,
     assign: &[u8],
     model: &CompiledModel,
 ) -> Result<(Vec<Op>, Vec<f64>), VmError> {
     use ir::VInst as V;
     // Label positions: the index of the next real instruction.
-    let mut label_pc: HashMap<ir::Label, usize> = HashMap::new();
+    let mut label_pc = vec![0usize; n_labels];
     let mut pc = 0usize;
     for inst in insts {
         if let V::Label(l) = inst {
-            label_pc.insert(*l, pc);
+            label_pc[*l as usize] = pc;
         } else {
             pc += 1;
         }
     }
+    let sig = model.signature();
     narrow::<u16>(pc, "instruction")?;
-    narrow::<u8>(model.pins().len(), "pin")?;
-    narrow::<u16>(model.var_names().len(), "variable")?;
-    narrow::<u16>(model.params().len(), "parameter")?;
+    narrow::<u8>(sig.pins.len(), "pin")?;
+    narrow::<u16>(sig.var_names.len(), "variable")?;
+    narrow::<u16>(sig.params.len(), "parameter")?;
 
     let mut consts: Vec<f64> = Vec::new();
     let mut const_idx: HashMap<u64, u16> = HashMap::new();
@@ -163,7 +170,7 @@ fn emit(
         Ok(k)
     };
     let r = |v: ir::VReg| assign[v as usize];
-    let target = |l: ir::Label| label_pc[&l] as u16;
+    let target = |l: ir::Label| label_pc[l as usize] as u16;
 
     let mut ops = Vec::with_capacity(pc);
     for inst in insts {

@@ -12,7 +12,7 @@ use gabm_fas::Pos;
 use std::collections::HashSet;
 
 /// One FAS-level analysis pass.
-pub type FasPass = fn(&Model, &mut Vec<Diagnostic>);
+pub type FasPass = fn(&Model<'_>, &mut Vec<Diagnostic>);
 
 /// All FAS-level passes in execution order, with stable names.
 pub const FAS_PASSES: &[(&str, FasPass)] = &[
@@ -23,7 +23,7 @@ pub const FAS_PASSES: &[(&str, FasPass)] = &[
 ];
 
 /// Runs every FAS pass on `model` and returns the findings.
-pub fn lint_fas(model: &Model) -> Vec<Diagnostic> {
+pub fn lint_fas(model: &Model<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (_, pass) in FAS_PASSES {
         pass(model, &mut diags);
@@ -44,10 +44,10 @@ const BUILTINS: &[&str] = &["time", "temp", "timestep"];
 /// Collects variable names read by `expr`. References inside
 /// `state.delay`/`state.delayt` look at the previous time point, so they
 /// are legal forward references and are skipped.
-fn expr_reads<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
+fn expr_reads<'a>(expr: &Expr<'a>, out: &mut Vec<&'a str>) {
     match expr {
         Expr::Num(_) | Expr::PinValue { .. } | Expr::StateDelay { .. } => {}
-        Expr::Var(name) => out.push(name),
+        Expr::Var(name) => out.push(name.text),
         Expr::Unary(_, e) | Expr::StateDt { arg: e, .. } | Expr::StateIdt { arg: e, .. } => {
             expr_reads(e, out)
         }
@@ -66,15 +66,15 @@ fn expr_reads<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
 
 /// Like [`expr_reads`] but including the delayed variable itself — used by
 /// the liveness pass, where a delayed read still keeps its variable alive.
-fn expr_reads_with_delays<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
+fn expr_reads_with_delays<'a>(expr: &Expr<'a>, out: &mut Vec<&'a str>) {
     match expr {
-        Expr::StateDelay { var } => out.push(var),
+        Expr::StateDelay { var } => out.push(var.text),
         Expr::StateDelayT { var, td, .. } => {
-            out.push(var);
+            out.push(var.text);
             expr_reads_with_delays(td, out);
         }
         Expr::Num(_) | Expr::PinValue { .. } => {}
-        Expr::Var(name) => out.push(name),
+        Expr::Var(name) => out.push(name.text),
         Expr::Unary(_, e) | Expr::StateDt { arg: e, .. } | Expr::StateIdt { arg: e, .. } => {
             expr_reads_with_delays(e, out)
         }
@@ -91,11 +91,11 @@ fn expr_reads_with_delays<'a>(expr: &'a Expr, out: &mut Vec<&'a str>) {
 }
 
 /// All `make var` targets in a statement list, recursively.
-fn collect_targets<'a>(stmts: &'a [Stmt], out: &mut HashSet<&'a str>) {
+fn collect_targets<'a>(stmts: &[Stmt<'a>], out: &mut HashSet<&'a str>) {
     for stmt in stmts {
         match stmt {
             Stmt::Make { var, .. } => {
-                out.insert(var);
+                out.insert(var.text);
             }
             Stmt::Impose { .. } => {}
             Stmt::If {
@@ -114,21 +114,21 @@ fn collect_targets<'a>(stmts: &'a [Stmt], out: &mut HashSet<&'a str>) {
 /// assigns it. Mirrors the compiler's ordering rule: after an `if`, only
 /// variables assigned on *both* branches count as defined (§4.1's
 /// execution-order requirement applied to textual models).
-fn check_use_before_def(model: &Model, diags: &mut Vec<Diagnostic>) {
-    let params: HashSet<&str> = model.params.iter().map(|(p, _)| p.as_str()).collect();
+fn check_use_before_def(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    let params: HashSet<&str> = model.params.iter().map(|(p, _)| p.text).collect();
     let mut targets = HashSet::new();
     collect_targets(&model.body, &mut targets);
     let mut defined: HashSet<&str> = HashSet::new();
 
     fn walk<'a>(
-        stmts: &'a [Stmt],
+        stmts: &[Stmt<'a>],
         params: &HashSet<&str>,
         targets: &HashSet<&str>,
         defined: &mut HashSet<&'a str>,
         diags: &mut Vec<Diagnostic>,
     ) {
         let check =
-            |expr: &Expr, pos: Pos, defined: &HashSet<&str>, diags: &mut Vec<Diagnostic>| {
+            |expr: &Expr<'_>, pos: Pos, defined: &HashSet<&str>, diags: &mut Vec<Diagnostic>| {
                 let mut reads = Vec::new();
                 expr_reads(expr, &mut reads);
                 for name in reads {
@@ -150,7 +150,7 @@ fn check_use_before_def(model: &Model, diags: &mut Vec<Diagnostic>) {
             match stmt {
                 Stmt::Make { var, expr, pos } => {
                     check(expr, *pos, defined, diags);
-                    defined.insert(var);
+                    defined.insert(var.text);
                 }
                 Stmt::Impose { expr, pos, .. } => check(expr, *pos, defined, diags),
                 Stmt::If {
@@ -180,9 +180,9 @@ fn check_use_before_def(model: &Model, diags: &mut Vec<Diagnostic>) {
 /// GABM031 — a `make` target no expression ever reads (including through
 /// `state.delay`). The assignment costs evaluation time every step and
 /// suggests a misspelt reference elsewhere.
-fn check_unused_variables(model: &Model, diags: &mut Vec<Diagnostic>) {
+fn check_unused_variables(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
     let mut used: HashSet<&str> = HashSet::new();
-    fn gather<'a>(stmts: &'a [Stmt], used: &mut HashSet<&'a str>) {
+    fn gather<'a>(stmts: &[Stmt<'a>], used: &mut HashSet<&'a str>) {
         for stmt in stmts {
             match stmt {
                 Stmt::Make { expr, .. } | Stmt::Impose { expr, .. } => {
@@ -210,16 +210,16 @@ fn check_unused_variables(model: &Model, diags: &mut Vec<Diagnostic>) {
     }
     gather(&model.body, &mut used);
 
-    fn report(
-        stmts: &[Stmt],
+    fn report<'a>(
+        stmts: &[Stmt<'a>],
         used: &HashSet<&str>,
-        seen: &mut HashSet<String>,
+        seen: &mut HashSet<&'a str>,
         diags: &mut Vec<Diagnostic>,
     ) {
         for stmt in stmts {
             match stmt {
                 Stmt::Make { var, pos, .. } => {
-                    if !used.contains(var.as_str()) && seen.insert(var.clone()) {
+                    if !used.contains(var.text) && seen.insert(var.text) {
                         diags.push(Diagnostic::new(
                             Code::FasUnusedVariable,
                             format!("variable '{var}' is assigned but never used"),
@@ -245,7 +245,7 @@ fn check_unused_variables(model: &Model, diags: &mut Vec<Diagnostic>) {
 
 /// Constant value of an expression, when it folds without any variable,
 /// pin, or state access.
-fn const_value(expr: &Expr) -> Option<f64> {
+fn const_value(expr: &Expr<'_>) -> Option<f64> {
     match expr {
         Expr::Num(v) => Some(*v),
         Expr::Unary(UnaryOp::Neg, e) => Some(-const_value(e)?),
@@ -269,8 +269,8 @@ fn const_value(expr: &Expr) -> Option<f64> {
 
 /// GABM032 — an `if` whose comparison folds to a constant always takes the
 /// same branch; the other branch is dead text.
-fn check_dead_branches(model: &Model, diags: &mut Vec<Diagnostic>) {
-    fn walk(stmts: &[Stmt], diags: &mut Vec<Diagnostic>) {
+fn check_dead_branches(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    fn walk(stmts: &[Stmt<'_>], diags: &mut Vec<Diagnostic>) {
         for stmt in stmts {
             if let Stmt::If {
                 cond,
@@ -308,8 +308,8 @@ fn check_dead_branches(model: &Model, diags: &mut Vec<Diagnostic>) {
 /// GABM033/034/035 — arithmetic that is guaranteed to fail: division by a
 /// constant zero, intrinsic calls with constant out-of-domain arguments,
 /// and `limit` bounds that form an empty interval.
-fn check_const_arithmetic(model: &Model, diags: &mut Vec<Diagnostic>) {
-    fn walk_expr(expr: &Expr, pos: Pos, diags: &mut Vec<Diagnostic>) {
+fn check_const_arithmetic(model: &Model<'_>, diags: &mut Vec<Diagnostic>) {
+    fn walk_expr(expr: &Expr<'_>, pos: Pos, diags: &mut Vec<Diagnostic>) {
         match expr {
             Expr::Binary(op, a, b) => {
                 if *op == BinOp::Div && const_value(b) == Some(0.0) {
@@ -327,7 +327,7 @@ fn check_const_arithmetic(model: &Model, diags: &mut Vec<Diagnostic>) {
             }
             Expr::StateDelayT { td, .. } => walk_expr(td, pos, diags),
             Expr::Call { func, args } => {
-                match (func.as_str(), args.len()) {
+                match (*func, args.len()) {
                     ("sqrt", 1) if const_value(&args[0]).is_some_and(|v| v < 0.0) => {
                         diags.push(Diagnostic::new(
                             Code::FasDomainError,
@@ -363,7 +363,7 @@ fn check_const_arithmetic(model: &Model, diags: &mut Vec<Diagnostic>) {
             Expr::Num(_) | Expr::Var(_) | Expr::PinValue { .. } | Expr::StateDelay { .. } => {}
         }
     }
-    fn walk(stmts: &[Stmt], diags: &mut Vec<Diagnostic>) {
+    fn walk(stmts: &[Stmt<'_>], diags: &mut Vec<Diagnostic>) {
         for stmt in stmts {
             match stmt {
                 Stmt::Make { expr, pos, .. } | Stmt::Impose { expr, pos, .. } => {
@@ -393,21 +393,21 @@ mod tests {
     use super::*;
     use gabm_fas::parse;
 
-    fn model(body: &str) -> Model {
+    /// Findings of every pass on a model with the given body.
+    fn lint(body: &str) -> Vec<Diagnostic> {
         let text = format!("model t pin(a, b) param(g=1.0) analog\n{body}\nendanalog endmodel\n");
-        parse(&text).unwrap()
+        lint_fas(&parse(&text).unwrap())
     }
 
     #[test]
     fn clean_model_lints_clean() {
-        let m = model("make x = g * volt.value(a)\nmake curr.on(b) = x");
-        assert!(lint_fas(&m).is_empty());
+        let d = lint("make x = g * volt.value(a)\nmake curr.on(b) = x");
+        assert!(d.is_empty());
     }
 
     #[test]
     fn use_before_def_detected_with_position() {
-        let m = model("make x = y\nmake y = g\nmake curr.on(b) = x + y");
-        let d = lint_fas(&m);
+        let d = lint("make x = y\nmake y = g\nmake curr.on(b) = x + y");
         let ubd: Vec<_> = d
             .iter()
             .filter(|d| d.code == Code::FasUseBeforeDef)
@@ -419,8 +419,7 @@ mod tests {
 
     #[test]
     fn state_delay_forward_reference_is_legal() {
-        let m = model("make x = state.delay(y)\nmake y = g\nmake curr.on(b) = x + y");
-        let d = lint_fas(&m);
+        let d = lint("make x = state.delay(y)\nmake y = g\nmake curr.on(b) = x + y");
         assert!(!d.iter().any(|d| d.code == Code::FasUseBeforeDef), "{d:?}");
         assert!(
             !d.iter().any(|d| d.code == Code::FasUnusedVariable),
@@ -430,22 +429,19 @@ mod tests {
 
     #[test]
     fn branch_only_definition_not_definite() {
-        let m = model("if (g > 0) then\nmake x = g\nendif\nmake curr.on(b) = x");
-        let d = lint_fas(&m);
+        let d = lint("if (g > 0) then\nmake x = g\nendif\nmake curr.on(b) = x");
         assert!(d.iter().any(|d| d.code == Code::FasUseBeforeDef), "{d:?}");
     }
 
     #[test]
     fn both_branch_definition_is_definite() {
-        let m = model("if (g > 0) then\nmake x = g\nelse\nmake x = -g\nendif\nmake curr.on(b) = x");
-        let d = lint_fas(&m);
+        let d = lint("if (g > 0) then\nmake x = g\nelse\nmake x = -g\nendif\nmake curr.on(b) = x");
         assert!(!d.iter().any(|d| d.code == Code::FasUseBeforeDef), "{d:?}");
     }
 
     #[test]
     fn unused_variable_detected() {
-        let m = model("make x = g\nmake unused = g + 1\nmake curr.on(b) = x");
-        let d = lint_fas(&m);
+        let d = lint("make x = g\nmake unused = g + 1\nmake curr.on(b) = x");
         let unused: Vec<_> = d
             .iter()
             .filter(|d| d.code == Code::FasUnusedVariable)
@@ -456,8 +452,7 @@ mod tests {
 
     #[test]
     fn dead_branch_detected() {
-        let m = model("make x = g\nif (1 > 2) then\nmake x = 0\nendif\nmake curr.on(b) = x");
-        let d = lint_fas(&m);
+        let d = lint("make x = g\nif (1 > 2) then\nmake x = 0\nendif\nmake curr.on(b) = x");
         let dead: Vec<_> = d.iter().filter(|d| d.code == Code::FasDeadBranch).collect();
         assert_eq!(dead.len(), 1);
         assert!(dead[0].message.contains("always false"));
@@ -465,10 +460,9 @@ mod tests {
 
     #[test]
     fn const_arithmetic_detected() {
-        let m = model(
+        let d = lint(
             "make va = g / (2 - 2)\nmake vb = sqrt(-1)\nmake vc = limit(g, 5, 1)\nmake curr.on(b) = va + vb + vc",
         );
-        let d = lint_fas(&m);
         assert!(d.iter().any(|d| d.code == Code::FasDivisionByZero), "{d:?}");
         assert!(d.iter().any(|d| d.code == Code::FasDomainError), "{d:?}");
         assert!(

@@ -73,7 +73,7 @@ fn line_starts(src: &str) -> Vec<usize> {
 /// Context shared by the per-diagnostic FAS fix builders.
 struct FasSpans<'a> {
     src: &'a str,
-    tokens: Vec<Spanned>,
+    tokens: Vec<Spanned<'a>>,
     starts: Vec<usize>,
 }
 
@@ -116,7 +116,7 @@ impl<'a> FasSpans<'a> {
     fn next_boundary(&self, from: usize) -> usize {
         (from..self.tokens.len())
             .find(|&i| match &self.tokens[i].token {
-                Token::Ident(s) => BOUNDARY_KEYWORDS.contains(&s.as_str()),
+                Token::Ident(s) => BOUNDARY_KEYWORDS.contains(s),
                 Token::Eof => true,
                 _ => false,
             })
@@ -149,7 +149,7 @@ impl<'a> FasSpans<'a> {
             let Token::Ident(s) = &self.tokens[i].token else {
                 continue;
             };
-            match s.as_str() {
+            match *s {
                 "if" => depth += 1,
                 "then" if depth == 0 && then_idx.is_none() => then_idx = Some(i),
                 "else" if depth == 0 => else_idx = Some(i),
@@ -262,7 +262,7 @@ fn degenerate_limit_fix(spans: &FasSpans<'_>, start: usize) -> Option<Fix> {
     let mut calls = Vec::new();
     for i in start..boundary.saturating_sub(1) {
         if let Token::Ident(s) = &spans.tokens[i].token {
-            if s == "limit" && matches!(spans.tokens[i + 1].token, Token::LParen) {
+            if *s == "limit" && matches!(spans.tokens[i + 1].token, Token::LParen) {
                 calls.push(i);
             }
         }

@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 
 /// Wraps a compiled FAS model (plus parameter overrides) as a [`Dut`].
 /// The model is compiled to bytecode once, here; every rig circuit gets
-/// a fresh instance of it.
+/// a fresh instance of it, which shares the code and allocates only its
+/// own state.
 ///
 /// # Errors
 ///
@@ -20,18 +21,16 @@ pub fn fas_dut(
     model: CompiledModel,
     overrides: BTreeMap<String, f64>,
 ) -> Result<impl Dut, ModelError> {
-    let pins: Vec<String> = model.pins().iter().map(|p| p.to_string()).collect();
-    let pin_refs: Vec<&str> = pins.iter().map(String::as_str).collect();
-    let executable = Executable::new(model);
     // Validate the overrides up front.
-    executable.instantiate(&overrides)?;
+    model.signature().param_values(&overrides)?;
+    let executable = Executable::new(model.clone());
     let build = move |ckt: &mut Circuit, name: &str, nodes: &[NodeId]| -> Result<(), SimError> {
         let instance = executable
             .instantiate(&overrides)
             .expect("overrides validated at construction");
         ckt.add_behavioral(name, nodes, instance)
     };
-    Ok(FnDut::new(&pin_refs, build))
+    Ok(FnDut::new(&model.pins(), build))
 }
 
 /// Wraps the transistor-level comparator as a [`Dut`].

@@ -127,7 +127,7 @@ case "$(cat "$BENCH_DIR/BENCH_traceov.json")" in
     *'"overhead_disabled_pct"'*) ;;
     *) echo "FAIL: BENCH_traceov.json missing overhead_disabled_pct" >&2; exit 1 ;;
 esac
-check_counters BENCH_traceov.json accepted_steps rejected_steps probes_per_run
+check_counters BENCH_traceov.json accepted_steps rejected_steps probes_per_run traced_spans
 trace_report=$("$GABM" trace "$BENCH_DIR/TRACE_traceov.json") || {
     echo "FAIL: gabm trace rejected TRACE_traceov.json" >&2
     exit 1

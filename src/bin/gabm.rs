@@ -88,6 +88,25 @@ what it contains: event counts, threads and the top-level spans. Exits
 2 if the file does not parse or is not a trace-event object.
 ";
 
+/// A failed command. Both kinds exit with status 2, but only a malformed
+/// command line is followed by the command's usage.
+enum Failure {
+    /// Bad arguments: an unknown flag or value, a missing file argument.
+    Usage(String),
+    /// The input could not be read, parsed or processed.
+    Input(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Input(message)
+    }
+}
+
+fn usage(message: impl Into<String>) -> Failure {
+    Failure::Usage(message.into())
+}
+
 enum Format {
     Text,
     Json,
@@ -156,19 +175,19 @@ fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
 }
 
 /// Builds the requested §3.3 construct with its documented example values.
-fn construct_diagram(name: &str) -> Result<gabm::core::FunctionalDiagram, String> {
+fn construct_diagram(name: &str) -> Result<gabm::core::FunctionalDiagram, Failure> {
     let d = match name {
         "input-stage" => InputStageSpec::new("in", 1.0e-6, 5.0e-12).diagram(),
         "output-stage" => OutputStageSpec::new("out", 1.0e-3).diagram(),
         "power-supply" => PowerSupplySpec::new("vdd", "vss", 1.0e-5, 1.0e-6, 2).diagram(),
         "slew-rate" => SlewRateSpec::new(2.0e6, 2.0e6).diagram(),
         other => {
-            return Err(format!(
+            return Err(usage(format!(
                 "unknown construct '{other}' (expected input-stage, output-stage, power-supply or slew-rate)"
-            ))
+            )))
         }
     };
-    d.map_err(|e| format!("failed to build construct '{name}': {e}"))
+    Ok(d.map_err(|e| format!("failed to build construct '{name}': {e}"))?)
 }
 
 /// `true` when the input should be linted as a diagram. The extension is
@@ -180,12 +199,12 @@ fn is_diagram_input(path: &str, text: &str) -> bool {
     lower.ends_with(".json") || text.trim_start().starts_with('{')
 }
 
-fn lint_input(args: &LintArgs) -> Result<Vec<Diagnostic>, String> {
+fn lint_input(args: &LintArgs) -> Result<Vec<Diagnostic>, Failure> {
     if let Some(name) = &args.construct {
         return Ok(lint_diagram(&construct_diagram(name)?));
     }
     let Some(path) = &args.input else {
-        return Err("no input file (or --construct) given".to_string());
+        return Err(usage("no input file (or --construct) given"));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     if is_diagram_input(path, &text) {
@@ -193,19 +212,19 @@ fn lint_input(args: &LintArgs) -> Result<Vec<Diagnostic>, String> {
             from_str(&text).map_err(|e| format!("'{path}' is not a diagram: {e}"))?;
         Ok(lint_diagram(&diagram))
     } else {
-        lint_fas_source(&text).map_err(|e| format!("'{path}': {e}"))
+        Ok(lint_fas_source(&text).map_err(|e| format!("'{path}': {e}"))?)
     }
 }
 
 /// Runs the fixer over the input; returns the outcome and whether the
 /// repaired form was written back.
-fn fix_input(args: &LintArgs) -> Result<(FixOutcome, bool), String> {
+fn fix_input(args: &LintArgs) -> Result<(FixOutcome, bool), Failure> {
     if let Some(name) = &args.construct {
         let mut diagram = construct_diagram(name)?;
         return Ok((fix_diagram(&mut diagram), false));
     }
     let Some(path) = &args.input else {
-        return Err("no input file (or --construct) given".to_string());
+        return Err(usage("no input file (or --construct) given"));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     if is_diagram_input(path, &text) {
@@ -265,8 +284,8 @@ fn exit_code_for(diags: &[Diagnostic], deny_warnings: bool) -> ExitCode {
     }
 }
 
-fn run_lint(args: &[String]) -> Result<ExitCode, String> {
-    let args = parse_lint_args(args)?;
+fn run_lint(args: &[String]) -> Result<ExitCode, Failure> {
+    let args = parse_lint_args(args).map_err(Failure::Usage)?;
     if args.list_passes {
         for (layer, name) in passes() {
             println!("{layer}: {name}");
@@ -309,25 +328,25 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `gabm compile <file.fas> [--disasm]`.
-fn run_compile(args: &[String]) -> Result<ExitCode, String> {
+fn run_compile(args: &[String]) -> Result<ExitCode, Failure> {
     let mut input: Option<&str> = None;
     let mut disasm = false;
     for arg in args {
         match arg.as_str() {
             "--disasm" => disasm = true,
             other if other.starts_with('-') => {
-                return Err(format!("unknown flag '{other}'"));
+                return Err(usage(format!("unknown flag '{other}'")));
             }
             other => {
                 if input.is_some() {
-                    return Err("more than one input file".to_string());
+                    return Err(usage("more than one input file"));
                 }
                 input = Some(other);
             }
         }
     }
     let Some(path) = input else {
-        return Err("no input file given".to_string());
+        return Err(usage("no input file given"));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let model = gabm::fas::compile(&text).map_err(|e| format!("'{path}': {e}"))?;
@@ -349,23 +368,23 @@ fn run_compile(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `gabm trace <file.json>`: validate a Chrome trace-event file.
-fn run_trace(args: &[String]) -> Result<ExitCode, String> {
+fn run_trace(args: &[String]) -> Result<ExitCode, Failure> {
     let mut input: Option<&str> = None;
     for arg in args {
         match arg.as_str() {
             other if other.starts_with('-') => {
-                return Err(format!("unknown flag '{other}'"));
+                return Err(usage(format!("unknown flag '{other}'")));
             }
             other => {
                 if input.is_some() {
-                    return Err("more than one input file".to_string());
+                    return Err(usage("more than one input file"));
                 }
                 input = Some(other);
             }
         }
     }
     let Some(path) = input else {
-        return Err("no input file given".to_string());
+        return Err(usage("no input file given"));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let value = Value::parse(&text).map_err(|e| format!("'{path}' is not valid JSON: {e}"))?;
@@ -404,13 +423,17 @@ fn run_trace(args: &[String]) -> Result<ExitCode, String> {
             }
             "C" => counters += 1,
             "M" => metas += 1,
-            other => return Err(format!("'{path}': event {k} has unknown phase '{other}'")),
+            other => {
+                return Err(Failure::Input(format!(
+                    "'{path}': event {k} has unknown phase '{other}'"
+                )))
+            }
         }
     }
     if begins != ends {
-        return Err(format!(
+        return Err(Failure::Input(format!(
             "'{path}': unbalanced spans ({begins} begin vs {ends} end events)"
-        ));
+        )));
     }
     println!(
         "{path}: ok — {} event(s): {} span(s) on {} thread(s), {} counter(s), {} metadata",
@@ -471,29 +494,21 @@ fn main() -> ExitCode {
     code
 }
 
+/// Exit status of a command, reporting a failure on stderr.
+fn finish(result: Result<ExitCode, Failure>, usage_text: &str) -> ExitCode {
+    match result {
+        Ok(code) => return code,
+        Err(Failure::Usage(msg)) => eprintln!("error: {msg}\n{usage_text}"),
+        Err(Failure::Input(msg)) => eprintln!("error: {msg}"),
+    }
+    ExitCode::from(2)
+}
+
 fn dispatch(argv: &[String]) -> ExitCode {
     match argv.first().map(String::as_str) {
-        Some("lint") => match run_lint(&argv[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{LINT_USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some("compile") => match run_compile(&argv[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{COMPILE_USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some("trace") => match run_trace(&argv[1..]) {
-            Ok(code) => code,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{TRACE_USAGE}");
-                ExitCode::from(2)
-            }
-        },
+        Some("lint") => finish(run_lint(&argv[1..]), LINT_USAGE),
+        Some("compile") => finish(run_compile(&argv[1..]), COMPILE_USAGE),
+        Some("trace") => finish(run_trace(&argv[1..]), TRACE_USAGE),
         Some("--version") | Some("-V") => {
             println!("gabm {}", env!("CARGO_PKG_VERSION"));
             ExitCode::SUCCESS

@@ -45,8 +45,9 @@ fn compile_disasm_lists_bytecode() {
 }
 
 /// Malformed input, including nesting deep enough to exhaust the stack
-/// of an unbounded recursive-descent parser, is a located parse error
-/// and exit code 2 from `compile` and `lint` alike.
+/// of an unbounded recursive-descent parser, is a located lex or parse
+/// error and exit code 2 from `compile` and `lint` alike. The usage text
+/// follows argument errors only, never an error in the input.
 #[test]
 fn compile_reports_parse_errors() {
     let dir = std::env::temp_dir().join("gabm_compile_cli_bad");
@@ -78,6 +79,11 @@ fn compile_reports_parse_errors() {
             )),
             "parse error at 67:1: nested deeper than 64 levels",
         ),
+        // A non-ASCII character is named whole, not by its first byte.
+        (
+            model("make x = 2 é 3".to_string()),
+            "lex error at 3:12: unexpected character 'é'",
+        ),
     ];
     let bad = dir.join("bad.fas");
     for (text, want) in cases {
@@ -90,7 +96,19 @@ fn compile_reports_parse_errors() {
                 stderr.contains("bad.fas") && stderr.contains(want),
                 "{stderr}"
             );
+            assert!(!stderr.contains("usage:"), "{command}: {stderr}");
         }
+    }
+    for args in [
+        &["compile", bad.to_str().unwrap(), "--wat"][..],
+        &["lint", bad.to_str().unwrap(), "--wat"],
+        &["compile"],
+        &["lint"],
+    ] {
+        let out = gabm(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
     let json = dir.join("deep.json");
     std::fs::write(&json, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
