@@ -276,8 +276,6 @@ fn lower(model: &Model<'_>) -> Result<CompiledModel, FasError> {
     // state.delay / state.delayt).
     let mut order = Order {
         defined: vec![false; lw.var_names.len()],
-        trail: Vec::new(),
-        in_then: vec![false; lw.var_names.len()],
     };
     order.stmts(&model.body, &mut lw)?;
     let stmts = lw.stmts(&model.body)?;
@@ -342,33 +340,18 @@ fn collect_vars(stmts: &[Stmt<'_>], lw: &mut Lowerer) -> Result<(), FasError> {
 
 /// Definite-assignment state of the ordering check: `defined[v]` while
 /// variable `v` is assigned on every path to the current statement.
-/// `trail` lists the variables defined since entering each enclosing
-/// statement list, so a branch is undone and joined without copying
-/// the set.
 struct Order {
     defined: Vec<bool>,
-    trail: Vec<usize>,
-    /// Scratch marks for joining two branches.
-    in_then: Vec<bool>,
 }
 
 impl Order {
-    fn define(&mut self, var: usize) {
-        if !self.defined[var] {
-            self.defined[var] = true;
-            self.trail.push(var);
-        }
-    }
-
-    /// Checks `stmts`; on return `trail` ends with the variables they
-    /// newly defined.
     fn stmts(&mut self, stmts: &[Stmt<'_>], lw: &mut Lowerer) -> Result<(), FasError> {
         for stmt in stmts {
             match stmt {
                 Stmt::Make { var, expr, .. } => {
                     self.expr(expr, lw)?;
                     if let Role::Var(v) = lw.slots[var.id].role {
-                        self.define(v);
+                        self.defined[v] = true;
                     }
                 }
                 Stmt::Impose { expr, .. } => self.expr(expr, lw)?,
@@ -382,32 +365,16 @@ impl Order {
                         self.expr(a, lw)?;
                         self.expr(b, lw)?;
                     }
-                    let start = self.trail.len();
+                    // Each arm starts from the state before the `if`; only
+                    // variables defined on both paths are definitely
+                    // available afterwards.
+                    let before = self.defined.clone();
                     self.stmts(then_branch, lw)?;
-                    let mid = self.trail.len();
-                    for &v in &self.trail[start..mid] {
-                        self.defined[v] = false;
-                        self.in_then[v] = true;
-                    }
+                    let after_then = std::mem::replace(&mut self.defined, before);
                     self.stmts(else_branch, lw)?;
-                    // Only variables defined on both paths are definitely
-                    // available afterwards: keep those of the else branch
-                    // that the then branch defined too.
-                    let mut kept = mid;
-                    for i in mid..self.trail.len() {
-                        let v = self.trail[i];
-                        if self.in_then[v] {
-                            self.trail[kept] = v;
-                            kept += 1;
-                        } else {
-                            self.defined[v] = false;
-                        }
+                    for (d, t) in self.defined.iter_mut().zip(after_then) {
+                        *d &= t;
                     }
-                    for &v in &self.trail[start..mid] {
-                        self.in_then[v] = false;
-                    }
-                    self.trail.copy_within(mid..kept, start);
-                    self.trail.truncate(start + kept - mid);
                 }
             }
         }
@@ -705,6 +672,25 @@ mod tests {
         ] {
             let result = compile(&wrap(&format!("{body}{tail}")));
             assert_eq!(result.is_ok(), ok, "{tail}: {result:?}");
+        }
+        // An `if` in the else arm joins its own arms only: the outer then
+        // arm's definitions neither leak into it nor get dropped by it.
+        for (body, ok) in [
+            (
+                "if (mode=dc) then\nmake x = 1\nelse\n\
+                 if (time > 1) then\nmake x = 2\nelse\nmake x = 3\nendif\n\
+                 endif\nmake z = x",
+                true,
+            ),
+            (
+                "if (mode=dc) then\nmake x = 1\nelse\n\
+                 if (time > 1) then\nmake y = 0\nelse\nmake x = 2\nendif\n\
+                 make z = x\nendif",
+                false,
+            ),
+        ] {
+            let result = compile(&wrap(body));
+            assert_eq!(result.is_ok(), ok, "{body}: {result:?}");
         }
     }
 

@@ -101,137 +101,92 @@ pub struct Spanned<'src> {
 ///
 /// [`FasError::Lex`] on malformed numbers or unexpected characters.
 pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, FasError> {
-    // About one token per four bytes of typical FAS text.
-    let mut out = Vec::with_capacity(src.len() / 4 + 1);
-    for token in Lexer::new(src) {
-        out.push(token?);
-    }
-    Ok(out)
-}
-
-/// The tokens of a source text, one at a time, as [`tokenize`] reads
-/// them: the token stream ends with [`Token::Eof`] or with the first
-/// lexical error.
-#[derive(Debug, Clone)]
-pub(crate) struct Lexer<'src> {
-    lines: std::str::Lines<'src>,
-    /// The current line, empty for a comment line.
-    line: &'src str,
-    /// 1-based number of the current line.
-    line_no: usize,
-    /// Byte offset of the next token in `line`. Columns are byte offsets
-    /// into the untruncated line, so positions cannot drift for tokens
-    /// adjacent to a `//` comment. Only ASCII is ever consumed, so `i`
-    /// stays on a character boundary.
-    i: usize,
-    finished: bool,
-}
-
-impl<'src> Lexer<'src> {
-    /// A lexer at the start of `src`.
-    pub(crate) fn new(src: &'src str) -> Self {
-        Lexer {
-            lines: src.lines(),
-            line: "",
-            line_no: 0,
-            i: 0,
-            finished: false,
+    // Typical FAS text has a token per four bytes; the comparator's model
+    // has one per 3.9.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
+    let mut line_no = 0;
+    for line in src.lines() {
+        line_no += 1;
+        let trimmed = line.trim_start();
+        if trimmed.starts_with('*') || trimmed.starts_with('#') {
+            continue;
         }
-    }
-
-    #[inline]
-    fn token(&mut self) -> Result<Spanned<'src>, FasError> {
-        let (line, bytes, i) = loop {
-            let (line, bytes) = (self.line, self.line.as_bytes());
-            let mut i = self.i;
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\r') {
-                i += 1;
+        // Columns are byte offsets into the untruncated line, so positions
+        // cannot drift for tokens adjacent to a `//` comment. Only ASCII is
+        // ever consumed, so `i` stays on a character boundary.
+        let bytes = line.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            match bytes[i] {
+                b' ' | b'\t' | b'\r' => {
+                    i += 1;
+                    continue;
+                }
+                // A trailing comment ends the line.
+                b'/' if bytes.get(i + 1) == Some(&b'/') => break,
+                _ => {}
             }
-            // A trailing comment ends the line.
-            if i < bytes.len() && !bytes[i..].starts_with(b"//") {
-                break (line, bytes, i);
-            }
-            let Some(next_line) = self.lines.next() else {
-                return Ok(Spanned {
-                    token: Token::Eof,
-                    pos: Pos {
-                        line: self.line_no + 1,
-                        col: 1,
-                    },
-                });
+            let pos = Pos {
+                line: line_no,
+                col: i + 1,
             };
-            self.line_no += 1;
-            self.i = 0;
-            let trimmed = next_line.trim_start();
-            let comment = trimmed.starts_with('*') || trimmed.starts_with('#');
-            self.line = if comment { "" } else { next_line };
-        };
-        let pos = Pos {
-            line: self.line_no,
-            col: i + 1,
-        };
-        let next = bytes.get(i + 1).copied();
-        let (token, len) = match bytes[i] {
-            b'(' => (Token::LParen, 1),
-            b')' => (Token::RParen, 1),
-            b',' => (Token::Comma, 1),
-            b'+' => (Token::Plus, 1),
-            b'-' => (Token::Minus, 1),
-            b'*' => (Token::Star, 1),
-            b'/' => (Token::Slash, 1),
-            b'.' => (Token::Dot, 1),
-            b'=' => (Token::Eq, 1),
-            b'!' if next == Some(b'=') => (Token::Ne, 2),
-            b'!' => {
-                return Err(FasError::Lex {
-                    pos,
-                    message: "expected '=' after '!'".into(),
-                })
-            }
-            b'<' if next == Some(b'=') => (Token::Le, 2),
-            b'<' => (Token::Lt, 1),
-            b'>' if next == Some(b'=') => (Token::Ge, 2),
-            b'>' => (Token::Gt, 1),
-            b'0'..=b'9' => {
-                let text = &line[i..i + number_len(&bytes[i..])];
-                let value: f64 = text.parse().map_err(|_| FasError::Lex {
-                    pos,
-                    message: format!("malformed number '{text}'"),
-                })?;
-                (Token::Number { value, text }, text.len())
-            }
-            b if b.is_ascii_alphabetic() || b == b'_' => {
-                let len = bytes[i..]
-                    .iter()
-                    .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
-                    .unwrap_or(bytes.len() - i);
-                (Token::Ident(&line[i..i + len]), len)
-            }
-            _ => {
-                let other = line[i..].chars().next().unwrap_or_default();
-                return Err(FasError::Lex {
-                    pos,
-                    message: format!("unexpected character '{other}'"),
-                });
-            }
-        };
-        self.i = i + len;
-        Ok(Spanned { token, pos })
-    }
-}
-
-impl<'src> Iterator for Lexer<'src> {
-    type Item = Result<Spanned<'src>, FasError>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
+            let next = bytes.get(i + 1).copied();
+            let (token, len) = match bytes[i] {
+                b'(' => (Token::LParen, 1),
+                b')' => (Token::RParen, 1),
+                b',' => (Token::Comma, 1),
+                b'+' => (Token::Plus, 1),
+                b'-' => (Token::Minus, 1),
+                b'*' => (Token::Star, 1),
+                b'/' => (Token::Slash, 1),
+                b'.' => (Token::Dot, 1),
+                b'=' => (Token::Eq, 1),
+                b'!' if next == Some(b'=') => (Token::Ne, 2),
+                b'!' => {
+                    return Err(FasError::Lex {
+                        pos,
+                        message: "expected '=' after '!'".into(),
+                    })
+                }
+                b'<' if next == Some(b'=') => (Token::Le, 2),
+                b'<' => (Token::Lt, 1),
+                b'>' if next == Some(b'=') => (Token::Ge, 2),
+                b'>' => (Token::Gt, 1),
+                b'0'..=b'9' => {
+                    let text = &line[i..i + number_len(&bytes[i..])];
+                    let value: f64 = text.parse().map_err(|_| FasError::Lex {
+                        pos,
+                        message: format!("malformed number '{text}'"),
+                    })?;
+                    (Token::Number { value, text }, text.len())
+                }
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    let len = bytes[i..]
+                        .iter()
+                        .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                        .unwrap_or(bytes.len() - i);
+                    (Token::Ident(&line[i..i + len]), len)
+                }
+                _ => {
+                    let other = line[i..].chars().next().unwrap_or_default();
+                    return Err(FasError::Lex {
+                        pos,
+                        message: format!("unexpected character '{other}'"),
+                    });
+                }
+            };
+            out.push(Spanned { token, pos });
+            i += len;
         }
-        let item = self.token();
-        self.finished = !matches!(item, Ok(Spanned { token, .. }) if token != Token::Eof);
-        Some(item)
     }
+    out.push(Spanned {
+        token: Token::Eof,
+        pos: Pos {
+            line: line_no + 1,
+            col: 1,
+        },
+    });
+    Ok(out)
 }
 
 /// Length of the numeric literal `bytes` starts with: digits and dots,

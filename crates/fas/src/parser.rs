@@ -1,7 +1,7 @@
 //! Recursive-descent parser for FAS model files.
 
 use crate::ast::{BinOp, Cond, Expr, Ident, Model, RelOp, Stmt, UnaryOp};
-use crate::lexer::{Lexer, Spanned, Token};
+use crate::lexer::{tokenize, Spanned, Token};
 use crate::{FasError, Pos};
 use std::collections::HashMap;
 
@@ -29,12 +29,8 @@ pub const MAX_TREE_HEIGHT: usize = 512;
 /// input nested past [`MAX_NESTING`] or [`MAX_TREE_HEIGHT`].
 pub fn parse(src: &str) -> Result<Model<'_>, FasError> {
     let mut p = Parser {
-        lexer: Lexer::new(src),
-        tok: Spanned {
-            token: Token::Eof,
-            pos: Pos::default(),
-        },
-        lex_error: None,
+        tokens: tokenize(src)?,
+        idx: 0,
         depth: 0,
         n_dt: 0,
         n_delayt: 0,
@@ -42,20 +38,7 @@ pub fn parse(src: &str) -> Result<Model<'_>, FasError> {
         // Far more than a model's distinct names: one allocation.
         names: NameTable::with_capacity(src.len() / 16),
     };
-    p.advance();
-    let model = p.model();
-    // A lexical error anywhere in the input is the error, whatever the
-    // parser made of the tokens before it: the tokens after a parse
-    // error are lexed for it too.
-    if let Some(e) = p.lex_error {
-        return Err(e);
-    }
-    if model.is_err() {
-        if let Some(Err(e)) = p.lexer.find(Result::is_err) {
-            return Err(e);
-        }
-    }
-    model
+    p.model()
 }
 
 /// Name text → [`Ident::id`], for one model. The names come from
@@ -63,11 +46,10 @@ pub fn parse(src: &str) -> Result<Model<'_>, FasError> {
 type NameTable<'src> = HashMap<&'src str, usize>;
 
 struct Parser<'src> {
-    lexer: Lexer<'src>,
-    /// The current token.
-    tok: Spanned<'src>,
-    /// The lexical error the token stream stopped at, if any.
-    lex_error: Option<FasError>,
+    /// The tokens, ending with [`Token::Eof`].
+    tokens: Vec<Spanned<'src>>,
+    /// Index of the current token.
+    idx: usize,
     /// Enclosing `if`s and open sub-expressions at the current token.
     depth: usize,
     n_dt: usize,
@@ -81,30 +63,19 @@ type Sub<'src> = (Expr<'src>, usize);
 
 impl<'src> Parser<'src> {
     fn peek(&self) -> Token<'src> {
-        self.tok.token
+        self.tokens[self.idx].token
     }
 
     fn pos(&self) -> Pos {
-        self.tok.pos
+        self.tokens[self.idx].pos
     }
 
     fn bump(&mut self) -> Token<'src> {
         let t = self.peek();
-        if t != Token::Eof {
-            self.advance();
+        if self.idx + 1 < self.tokens.len() {
+            self.idx += 1;
         }
         t
-    }
-
-    fn advance(&mut self) {
-        match self.lexer.next() {
-            Some(Ok(tok)) => self.tok = tok,
-            // Where the token stream stops, the parser sees end of input.
-            stop => {
-                self.tok.token = Token::Eof;
-                self.lex_error = stop.and_then(Result::err);
-            }
-        }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, FasError> {
@@ -691,22 +662,6 @@ endmodel
                     assert_eq!((pos, message.as_str()), (Pos { line, col }, want));
                 }
                 other => panic!("expected a parse error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn a_lex_error_anywhere_is_the_error() {
-        // Before the parser would fail, after it failed, and after a
-        // complete model: the input does not lex, whatever else is wrong.
-        for (src, line, col) in [
-            ("model m pin (a $", 1, 16),
-            ("model m pim (a)\nmake x = $\n", 2, 10),
-            ("model m pin (a)\nanalog\nendanalog\nendmodel\n$", 5, 1),
-        ] {
-            match parse(src) {
-                Err(FasError::Lex { pos, .. }) => assert_eq!(pos, Pos { line, col }, "{src}"),
-                other => panic!("expected a lex error for {src:?}, got {other:?}"),
             }
         }
     }

@@ -16,8 +16,9 @@
 //! - **Leaf-load sharing** — repeated reads of the same pin, parameter,
 //!   literal or time quantity share one register within a scope.
 //!
-//! Both caches are dense tables indexed by the model's variable, pin and
-//! parameter numbers; only literals are looked up by value.
+//! Variable forwarding is a dense table indexed by the model's variable
+//! numbers; leaf loads are a map undone through an insertion log when a
+//! branch arm ends.
 
 use gabm_fas::ast::{BinOp, RelOp};
 use gabm_fas::compile::{CCond, CExpr, CStmt, CompiledModel, ExprId, Func1, Func2};
@@ -148,7 +149,7 @@ impl PartialEq for Operand {
 
 /// Pass-invariant leaf loads, cached per scope so repeated reads of the
 /// same pin/param/constant share one register.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum LeafKey {
     Const(u64),
     Pin(usize),
@@ -157,66 +158,6 @@ enum LeafKey {
     Time,
     Temp,
     TimeStep,
-}
-
-/// The scoped cache of materialised leaf loads: one slot per pin,
-/// parameter, committed variable and time quantity, and a map for
-/// literals. `log` lists the keys in insertion order, so leaving a
-/// branch undoes its entries instead of restoring a copy.
-struct Leaves {
-    pin: Vec<Option<VReg>>,
-    param: Vec<Option<VReg>>,
-    committed: Vec<Option<VReg>>,
-    clock: [Option<VReg>; 3],
-    consts: HashMap<u64, VReg>,
-    log: Vec<LeafKey>,
-}
-
-impl Leaves {
-    fn get(&self, key: LeafKey) -> Option<VReg> {
-        match key {
-            LeafKey::Const(bits) => self.consts.get(&bits).copied(),
-            LeafKey::Pin(i) => self.pin[i],
-            LeafKey::Param(i) => self.param[i],
-            LeafKey::Committed(i) => self.committed[i],
-            LeafKey::Time => self.clock[0],
-            LeafKey::Temp => self.clock[1],
-            LeafKey::TimeStep => self.clock[2],
-        }
-    }
-
-    fn set(&mut self, key: LeafKey, reg: Option<VReg>) {
-        let slot = match key {
-            LeafKey::Const(bits) => {
-                match reg {
-                    Some(r) => self.consts.insert(bits, r),
-                    None => self.consts.remove(&bits),
-                };
-                return;
-            }
-            LeafKey::Pin(i) => &mut self.pin[i],
-            LeafKey::Param(i) => &mut self.param[i],
-            LeafKey::Committed(i) => &mut self.committed[i],
-            LeafKey::Time => &mut self.clock[0],
-            LeafKey::Temp => &mut self.clock[1],
-            LeafKey::TimeStep => &mut self.clock[2],
-        };
-        *slot = reg;
-    }
-
-    fn insert(&mut self, key: LeafKey, reg: VReg) {
-        self.set(key, Some(reg));
-        self.log.push(key);
-    }
-
-    /// Forgets every entry made since the log was `mark` long.
-    fn undo(&mut self, mark: usize) {
-        while self.log.len() > mark {
-            if let Some(key) = self.log.pop() {
-                self.set(key, None);
-            }
-        }
-    }
 }
 
 pub(crate) struct Lowered {
@@ -234,7 +175,11 @@ struct Lower<'m> {
     /// Per variable: the operand of its most recent store on every path
     /// here, if there is one.
     fwd: Vec<Option<Operand>>,
-    leaf: Leaves,
+    /// Materialised leaf loads.
+    leaf: HashMap<LeafKey, VReg>,
+    /// The keys of `leaf` in insertion order, so leaving a branch removes
+    /// its entries instead of restoring a copy.
+    leaf_log: Vec<LeafKey>,
 }
 
 pub(crate) fn lower(model: &CompiledModel) -> Lowered {
@@ -248,14 +193,8 @@ pub(crate) fn lower(model: &CompiledModel) -> Lowered {
         // Scratch variables start each pass at 0.0, so an un-assigned
         // read is the constant zero.
         fwd: vec![Some(Operand::Const(0.0)); sig.var_names.len()],
-        leaf: Leaves {
-            pin: vec![None; sig.pins.len()],
-            param: vec![None; sig.params.len()],
-            committed: vec![None; sig.var_names.len()],
-            clock: [None; 3],
-            consts: HashMap::new(),
-            log: Vec::new(),
-        },
+        leaf: HashMap::new(),
+        leaf_log: Vec::new(),
     };
     lo.block(&body.stmts);
     Lowered {
@@ -289,12 +228,20 @@ impl Lower<'_> {
     }
 
     fn leaf_load(&mut self, key: LeafKey, make: impl FnOnce(VReg) -> VInst) -> VReg {
-        if let Some(r) = self.leaf.get(key) {
+        if let Some(&r) = self.leaf.get(&key) {
             return r;
         }
         let dst = self.def(make);
         self.leaf.insert(key, dst);
+        self.leaf_log.push(key);
         dst
+    }
+
+    /// Forgets every leaf load made since the log was `mark` long.
+    fn undo_leaves(&mut self, mark: usize) {
+        for key in self.leaf_log.drain(mark..) {
+            self.leaf.remove(&key);
+        }
     }
 
     fn block(&mut self, stmts: &[CStmt]) {
@@ -335,11 +282,11 @@ impl Lower<'_> {
             }
         };
         self.out.push(jump);
-        let leaf_entry = self.leaf.log.len();
+        let leaf_entry = self.leaf_log.len();
         let fwd_entry = self.fwd.clone();
         self.block(then_b);
         let then_fwd = std::mem::replace(&mut self.fwd, fwd_entry);
-        self.leaf.undo(leaf_entry);
+        self.undo_leaves(leaf_entry);
         // Without an else arm, the untaken path jumps straight to `els`.
         let end = (!else_b.is_empty()).then(|| {
             let end = self.label();
@@ -349,7 +296,7 @@ impl Lower<'_> {
         self.out.push(VInst::Label(els));
         self.block(else_b);
         self.out.extend(end.map(VInst::Label));
-        self.leaf.undo(leaf_entry);
+        self.undo_leaves(leaf_entry);
         // Join: keep a binding only when both paths carry the identical
         // operand. Register identity across arms implies the register was
         // defined before the branch (arm-local definitions are fresh and

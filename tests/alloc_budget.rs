@@ -30,10 +30,10 @@
 //!
 //! | stage                             | before |  after |
 //! |-----------------------------------|-------:|-------:|
-//! | FAS `compile`                     |  1,397 |    252 |
-//! | `compile_program`                 |    144 |     32 |
+//! | FAS `compile`                     |  1,397 |    250 |
+//! | `compile_program`                 |    144 |     33 |
 //! | `Program::instantiate`            |    104 |     15 |
-//! | `card()` + `model()`              |  2,343 |  1,198 |
+//! | `card()` + `model()`              |  2,343 |  1,196 |
 //!
 //! An instance allocates only its own frames: parameter values,
 //! committed state and one evaluation frame per value lane.
@@ -148,7 +148,7 @@ fn comparator_fas_compile_and_instantiate_allocate_exactly() {
     println!("FAS compile {fas}, compile_program {bytecode}, instantiate {instance}");
     assert_eq!(
         (fas, bytecode, instance),
-        (252, 32, 15),
+        (250, 33, 15),
         "allocations of FAS compile, compile_program and Program::instantiate"
     );
 }
