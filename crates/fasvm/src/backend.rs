@@ -27,10 +27,7 @@ impl FasBackend {
         model: &CompiledModel,
         overrides: &BTreeMap<String, f64>,
     ) -> Result<Box<dyn BehavioralModel>, FasError> {
-        match compile_program(model) {
-            Ok(prog) => Ok(Box::new(prog.instantiate(overrides)?)),
-            Err(_) => Ok(Box::new(model.instantiate(overrides)?)),
-        }
+        Executable::new(model.clone()).instantiate(overrides)
     }
 }
 

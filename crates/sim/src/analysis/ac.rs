@@ -161,7 +161,6 @@ impl AcResult {
 
 pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult, SimError> {
     let _span = gabm_trace::span("sim.ac");
-    let wall_start = std::time::Instant::now();
     let freqs = spec.sweep.frequencies()?;
     // Linearize about the operating point (devices cache gm/gds/...).
     let op = circuit.op()?;
@@ -186,7 +185,6 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
         lu.solve_in_place(&mut x)?;
         solutions.push(x);
     }
-    stats.wall_s = wall_start.elapsed().as_secs_f64();
     Ok(AcResult {
         freqs,
         solutions,

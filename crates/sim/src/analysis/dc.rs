@@ -72,7 +72,6 @@ pub(crate) fn sweep(
         .ok_or_else(|| SimError::UnknownDevice(source.to_string()))?;
 
     let _span = gabm_trace::span("sim.dc");
-    let wall_start = std::time::Instant::now();
     let n = circuit.n_unknowns();
     let mut guess = vec![0.0; n];
     let mut values = Vec::new();
@@ -93,7 +92,6 @@ pub(crate) fn sweep(
         values.push(v);
         solutions.push(x);
     }
-    stats.wall_s = wall_start.elapsed().as_secs_f64();
     Ok(DcResult {
         values,
         solutions,

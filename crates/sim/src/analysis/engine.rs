@@ -4,8 +4,15 @@ use crate::circuit::Circuit;
 use crate::device::{Mode, Stamper};
 use crate::options::SimStats;
 use crate::SimError;
-use gabm_numeric::newton::damp_update;
+use gabm_numeric::newton::{damp_update, Tolerances};
 use gabm_numeric::{LuFactor, SparseLu};
+
+/// Newton iterations per solve attempt of a nonlinear circuit (SPICE `ITL1`).
+const MAX_NEWTON_ITERS: usize = 250;
+
+/// Largest change of any unknown in one Newton iteration before the update
+/// is damped.
+const MAX_VOLTAGE_STEP: f64 = 2.0;
 
 /// Result of one Newton solve.
 #[derive(Debug, Clone)]
@@ -131,7 +138,7 @@ fn newton_iterate(
     stamper.temperature = opts.temperature;
     stamper.source_scale = setup.source_scale;
     stamper.gshunt = setup.gshunt;
-    let max_iters = if nonlinear { opts.max_newton_iters } else { 1 };
+    let max_iters = if nonlinear { MAX_NEWTON_ITERS } else { 1 };
 
     for d in circuit.devices_mut() {
         d.begin_solve();
@@ -204,15 +211,15 @@ fn newton_iterate(
             });
         }
         // Damped update, in place: x_next ← x + damp(x_next − x).
-        let opts = &circuit.options;
         for (next, cur) in x_next.iter_mut().zip(x.iter()) {
             *next -= cur;
         }
-        let scale = damp_update(x_next, opts.max_voltage_step);
+        let scale = damp_update(x_next, MAX_VOLTAGE_STEP);
         for (next, cur) in x_next.iter_mut().zip(x.iter()) {
             *next += cur;
         }
-        let converged = scale == 1.0 && !limited && opts.tolerances.converged(x_next, x, n_nodes);
+        let converged =
+            scale == 1.0 && !limited && Tolerances::default().converged(x_next, x, n_nodes);
         std::mem::swap(x, x_next);
         if converged {
             return Ok(NewtonOutcome {

@@ -6,6 +6,13 @@ use crate::device::{Mode, StateView};
 use crate::options::SimStats;
 use crate::SimError;
 
+/// Shunt decades tried by gmin stepping (10 mS down to 1 pS) when the plain
+/// operating-point solve fails.
+const GMIN_STEPS: usize = 12;
+
+/// Source-stepping points tried when gmin stepping also fails.
+const SOURCE_STEPS: usize = 10;
+
 /// Result of an operating-point solve.
 #[derive(Debug, Clone)]
 pub struct OpResult {
@@ -78,7 +85,6 @@ fn solve_op_internal(
     guess: Option<&[f64]>,
 ) -> Result<(Vec<f64>, SimStats), SimError> {
     let _span = gabm_trace::span("sim.op");
-    let wall_start = std::time::Instant::now();
     let n = circuit.n_unknowns();
     if n == 0 {
         return Ok((Vec::new(), SimStats::default()));
@@ -89,83 +95,61 @@ fn solve_op_internal(
 
     // 1. Plain Newton.
     match newton_solve(circuit, Mode::Dc, &x0, SolveSetup::default(), &mut stats) {
-        Ok(out) => {
-            stats.wall_s = wall_start.elapsed().as_secs_f64();
-            return Ok((out.x, stats));
-        }
+        Ok(out) => return Ok((out.x, stats)),
         Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => return Err(e),
         Err(_) => {}
     }
 
     // 2. gmin stepping: solve with a strong shunt everywhere, then relax it
     //    decade by decade, carrying the solution.
-    let opts = circuit.options.clone();
-    if opts.gmin_steps > 0 {
-        let mut x = x0.clone();
-        let mut ok = true;
-        let mut gshunt = 1e-2;
-        for _ in 0..opts.gmin_steps {
-            match newton_solve(
-                circuit,
-                Mode::Dc,
-                &x,
-                SolveSetup {
-                    gshunt,
-                    source_scale: 1.0,
-                },
-                &mut stats,
-            ) {
-                Ok(out) => x = out.x,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+    let mut x = x0;
+    let mut ok = true;
+    let mut gshunt = 1e-2;
+    for _ in 0..GMIN_STEPS {
+        match newton_solve(
+            circuit,
+            Mode::Dc,
+            &x,
+            SolveSetup {
+                gshunt,
+                source_scale: 1.0,
+            },
+            &mut stats,
+        ) {
+            Ok(out) => x = out.x,
+            Err(_) => {
+                ok = false;
+                break;
             }
-            gshunt /= 10.0;
         }
-        if ok {
-            // Final solve with the shunt removed entirely.
-            if let Ok(out) = newton_solve(circuit, Mode::Dc, &x, SolveSetup::default(), &mut stats)
-            {
-                stats.wall_s = wall_start.elapsed().as_secs_f64();
-                return Ok((out.x, stats));
-            }
+        gshunt /= 10.0;
+    }
+    if ok {
+        // Final solve with the shunt removed entirely.
+        if let Ok(out) = newton_solve(circuit, Mode::Dc, &x, SolveSetup::default(), &mut stats) {
+            return Ok((out.x, stats));
         }
     }
 
     // 3. Source stepping: ramp the sources from 0 to 100 %.
-    if opts.source_steps > 0 {
-        let mut x = vec![0.0; n];
-        let mut ok = true;
-        for k in 1..=opts.source_steps {
-            let scale = k as f64 / opts.source_steps as f64;
-            match newton_solve(
-                circuit,
-                Mode::Dc,
-                &x,
-                SolveSetup {
-                    gshunt: 0.0,
-                    source_scale: scale,
-                },
-                &mut stats,
-            ) {
-                Ok(out) => x = out.x,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
+    let mut x = vec![0.0; n];
+    for k in 1..=SOURCE_STEPS {
+        let setup = SolveSetup {
+            gshunt: 0.0,
+            source_scale: k as f64 / SOURCE_STEPS as f64,
+        };
+        match newton_solve(circuit, Mode::Dc, &x, setup, &mut stats) {
+            Ok(out) => x = out.x,
+            Err(_) => {
+                return Err(SimError::NoConvergence {
+                    analysis: "op",
+                    detail: "plain Newton, gmin stepping and source stepping all failed"
+                        .to_string(),
+                })
             }
         }
-        if ok {
-            stats.wall_s = wall_start.elapsed().as_secs_f64();
-            return Ok((x, stats));
-        }
     }
-
-    Err(SimError::NoConvergence {
-        analysis: "op",
-        detail: "plain Newton, gmin stepping and source stepping all failed".to_string(),
-    })
+    Ok((x, stats))
 }
 
 /// Commits the operating point into every device's state (capacitor voltages

@@ -27,7 +27,7 @@ pub struct TranSpec {
     pub dt_min: Option<f64>,
     /// Largest allowed step (default `tstop / 50`).
     pub dt_max: Option<f64>,
-    /// Integration method override (default: from [`crate::Options`]).
+    /// Integration method (default trapezoidal).
     pub method: Option<Method>,
 }
 
@@ -147,6 +147,11 @@ impl TranResult {
 /// Relative tolerance used when merging breakpoints.
 const BP_MERGE: f64 = 1e-12;
 
+/// The most time points one transient may store. A run needing more has
+/// collapsed its step (or was given a source with more corners than this),
+/// and fails rather than filling memory.
+pub const MAX_TIME_POINTS: usize = 2_000_000;
+
 pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranResult, SimError> {
     if !(spec.tstop > 0.0 && spec.tstop.is_finite()) {
         return Err(SimError::BadAnalysis(format!(
@@ -154,13 +159,23 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
             spec.tstop
         )));
     }
+    for (field, value) in [
+        ("dt_init", spec.dt_init),
+        ("dt_min", spec.dt_min),
+        ("dt_max", spec.dt_max),
+    ] {
+        if let Some(v) = value.filter(|v| !(*v > 0.0 && v.is_finite())) {
+            return Err(SimError::BadAnalysis(format!(
+                "{field} must be positive and finite, got {v}"
+            )));
+        }
+    }
     let _span = gabm_trace::span("sim.tran");
-    let wall_start = std::time::Instant::now();
     let tstop = spec.tstop;
     let dt_init = spec.dt_init.unwrap_or(tstop / 1000.0);
     let dt_min = spec.dt_min.unwrap_or(tstop * 1e-9).min(dt_init);
     let dt_max = spec.dt_max.unwrap_or(tstop / 50.0).max(dt_init);
-    let method = spec.method.unwrap_or(circuit.options.method);
+    let method = spec.method.unwrap_or(Method::Trapezoidal);
     let n_nodes = circuit.n_nodes();
     let n = circuit.n_unknowns();
 
@@ -169,7 +184,6 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     let mut stats = op_result.stats;
     let mut x = op_result.solution().to_vec();
     if n == 0 {
-        stats.wall_s = wall_start.elapsed().as_secs_f64();
         return Ok(TranResult {
             times: vec![0.0],
             states: vec![x],
@@ -178,12 +192,22 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         });
     }
 
-    // Breakpoints from all devices, merged and sorted.
-    let mut breakpoints: Vec<f64> = circuit
-        .devices()
-        .iter()
-        .flat_map(|d| d.breakpoints(tstop))
-        .collect();
+    // Breakpoints from all devices, merged and sorted. Every corner costs a
+    // time point, so a device with more corners than the budget fails here,
+    // before the run.
+    let mut breakpoints = Vec::new();
+    for d in circuit.devices() {
+        let corners = d.breakpoints(tstop);
+        if corners.len() > MAX_TIME_POINTS {
+            return Err(SimError::BadParameter {
+                device: d.name().to_string(),
+                message: format!(
+                    "more than {MAX_TIME_POINTS} waveform corners before tstop = {tstop:e}"
+                ),
+            });
+        }
+        breakpoints.extend(corners);
+    }
     breakpoints.push(tstop);
     breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("breakpoints are finite"));
     breakpoints.dedup_by(|a, b| (*a - *b).abs() <= BP_MERGE * tstop);
@@ -296,17 +320,14 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         }
         // Runaway guard: an implausible number of points indicates a step
         // collapse; fail loudly rather than filling memory.
-        if times.len() > 2_000_000 {
+        if times.len() > MAX_TIME_POINTS {
             return Err(SimError::NoConvergence {
                 analysis: "tran",
-                detail: format!("more than 2e6 time points at t = {t:.3e}"),
+                detail: format!("more than {MAX_TIME_POINTS} time points at t = {t:.3e}"),
             });
         }
     }
 
-    // The whole-run wall time, not the sum of the parts (the absorbed OP
-    // pre-solve already carried its own `wall_s`).
-    stats.wall_s = wall_start.elapsed().as_secs_f64();
     Ok(TranResult {
         times,
         states,
@@ -327,29 +348,84 @@ mod tests {
         assert!(c.tran(&TranSpec::new(-1.0)).is_err());
     }
 
-    #[test]
-    fn rc_charge_curve() {
+    /// An RC low-pass driven by a 1 V step at t = 0.
+    fn rc_step() -> Circuit {
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
-        c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(1.0));
-        c.add_resistor("R1", a, b, 1.0e3).unwrap();
-        c.add_capacitor("C1", b, Circuit::GROUND, 1.0e-6);
-        // DC op gives the capacitor 1 V already (steady state); use a pulse
-        // so the transient actually starts at 0.
-        let mut c2 = Circuit::new();
-        let a2 = c2.node("a");
-        let b2 = c2.node("b");
-        c2.add_vsource(
+        c.add_vsource(
             "V1",
-            a2,
+            a,
             Circuit::GROUND,
             SourceWave::pulse(0.0, 1.0, 0.0, 1e-9, 1e-9, 1.0, 0.0),
         );
-        c2.add_resistor("R1", a2, b2, 1.0e3).unwrap();
-        c2.add_capacitor("C1", b2, Circuit::GROUND, 1.0e-6);
-        let r = c2.tran(&TranSpec::new(5.0e-3)).unwrap();
-        let w = r.voltage_waveform(b2).unwrap();
+        c.add_resistor("R1", a, b, 1.0e3).unwrap();
+        c.add_capacitor("C1", b, Circuit::GROUND, 1.0e-6);
+        c
+    }
+
+    #[test]
+    fn rejects_bad_step_bounds() {
+        for (field, spec) in [
+            (
+                "dt_init",
+                TranSpec {
+                    dt_init: Some(0.0),
+                    ..TranSpec::new(1e-6)
+                },
+            ),
+            (
+                "dt_min",
+                TranSpec {
+                    dt_min: Some(-1.0),
+                    ..TranSpec::new(1e-6)
+                },
+            ),
+            (
+                "dt_init",
+                TranSpec {
+                    dt_init: Some(f64::NAN),
+                    ..TranSpec::new(1e-6)
+                },
+            ),
+            ("dt_max", TranSpec::new(1e-6).with_dt_max(f64::INFINITY)),
+        ] {
+            match rc_step().tran(&spec) {
+                Err(SimError::BadAnalysis(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected BadAnalysis, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn identical_runs_have_equal_stats() {
+        let a = rc_step().tran(&TranSpec::new(5.0e-3)).unwrap();
+        let b = rc_step().tran(&TranSpec::new(5.0e-3)).unwrap();
+        assert_eq!(a.stats, b.stats);
+        assert!(a.stats.accepted_steps > 0);
+    }
+
+    #[test]
+    fn a_source_with_too_many_corners_is_an_error() {
+        // A 1e-21 s period puts ~4e18 corners before tstop; enumerating
+        // them used to exhaust memory.
+        let src = "t\nV1 a 0 PULSE(0 1 0 1n 1n 1n 1e-21)\nR1 a 0 1k\n";
+        let mut c = crate::netlist::parse_netlist(src).unwrap();
+        match c.tran(&TranSpec::new(1e-3)) {
+            Err(SimError::BadParameter { device, message }) => {
+                assert_eq!(device, "V1");
+                assert!(message.contains("corners"), "{message}");
+            }
+            other => panic!("expected BadParameter, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rc_charge_curve() {
+        let mut c = rc_step();
+        let b = c.find_node("b").unwrap();
+        let r = c.tran(&TranSpec::new(5.0e-3)).unwrap();
+        let w = r.voltage_waveform(b).unwrap();
         // v(t) = 1 − e^{−t/RC}; at t = 1 ms = 1 RC: 0.632.
         let v_tau = w.value_at(1.0e-3).unwrap();
         assert!((v_tau - 0.632).abs() < 0.02, "v(tau) = {v_tau}");

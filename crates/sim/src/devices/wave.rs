@@ -1,5 +1,7 @@
 //! Time-dependent source waveforms (DC, sine, pulse, piecewise-linear).
 
+use crate::analysis::tran::MAX_TIME_POINTS;
+
 /// The waveform of an independent source.
 ///
 /// # Example
@@ -169,6 +171,10 @@ impl SourceWave {
     }
 
     /// Corner times in `(0, tstop)` the transient must hit exactly.
+    ///
+    /// A periodic pulse stops once it has more than [`MAX_TIME_POINTS`]
+    /// corners: a transient cannot store that many points, so more would
+    /// only fill memory.
     pub fn breakpoints(&self, tstop: f64) -> Vec<f64> {
         let mut out = Vec::new();
         match self {
@@ -185,7 +191,14 @@ impl SourceWave {
                 let fall = fall.max(MIN_EDGE);
                 let cycle = [0.0, rise, rise + width, rise + width + fall];
                 let mut base = *delay;
-                loop {
+                if *period > 0.0 {
+                    // Skip the cycles that end before t = 0.
+                    let skip = ((-delay - cycle[3]) / period).floor();
+                    if skip > 0.0 {
+                        base += skip * period;
+                    }
+                }
+                while out.len() <= MAX_TIME_POINTS {
                     for c in cycle {
                         let t = base + c;
                         if t > 0.0 && t < tstop {
@@ -298,6 +311,16 @@ mod tests {
         assert!(bp.contains(&0.1));
         assert!(bp.contains(&1.1));
         assert!(bp.iter().all(|&t| t > 0.0 && t < 2.0));
+    }
+
+    #[test]
+    fn runaway_pulse_corners_stop_past_the_point_budget() {
+        // A 1e-21 s period, from t = 0 and from a delay of -1 s.
+        for delay in [0.0, -1.0] {
+            let w = SourceWave::pulse(0.0, 1.0, delay, 1e-9, 1e-9, 1e-9, 1e-21);
+            let n = w.breakpoints(1e-3).len();
+            assert!(n > MAX_TIME_POINTS && n <= MAX_TIME_POINTS + 4, "{n}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Simulator options: tolerances, iteration limits, integration method.
-
-use gabm_numeric::integrate::Method;
-use gabm_numeric::newton::Tolerances;
+//! Simulator options: the settings a caller changes, and the work counters.
 
 /// Global simulator options, the analogue of SPICE's `.OPTIONS` card.
+///
+/// Only the settings callers change live here; the Newton tolerances,
+/// iteration limits and stepping ladders are SPICE's defaults, fixed where
+/// they are used.
 ///
 /// # Example
 ///
@@ -14,27 +15,14 @@ use gabm_numeric::newton::Tolerances;
 ///     gmin: 1e-12,
 ///     ..Options::default()
 /// };
-/// assert_eq!(opts.max_newton_iters, 250);
+/// assert_eq!(opts.sparse_threshold, 64);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Newton convergence tolerances (RELTOL / VNTOL / ABSTOL).
-    pub tolerances: Tolerances,
     /// Minimum conductance placed across nonlinear junctions (SPICE `GMIN`).
     pub gmin: f64,
-    /// Maximum Newton iterations per solve attempt (SPICE `ITL1`).
-    pub max_newton_iters: usize,
-    /// Number of gmin-stepping decades tried when the plain operating-point
-    /// solve fails.
-    pub gmin_steps: usize,
-    /// Number of source-stepping points tried when gmin stepping also fails.
-    pub source_steps: usize,
-    /// Integration method for transient analysis.
-    pub method: Method,
     /// Transient local-truncation-error tolerance (volts per step).
     pub tran_tol: f64,
-    /// Maximum voltage change per Newton iteration before damping kicks in.
-    pub max_voltage_step: f64,
     /// Analysis temperature in kelvin (default 300.15 K = 27 °C).
     pub temperature: f64,
     /// Switch to the sparse matrix backend above this many unknowns.
@@ -44,14 +32,8 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            tolerances: Tolerances::default(),
             gmin: 1e-12,
-            max_newton_iters: 250,
-            gmin_steps: 12,
-            source_steps: 10,
-            method: Method::Trapezoidal,
             tran_tol: 1e-3,
-            max_voltage_step: 2.0,
             temperature: 300.15,
             sparse_threshold: 64,
         }
@@ -66,10 +48,10 @@ impl Options {
     }
 }
 
-/// Cumulative work counters, used by the benchmark harness to report the
-/// paper's §5 cost comparison in machine-independent terms as well as
-/// wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Cumulative work counters: the paper's §5 cost comparison in
+/// machine-independent terms. Two identical runs return equal stats; wall
+/// time is measured by the benchmark (`perfbench/`), not here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Accepted time steps.
     pub accepted_steps: usize,
@@ -84,10 +66,6 @@ pub struct SimStats {
     pub refactorizations: usize,
     /// Total device evaluation sweeps.
     pub device_evals: usize,
-    /// Wall-clock seconds spent in the analysis that produced these stats
-    /// (set by each analysis entry point; [`SimStats::absorb`] sums, and a
-    /// composite analysis overwrites with its own total).
-    pub wall_s: f64,
 }
 
 impl SimStats {
@@ -99,7 +77,6 @@ impl SimStats {
         self.factorizations += other.factorizations;
         self.refactorizations += other.refactorizations;
         self.device_evals += other.device_evals;
-        self.wall_s += other.wall_s;
     }
 }
 
@@ -111,8 +88,6 @@ mod tests {
     fn defaults_are_spice_like() {
         let o = Options::default();
         assert_eq!(o.gmin, 1e-12);
-        assert_eq!(o.tolerances.reltol, 1e-3);
-        assert_eq!(o.method, Method::Trapezoidal);
         // kT/q at 27 °C ≈ 25.9 mV.
         assert!((o.thermal_voltage() - 0.02585).abs() < 1e-4);
     }
@@ -131,7 +106,6 @@ mod tests {
             factorizations: 5,
             refactorizations: 7,
             device_evals: 6,
-            wall_s: 0.25,
         });
         assert_eq!(a.accepted_steps, 3);
         assert_eq!(a.rejected_steps, 1);
@@ -139,6 +113,5 @@ mod tests {
         assert_eq!(a.factorizations, 5);
         assert_eq!(a.refactorizations, 7);
         assert_eq!(a.device_evals, 6);
-        assert_eq!(a.wall_s, 0.25);
     }
 }
