@@ -4,8 +4,10 @@
 //! complex MNA system at each frequency. Sources marked with an AC magnitude
 //! (see [`crate::devices::vsource::Vsource::with_ac`]) provide the stimulus.
 
+use crate::analysis::tran::MAX_TIME_POINTS;
+use crate::analysis::Solutions;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::AcStamper;
+use crate::device::{AcStamper, Unknown};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::{Complex64, LuFactor};
@@ -41,46 +43,61 @@ impl AcSweep {
     ///
     /// # Errors
     ///
-    /// [`SimError::BadAnalysis`] for inconsistent bounds.
+    /// [`SimError::BadAnalysis`] for inconsistent, negative or non-finite
+    /// bounds, or for more than [`MAX_TIME_POINTS`] points.
     pub fn frequencies(&self) -> Result<Vec<f64>, SimError> {
-        match self {
+        let finite = |f: &f64| *f >= 0.0 && f.is_finite();
+        let (valid, points, needs) = match self {
+            AcSweep::Decade {
+                points_per_decade,
+                fstart,
+                fstop,
+            } => (
+                *points_per_decade > 0 && *fstart > 0.0 && fstop > fstart && finite(fstop),
+                // Infinite when fstop / fstart overflows.
+                ((fstop / fstart).log10() * *points_per_decade as f64).ceil() + 1.0,
+                "decade sweep needs points > 0 and finite 0 < fstart < fstop",
+            ),
+            AcSweep::Linear { n, fstart, fstop } => (
+                *n >= 2 && finite(fstart) && fstop > fstart && finite(fstop),
+                *n as f64,
+                "linear sweep needs n >= 2 and finite 0 <= fstart < fstop",
+            ),
+            AcSweep::List(fs) => (
+                !fs.is_empty() && fs.iter().all(finite),
+                fs.len() as f64,
+                "frequency list needs one or more finite, non-negative frequencies",
+            ),
+        };
+        if !valid {
+            return Err(SimError::BadAnalysis(needs.into()));
+        }
+        if points > MAX_TIME_POINTS as f64 {
+            return Err(SimError::BadAnalysis(format!(
+                "AC sweep has more than {MAX_TIME_POINTS} frequency points"
+            )));
+        }
+        Ok(match self {
             AcSweep::Decade {
                 points_per_decade,
                 fstart,
                 fstop,
             } => {
-                if *fstart <= 0.0 || fstop <= fstart || *points_per_decade == 0 {
-                    return Err(SimError::BadAnalysis(
-                        "decade sweep needs 0 < fstart < fstop and points > 0".into(),
-                    ));
-                }
-                let decades = (fstop / fstart).log10();
-                let total = (decades * *points_per_decade as f64).ceil() as usize;
-                let mut out = Vec::with_capacity(total + 1);
-                for k in 0..=total {
-                    out.push(fstart * 10f64.powf(k as f64 / *points_per_decade as f64));
-                }
+                let ppd = *points_per_decade as f64;
+                let mut out: Vec<f64> = (0..points as usize)
+                    .map(|k| fstart * 10f64.powf(k as f64 / ppd))
+                    .collect();
                 if let Some(last) = out.last_mut() {
                     *last = last.min(*fstop);
                 }
-                Ok(out)
+                out
             }
             AcSweep::Linear { n, fstart, fstop } => {
-                if *n < 2 || fstop <= fstart {
-                    return Err(SimError::BadAnalysis(
-                        "linear sweep needs n >= 2 and fstart < fstop".into(),
-                    ));
-                }
                 let step = (fstop - fstart) / (*n as f64 - 1.0);
-                Ok((0..*n).map(|k| fstart + step * k as f64).collect())
+                (0..*n).map(|k| fstart + step * k as f64).collect()
             }
-            AcSweep::List(fs) => {
-                if fs.is_empty() {
-                    return Err(SimError::BadAnalysis("empty frequency list".into()));
-                }
-                Ok(fs.clone())
-            }
-        }
+            AcSweep::List(fs) => fs.clone(),
+        })
     }
 }
 
@@ -108,8 +125,7 @@ impl AcSpec {
 #[derive(Debug, Clone)]
 pub struct AcResult {
     freqs: Vec<f64>,
-    solutions: Vec<Vec<Complex64>>,
-    n_nodes: usize,
+    solutions: Solutions<Complex64>,
     /// Work counters (includes the implicit OP solve).
     pub stats: SimStats,
 }
@@ -132,16 +148,12 @@ impl AcResult {
 
     /// Complex voltage of `node` at frequency point `idx`.
     pub fn voltage_at(&self, idx: usize, node: NodeId) -> Complex64 {
-        if node.is_ground() {
-            Complex64::ZERO
-        } else {
-            self.solutions[idx][node.index() - 1]
-        }
+        self.solutions.at(idx, Unknown::Node(node))
     }
 
     /// Complex branch current by global index at point `idx`.
     pub fn branch_current_at(&self, idx: usize, branch: usize) -> Complex64 {
-        self.solutions[idx][self.n_nodes + branch]
+        self.solutions.at(idx, Unknown::Branch(branch))
     }
 
     /// Magnitude (in dB) of `node`'s voltage across the sweep.
@@ -165,12 +177,10 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
     // Linearize about the operating point (devices cache gm/gds/...).
     let op = circuit.op()?;
     let mut stats = op.stats;
-    let n_nodes = circuit.n_nodes();
-    let n_branches = circuit.n_branches();
-    let mut stamper = AcStamper::new(n_nodes, n_branches, 0.0);
+    let mut stamper = AcStamper::new(circuit.n_nodes(), circuit.n_branches(), 0.0);
     // One factor, refactored in place at every frequency point.
     let mut lu = LuFactor::default();
-    let mut solutions = Vec::with_capacity(freqs.len());
+    let mut solutions = Solutions::new(circuit.layout());
     for &f in &freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
         stamper.reset(omega);
@@ -181,14 +191,20 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
         let (mat, rhs) = stamper.finish();
         lu.refactor(mat)?;
         stats.factorizations += 1;
-        let mut x = rhs.to_vec();
-        lu.solve_in_place(&mut x)?;
-        solutions.push(x);
+        let x = solutions.push(rhs);
+        lu.solve_in_place(x)?;
+        if let Some(bad) = x
+            .iter()
+            .position(|v| !(v.re.is_finite() && v.im.is_finite()))
+        {
+            return Err(SimError::NonFinite {
+                unknown: circuit.unknown_name(bad),
+            });
+        }
     }
     Ok(AcResult {
         freqs,
         solutions,
-        n_nodes,
         stats,
     })
 }
@@ -226,6 +242,85 @@ mod tests {
         }
         .frequencies()
         .is_err());
+    }
+
+    /// Expects `sweep` to be rejected as a bad analysis.
+    fn rejected(sweep: AcSweep) {
+        match sweep.frequencies() {
+            Err(SimError::BadAnalysis(_)) => {}
+            other => panic!("{sweep:?}: expected BadAnalysis, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_nan_frequency_list_is_rejected() {
+        rejected(AcSweep::List(vec![f64::NAN]));
+        rejected(AcSweep::List(vec![1.0, -1.0]));
+        rejected(AcSweep::Linear {
+            n: 3,
+            fstart: -1.0,
+            fstop: 1.0,
+        });
+    }
+
+    #[test]
+    fn a_nan_decade_start_is_rejected() {
+        rejected(AcSweep::Decade {
+            points_per_decade: 10,
+            fstart: f64::NAN,
+            fstop: 1.0e3,
+        });
+    }
+
+    #[test]
+    fn an_infinite_decade_stop_is_rejected() {
+        rejected(AcSweep::Decade {
+            points_per_decade: 10,
+            fstart: 1.0,
+            fstop: f64::INFINITY,
+        });
+        rejected(AcSweep::Linear {
+            n: 3,
+            fstart: 0.0,
+            fstop: f64::INFINITY,
+        });
+    }
+
+    #[test]
+    fn a_sweep_past_the_point_budget_is_rejected() {
+        // Finite bounds whose ratio overflows, and counts past the budget.
+        rejected(AcSweep::Decade {
+            points_per_decade: 10,
+            fstart: 1e-300,
+            fstop: 1e300,
+        });
+        rejected(AcSweep::Decade {
+            points_per_decade: usize::MAX,
+            fstart: 1.0,
+            fstop: 10.0,
+        });
+        rejected(AcSweep::Linear {
+            n: MAX_TIME_POINTS + 1,
+            fstart: 0.0,
+            fstop: 1.0,
+        });
+    }
+
+    #[test]
+    fn a_non_finite_solution_is_an_error_naming_the_unknown() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_device(Box::new(
+            Vsource::new("V1", a, Circuit::GROUND, SourceWave::dc(0.0)).with_ac(f64::INFINITY),
+        ))
+        .unwrap();
+        c.add_resistor("R1", a, Circuit::GROUND, 1.0e3).unwrap();
+        let err = c
+            .ac(&AcSpec {
+                sweep: AcSweep::List(vec![1.0e3]),
+            })
+            .unwrap_err();
+        assert_eq!(err.to_string(), "non-finite solution value at node 'a'");
     }
 
     #[test]

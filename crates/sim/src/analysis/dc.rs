@@ -1,7 +1,10 @@
 //! DC sweep analysis.
 
-use crate::analysis::op::solve_op_guess;
+use crate::analysis::op::solve_op_from;
+use crate::analysis::tran::MAX_TIME_POINTS;
+use crate::analysis::Solutions;
 use crate::circuit::{Circuit, NodeId};
+use crate::device::Unknown;
 use crate::options::SimStats;
 use crate::SimError;
 
@@ -9,8 +12,7 @@ use crate::SimError;
 #[derive(Debug, Clone)]
 pub struct DcResult {
     values: Vec<f64>,
-    solutions: Vec<Vec<f64>>,
-    n_nodes: usize,
+    solutions: Solutions<f64>,
     /// Work counters accumulated over the whole sweep.
     pub stats: SimStats,
 }
@@ -33,11 +35,7 @@ impl DcResult {
 
     /// Voltage of `node` at sweep point `idx`.
     pub fn voltage_at(&self, idx: usize, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.solutions[idx][node.index() - 1]
-        }
+        self.solutions.at(idx, Unknown::Node(node))
     }
 
     /// The voltage of `node` across the whole sweep, parallel to
@@ -48,7 +46,7 @@ impl DcResult {
 
     /// Branch current by global index at sweep point `idx`.
     pub fn branch_current_at(&self, idx: usize, branch: usize) -> f64 {
-        self.solutions[idx][self.n_nodes + branch]
+        self.solutions.at(idx, Unknown::Branch(branch))
     }
 }
 
@@ -62,9 +60,22 @@ pub(crate) fn sweep(
     to: f64,
     step: f64,
 ) -> Result<DcResult, SimError> {
+    for (field, value) in [("from", from), ("to", to), ("step", step)] {
+        if !value.is_finite() {
+            return Err(SimError::BadAnalysis(format!(
+                "sweep {field} must be finite, got {value}"
+            )));
+        }
+    }
     if step == 0.0 || (to - from) * step < 0.0 {
         return Err(SimError::BadAnalysis(format!(
             "inconsistent sweep: from {from} to {to} step {step}"
+        )));
+    }
+    let count = ((to - from) / step).round();
+    if count >= MAX_TIME_POINTS as f64 {
+        return Err(SimError::BadAnalysis(format!(
+            "sweep from {from} to {to} step {step} has more than {MAX_TIME_POINTS} points"
         )));
     }
     let idx = circuit
@@ -72,30 +83,26 @@ pub(crate) fn sweep(
         .ok_or_else(|| SimError::UnknownDevice(source.to_string()))?;
 
     let _span = gabm_trace::span("sim.dc");
-    let n = circuit.n_unknowns();
-    let mut guess = vec![0.0; n];
+    let layout = circuit.layout();
+    let mut x = vec![0.0; layout.n_unknowns()];
     let mut values = Vec::new();
-    let mut solutions = Vec::new();
+    let mut solutions = Solutions::new(layout);
     let mut stats = SimStats::default();
 
-    let count = ((to - from) / step).round() as isize;
-    for k in 0..=count.max(0) {
+    for k in 0..=count as usize {
         let v = from + step * k as f64;
         if !circuit.devices_mut()[idx].set_dc_value(v) {
             return Err(SimError::UnknownDevice(format!(
                 "{source} is not an independent source"
             )));
         }
-        let (x, s) = solve_op_guess(circuit, &guess)?;
-        stats.absorb(s);
-        guess.copy_from_slice(&x);
+        stats.absorb(solve_op_from(circuit, &mut x)?);
         values.push(v);
-        solutions.push(x);
+        solutions.push(&x);
     }
     Ok(DcResult {
         values,
         solutions,
-        n_nodes: circuit.n_nodes(),
         stats,
     })
 }
@@ -156,5 +163,41 @@ mod tests {
         assert!(c.dc_sweep("V1", 0.0, 1.0, -0.1).is_err());
         assert!(c.dc_sweep("VX", 0.0, 1.0, 0.1).is_err());
         assert!(c.dc_sweep("R1", 0.0, 1.0, 0.1).is_err());
+    }
+
+    fn one_source() -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(0.0));
+        c.add_resistor("R1", a, Circuit::GROUND, 1.0).unwrap();
+        c
+    }
+
+    #[test]
+    fn non_finite_sweep_bounds_name_the_field() {
+        for (field, (from, to, step)) in [
+            ("from", (f64::NAN, 1.0, 0.1)),
+            ("to", (0.0, f64::INFINITY, 0.1)),
+            ("step", (0.0, 1.0, f64::NAN)),
+        ] {
+            match one_source().dc_sweep("V1", from, to, step) {
+                Err(SimError::BadAnalysis(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{field}: expected BadAnalysis, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_past_the_point_budget_fails_before_the_run() {
+        // 10^12 points; the check must come before any solve.
+        match one_source().dc_sweep("V1", 0.0, 1.0, 1e-12) {
+            Err(SimError::BadAnalysis(msg)) => assert!(msg.contains("points"), "{msg}"),
+            other => panic!("expected BadAnalysis, got {other:?}"),
+        }
+        // A span that overflows to infinity is past the budget too.
+        assert!(matches!(
+            one_source().dc_sweep("V1", -1e308, 1e308, 1.0),
+            Err(SimError::BadAnalysis(_))
+        ));
     }
 }

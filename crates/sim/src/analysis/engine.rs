@@ -1,7 +1,7 @@
 //! The damped Newton–Raphson core shared by all real-valued analyses.
 
 use crate::circuit::Circuit;
-use crate::device::{Mode, Stamper};
+use crate::device::{Layout, Mode, Stamper};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::newton::{damp_update, Tolerances};
@@ -13,16 +13,6 @@ const MAX_NEWTON_ITERS: usize = 250;
 /// Largest change of any unknown in one Newton iteration before the update
 /// is damped.
 const MAX_VOLTAGE_STEP: f64 = 2.0;
-
-/// Result of one Newton solve.
-#[derive(Debug, Clone)]
-pub(crate) struct NewtonOutcome {
-    /// Converged solution.
-    pub x: Vec<f64>,
-    /// Iterations used (exposed for diagnostics and the engine tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub iterations: usize,
-}
 
 /// Extra knobs for the homotopy (continuation) strategies.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +55,10 @@ pub(crate) struct NewtonWorkspace {
 }
 
 impl NewtonWorkspace {
-    fn new(n_nodes: usize, n: usize, sparse: bool) -> Self {
+    fn new(layout: Layout, sparse: bool) -> Self {
+        let n = layout.n_unknowns();
         NewtonWorkspace {
-            stamper: Stamper::with_backend(n_nodes, n - n_nodes, Mode::Dc, sparse),
+            stamper: Stamper::with_backend(layout, Mode::Dc, sparse),
             sparse,
             dense_lu: LuFactor::default(),
             sparse_lu: None,
@@ -76,12 +67,14 @@ impl NewtonWorkspace {
         }
     }
 
-    fn fits(&self, n_nodes: usize, n: usize, sparse: bool) -> bool {
-        self.stamper.n_nodes() == n_nodes && self.x.len() == n && self.sparse == sparse
+    fn fits(&self, layout: Layout, sparse: bool) -> bool {
+        self.stamper.layout == layout && self.sparse == sparse
     }
 }
 
-/// Runs a damped Newton iteration for the given mode, starting from `x0`.
+/// Runs a damped Newton iteration for the given mode. `solution` holds the
+/// initial guess; on success it receives the converged iterate, on failure
+/// it is left as it was. Returns the iterations used.
 ///
 /// Uses the Norton-companion formulation: each assembled linear system yields
 /// the *next iterate* directly, and damping interpolates between iterates
@@ -89,22 +82,21 @@ impl NewtonWorkspace {
 pub(crate) fn newton_solve(
     circuit: &mut Circuit,
     mode: Mode,
-    x0: &[f64],
+    solution: &mut [f64],
     setup: SolveSetup,
     stats: &mut SimStats,
-) -> Result<NewtonOutcome, SimError> {
+) -> Result<usize, SimError> {
     let _span = gabm_trace::span("sim.newton");
-    let n_nodes = circuit.n_nodes();
-    let n = circuit.n_unknowns();
-    let sparse = n >= circuit.options.sparse_threshold;
+    let layout = circuit.layout();
+    let sparse = layout.n_unknowns() >= circuit.options.sparse_threshold;
     // Take the workspace out for the iteration and put it back on every
     // exit path.
     let mut ws = match circuit.newton.take() {
-        Some(ws) if ws.fits(n_nodes, n, sparse) => ws,
-        _ => NewtonWorkspace::new(n_nodes, n, sparse),
+        Some(ws) if ws.fits(layout, sparse) => ws,
+        _ => NewtonWorkspace::new(layout, sparse),
     };
     let iters_before = stats.newton_iterations;
-    let result = newton_iterate(circuit, mode, x0, setup, stats, &mut ws);
+    let result = newton_iterate(circuit, mode, solution, setup, stats, &mut ws);
     circuit.newton = Some(ws);
     gabm_trace::add(
         "sim.newton.iterations",
@@ -116,13 +108,13 @@ pub(crate) fn newton_solve(
 fn newton_iterate(
     circuit: &mut Circuit,
     mode: Mode,
-    x0: &[f64],
+    solution: &mut [f64],
     setup: SolveSetup,
     stats: &mut SimStats,
     ws: &mut NewtonWorkspace,
-) -> Result<NewtonOutcome, SimError> {
+) -> Result<usize, SimError> {
     let n_nodes = circuit.n_nodes();
-    debug_assert_eq!(x0.len(), ws.x.len(), "initial guess length mismatch");
+    debug_assert_eq!(solution.len(), ws.x.len(), "initial guess length mismatch");
     let nonlinear = circuit.is_nonlinear();
     let NewtonWorkspace {
         stamper,
@@ -144,7 +136,7 @@ fn newton_iterate(
         d.begin_solve();
     }
 
-    x.copy_from_slice(x0);
+    x.copy_from_slice(solution);
     for iter in 0..max_iters {
         stamper.reset(x, mode);
         for d in circuit.devices_mut() {
@@ -155,7 +147,7 @@ fn newton_iterate(
         let (mat, rhs) = stamper.finish();
         let singular = |e: gabm_numeric::NumericError| match e {
             gabm_numeric::NumericError::Singular { pivot } => SimError::SingularMatrix {
-                detail: unknown_name(circuit, pivot, n_nodes),
+                detail: circuit.unknown_name(pivot),
             },
             other => SimError::from(other),
         };
@@ -201,14 +193,12 @@ fn newton_iterate(
         // so fail at once, naming the unknown.
         if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
             return Err(SimError::NonFinite {
-                unknown: unknown_name(circuit, bad, n_nodes),
+                unknown: circuit.unknown_name(bad),
             });
         }
         if !nonlinear {
-            return Ok(NewtonOutcome {
-                x: x_next.clone(),
-                iterations: 1,
-            });
+            solution.copy_from_slice(x_next);
+            return Ok(1);
         }
         // Damped update, in place: x_next ← x + damp(x_next − x).
         for (next, cur) in x_next.iter_mut().zip(x.iter()) {
@@ -222,28 +212,14 @@ fn newton_iterate(
             scale == 1.0 && !limited && Tolerances::default().converged(x_next, x, n_nodes);
         std::mem::swap(x, x_next);
         if converged {
-            return Ok(NewtonOutcome {
-                x: x.clone(),
-                iterations: iter + 1,
-            });
+            solution.copy_from_slice(x);
+            return Ok(iter + 1);
         }
     }
     Err(SimError::NoConvergence {
         analysis: "newton",
         detail: format!("no convergence in {max_iters} iterations"),
     })
-}
-
-/// Human-readable name of MNA unknown `idx` for solver diagnostics.
-fn unknown_name(circuit: &Circuit, idx: usize, n_nodes: usize) -> String {
-    if idx < n_nodes {
-        format!(
-            "node '{}'",
-            circuit.node_name(crate::circuit::NodeId::from_index(idx + 1))
-        )
-    } else {
-        format!("branch current #{}", idx - n_nodes)
-    }
 }
 
 #[cfg(test)]
@@ -259,21 +235,15 @@ mod tests {
         c.add_vsource("V1", a, Circuit::GROUND, SourceWave::dc(10.0));
         c.add_resistor("R1", a, b, 1.0e3).unwrap();
         c.add_resistor("R2", b, Circuit::GROUND, 1.0e3).unwrap();
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let out = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(out.iterations, 1);
+        let iterations =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
+        assert_eq!(iterations, 1);
         // b is node index 2 → x[1].
-        assert!((out.x[1] - 5.0).abs() < 1e-9);
+        assert!((x[1] - 5.0).abs() < 1e-9);
         // Source current = −10/2k = −5 mA (into + terminal).
-        assert!((out.x[2] + 5.0e-3).abs() < 1e-9);
+        assert!((x[2] + 5.0e-3).abs() < 1e-9);
     }
 
     #[test]
@@ -286,16 +256,10 @@ mod tests {
         // by adding a resistor between b and b (no-op is impossible) — use a
         // node with no devices instead.
         let _ = b;
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let err = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap_err();
+        let err =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap_err();
         match err {
             SimError::SingularMatrix { detail } => {
                 assert!(detail.contains("floating"), "detail: {detail}");
@@ -351,18 +315,14 @@ mod tests {
     #[test]
     fn non_finite_nonlinear_iterate_stops_after_one_iteration() {
         let mut c = infinite_source_diode();
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let err = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap_err();
+        let err =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap_err();
         assert!(matches!(err, SimError::NonFinite { .. }), "{err:?}");
         assert_eq!(stats.newton_iterations, 1);
+        // A failed solve leaves the caller's guess as it was.
+        assert!(x.iter().all(|v| *v == 0.0));
     }
 
     /// Nonlinear diode/resistor ladder, forced onto the sparse backend.
@@ -392,39 +352,27 @@ mod tests {
         // its symbolic analysis (`SparseLu::refactor`, which reproduces a
         // fresh factorization to the ulp, see `splu::tests`).
         let mut c = diode_ladder();
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let out = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(out.iterations > 1);
+        let iterations =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
+        assert!(iterations > 1);
         assert_eq!(stats.factorizations, 1);
-        assert_eq!(stats.refactorizations, out.iterations - 1);
+        assert_eq!(stats.refactorizations, iterations - 1);
     }
 
     #[test]
     fn sparse_factor_survives_consecutive_solves() {
         let mut c = diode_ladder();
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let out = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
+        let iterations =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
         // Second solve from the converged point: same pattern, so no new
         // full factorization at all.
-        newton_solve(&mut c, Mode::Dc, &out.x, SolveSetup::default(), &mut stats).unwrap();
+        newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
         assert_eq!(stats.factorizations, 1);
-        assert!(stats.refactorizations >= out.iterations);
+        assert!(stats.refactorizations >= iterations);
     }
 
     #[test]
@@ -433,10 +381,11 @@ mod tests {
         c.options.sparse_threshold = usize::MAX;
         let n = c.n_unknowns();
         let mut stats = SimStats::default();
-        let dense = newton_solve(
+        let mut dense = vec![0.0; n];
+        newton_solve(
             &mut c,
             Mode::Dc,
-            &vec![0.0; n],
+            &mut dense,
             SolveSetup::default(),
             &mut stats,
         )
@@ -446,17 +395,18 @@ mod tests {
         // factorization, numeric refactorizations after it, same answer.
         c.options.sparse_threshold = 1;
         let mut stats = SimStats::default();
-        let sparse = newton_solve(
+        let mut sparse = vec![0.0; n];
+        let iterations = newton_solve(
             &mut c,
             Mode::Dc,
-            &vec![0.0; n],
+            &mut sparse,
             SolveSetup::default(),
             &mut stats,
         )
         .unwrap();
         assert_eq!(stats.factorizations, 1);
-        assert_eq!(stats.refactorizations, sparse.iterations - 1);
-        for (d, s) in dense.x.iter().zip(&sparse.x) {
+        assert_eq!(stats.refactorizations, iterations - 1);
+        for (d, s) in dense.iter().zip(&sparse) {
             assert!((d - s).abs() <= 1e-9 * d.abs().max(1.0), "{d} vs {s}");
         }
         // A new node changes the unknown count: the workspace is rebuilt
@@ -465,17 +415,9 @@ mod tests {
         let extra = c.node("extra");
         c.add_resistor("RX", top, extra, 1.0e3).unwrap();
         c.add_resistor("RY", extra, Circuit::GROUND, 1.0e3).unwrap();
-        let n = c.n_unknowns();
-        let out = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(out.x.len(), n);
-        let v_extra = out.x[extra.index() - 1];
+        let mut x = vec![0.0; c.n_unknowns()];
+        newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
+        let v_extra = x[extra.index() - 1];
         assert!((v_extra - 2.5).abs() < 1e-9, "v(extra) = {v_extra}");
     }
 
@@ -492,20 +434,14 @@ mod tests {
             Circuit::GROUND,
             crate::devices::DiodeParams::default(),
         );
-        let n = c.n_unknowns();
+        let mut x = vec![0.0; c.n_unknowns()];
         let mut stats = SimStats::default();
-        let out = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &vec![0.0; n],
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
+        let iterations =
+            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
         // Diode drop should be ~0.6–0.8 V.
-        let vd = out.x[1];
+        let vd = x[1];
         assert!((0.5..0.9).contains(&vd), "vd = {vd}");
-        assert!(out.iterations > 1);
+        assert!(iterations > 1);
         // KCL: (5 − vd)/1k = Is(e^{vd/vt} − 1) within tolerance.
         let i_r = (5.0 - vd) / 1.0e3;
         let i_d = 1e-14 * ((vd / 0.025861).exp() - 1.0);

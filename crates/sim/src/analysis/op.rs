@@ -2,7 +2,7 @@
 
 use crate::analysis::engine::{newton_solve, SolveSetup};
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{Mode, StateView};
+use crate::device::{Layout, Mode, StateView, Unknown};
 use crate::options::SimStats;
 use crate::SimError;
 
@@ -17,28 +17,20 @@ const SOURCE_STEPS: usize = 10;
 #[derive(Debug, Clone)]
 pub struct OpResult {
     x: Vec<f64>,
-    n_nodes: usize,
+    layout: Layout,
     /// Work counters accumulated during the solve.
     pub stats: SimStats,
 }
 
 impl OpResult {
-    pub(crate) fn new(x: Vec<f64>, n_nodes: usize, stats: SimStats) -> Self {
-        OpResult { x, n_nodes, stats }
-    }
-
     /// Node voltage at the operating point.
     pub fn voltage(&self, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.x[node.index() - 1]
-        }
+        self.layout.value(&self.x, Unknown::Node(node))
     }
 
     /// Branch current by global branch index.
     pub fn branch_current(&self, idx: usize) -> f64 {
-        self.x[self.n_nodes + idx]
+        self.layout.value(&self.x, Unknown::Branch(idx))
     }
 
     /// Current through a named branch device (voltage source or inductor),
@@ -48,13 +40,7 @@ impl OpResult {
     ///
     /// [`SimError::UnknownDevice`] if the device is absent or has no branch.
     pub fn current_through(&self, circuit: &Circuit, device: &str) -> Result<f64, SimError> {
-        let idx = circuit
-            .device_index(device)
-            .ok_or_else(|| SimError::UnknownDevice(device.to_string()))?;
-        let branch = circuit.devices()[idx]
-            .branch_index()
-            .ok_or_else(|| SimError::UnknownDevice(format!("{device} has no branch current")))?;
-        Ok(self.branch_current(branch))
+        Ok(self.branch_current(circuit.branch_of(device)?))
     }
 
     /// Full solution vector (node voltages, then branch currents).
@@ -66,99 +52,14 @@ impl OpResult {
 /// Solves the operating point: plain Newton first, then gmin stepping, then
 /// source stepping — the same escalation ladder SPICE/ELDO use.
 pub(crate) fn solve_op(circuit: &mut Circuit) -> Result<OpResult, SimError> {
-    let (x, stats) = solve_op_internal(circuit, None)?;
-    commit(circuit, &x);
-    Ok(OpResult::new(x, circuit.n_nodes(), stats))
-}
-
-/// Operating point with an initial guess (used by DC sweeps to track the
-/// previous point's solution) — does *not* commit device state.
-pub(crate) fn solve_op_guess(
-    circuit: &mut Circuit,
-    guess: &[f64],
-) -> Result<(Vec<f64>, SimStats), SimError> {
-    solve_op_internal(circuit, Some(guess))
-}
-
-fn solve_op_internal(
-    circuit: &mut Circuit,
-    guess: Option<&[f64]>,
-) -> Result<(Vec<f64>, SimStats), SimError> {
-    let _span = gabm_trace::span("sim.op");
-    let n = circuit.n_unknowns();
-    if n == 0 {
-        return Ok((Vec::new(), SimStats::default()));
-    }
-    let zero = vec![0.0; n];
-    let x0: Vec<f64> = guess.map(|g| g.to_vec()).unwrap_or(zero);
-    let mut stats = SimStats::default();
-
-    // 1. Plain Newton.
-    match newton_solve(circuit, Mode::Dc, &x0, SolveSetup::default(), &mut stats) {
-        Ok(out) => return Ok((out.x, stats)),
-        Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => return Err(e),
-        Err(_) => {}
-    }
-
-    // 2. gmin stepping: solve with a strong shunt everywhere, then relax it
-    //    decade by decade, carrying the solution.
-    let mut x = x0;
-    let mut ok = true;
-    let mut gshunt = 1e-2;
-    for _ in 0..GMIN_STEPS {
-        match newton_solve(
-            circuit,
-            Mode::Dc,
-            &x,
-            SolveSetup {
-                gshunt,
-                source_scale: 1.0,
-            },
-            &mut stats,
-        ) {
-            Ok(out) => x = out.x,
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        }
-        gshunt /= 10.0;
-    }
-    if ok {
-        // Final solve with the shunt removed entirely.
-        if let Ok(out) = newton_solve(circuit, Mode::Dc, &x, SolveSetup::default(), &mut stats) {
-            return Ok((out.x, stats));
-        }
-    }
-
-    // 3. Source stepping: ramp the sources from 0 to 100 %.
-    let mut x = vec![0.0; n];
-    for k in 1..=SOURCE_STEPS {
-        let setup = SolveSetup {
-            gshunt: 0.0,
-            source_scale: k as f64 / SOURCE_STEPS as f64,
-        };
-        match newton_solve(circuit, Mode::Dc, &x, setup, &mut stats) {
-            Ok(out) => x = out.x,
-            Err(_) => {
-                return Err(SimError::NoConvergence {
-                    analysis: "op",
-                    detail: "plain Newton, gmin stepping and source stepping all failed"
-                        .to_string(),
-                })
-            }
-        }
-    }
-    Ok((x, stats))
-}
-
-/// Commits the operating point into every device's state (capacitor voltages
-/// etc.), making it the initial condition for a following transient.
-pub(crate) fn commit(circuit: &mut Circuit, x: &[f64]) {
-    let n_nodes = circuit.n_nodes();
+    let layout = circuit.layout();
+    let mut x = vec![0.0; layout.n_unknowns()];
+    let stats = solve_op_from(circuit, &mut x)?;
+    // Commit the operating point into every device's state (capacitor
+    // voltages etc.): the initial condition of a following transient.
     let sv = StateView {
-        x,
-        n_nodes,
+        x: &x,
+        n_nodes: layout.n_nodes,
         time: 0.0,
         mode: Mode::Dc,
         temperature: circuit.options.temperature,
@@ -166,6 +67,61 @@ pub(crate) fn commit(circuit: &mut Circuit, x: &[f64]) {
     for d in circuit.devices_mut() {
         d.accept_step(&sv);
     }
+    Ok(OpResult { x, layout, stats })
+}
+
+/// Operating point from the initial guess in `x`, which receives the
+/// solution (used by DC sweeps to track the previous point's solution) —
+/// does *not* commit device state.
+pub(crate) fn solve_op_from(circuit: &mut Circuit, x: &mut [f64]) -> Result<SimStats, SimError> {
+    let _span = gabm_trace::span("sim.op");
+    let mut stats = SimStats::default();
+    if x.is_empty() {
+        return Ok(stats);
+    }
+
+    // 1. Plain Newton.
+    match newton_solve(circuit, Mode::Dc, x, SolveSetup::default(), &mut stats) {
+        Ok(_) => return Ok(stats),
+        Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => return Err(e),
+        Err(_) => {}
+    }
+
+    // 2. gmin stepping: solve with a strong shunt everywhere, then relax it
+    //    decade by decade, carrying the solution.
+    let mut ok = true;
+    let mut gshunt = 1e-2;
+    for _ in 0..GMIN_STEPS {
+        let setup = SolveSetup {
+            gshunt,
+            source_scale: 1.0,
+        };
+        if newton_solve(circuit, Mode::Dc, x, setup, &mut stats).is_err() {
+            ok = false;
+            break;
+        }
+        gshunt /= 10.0;
+    }
+    // Final solve with the shunt removed entirely.
+    if ok && newton_solve(circuit, Mode::Dc, x, SolveSetup::default(), &mut stats).is_ok() {
+        return Ok(stats);
+    }
+
+    // 3. Source stepping: ramp the sources from 0 to 100 %.
+    x.fill(0.0);
+    for k in 1..=SOURCE_STEPS {
+        let setup = SolveSetup {
+            gshunt: 0.0,
+            source_scale: k as f64 / SOURCE_STEPS as f64,
+        };
+        newton_solve(circuit, Mode::Dc, x, setup, &mut stats).map_err(|_| {
+            SimError::NoConvergence {
+                analysis: "op",
+                detail: "plain Newton, gmin stepping and source stepping all failed".to_string(),
+            }
+        })?;
+    }
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! "simulation expertise" of §4's note on discontinuities).
 
 use crate::analysis::engine::{newton_solve, SolveSetup};
+use crate::analysis::Solutions;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{Mode, StateView};
+use crate::device::{Mode, StateView, Unknown};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::integrate::{
@@ -61,8 +62,7 @@ impl TranSpec {
 #[derive(Debug, Clone)]
 pub struct TranResult {
     times: Vec<f64>,
-    states: Vec<Vec<f64>>,
-    n_nodes: usize,
+    states: Solutions<f64>,
     /// Work counters for the whole run.
     pub stats: SimStats,
 }
@@ -85,16 +85,12 @@ impl TranResult {
 
     /// Voltage of `node` at stored point `idx`.
     pub fn voltage_at(&self, idx: usize, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.states[idx][node.index() - 1]
-        }
+        self.states.at(idx, Unknown::Node(node))
     }
 
     /// Branch current by global index at stored point `idx`.
     pub fn branch_current_at(&self, idx: usize, branch: usize) -> f64 {
-        self.states[idx][self.n_nodes + branch]
+        self.states.at(idx, Unknown::Branch(branch))
     }
 
     /// The voltage of `node` over time as a [`Waveform`].
@@ -103,12 +99,7 @@ impl TranResult {
     ///
     /// [`SimError::MissingResult`] if the run stored no points.
     pub fn voltage_waveform(&self, node: NodeId) -> Result<Waveform, SimError> {
-        if self.is_empty() {
-            return Err(SimError::MissingResult("empty transient result".into()));
-        }
-        let values = (0..self.len()).map(|i| self.voltage_at(i, node)).collect();
-        Waveform::from_samples(self.times.clone(), values)
-            .map_err(|e| SimError::BadAnalysis(e.to_string()))
+        self.waveform(Unknown::Node(node))
     }
 
     /// The current of global `branch` over time as a [`Waveform`].
@@ -117,14 +108,7 @@ impl TranResult {
     ///
     /// [`SimError::MissingResult`] if the run stored no points.
     pub fn branch_waveform(&self, branch: usize) -> Result<Waveform, SimError> {
-        if self.is_empty() {
-            return Err(SimError::MissingResult("empty transient result".into()));
-        }
-        let values = (0..self.len())
-            .map(|i| self.branch_current_at(i, branch))
-            .collect();
-        Waveform::from_samples(self.times.clone(), values)
-            .map_err(|e| SimError::BadAnalysis(e.to_string()))
+        self.waveform(Unknown::Branch(branch))
     }
 
     /// Current waveform through a named branch device (voltage source or
@@ -134,22 +118,26 @@ impl TranResult {
     ///
     /// [`SimError::UnknownDevice`] for devices without a branch current.
     pub fn current_waveform(&self, circuit: &Circuit, device: &str) -> Result<Waveform, SimError> {
-        let idx = circuit
-            .device_index(device)
-            .ok_or_else(|| SimError::UnknownDevice(device.to_string()))?;
-        let branch = circuit.devices()[idx]
-            .branch_index()
-            .ok_or_else(|| SimError::UnknownDevice(format!("{device} has no branch current")))?;
-        self.branch_waveform(branch)
+        self.branch_waveform(circuit.branch_of(device)?)
+    }
+
+    fn waveform(&self, u: Unknown) -> Result<Waveform, SimError> {
+        if self.is_empty() {
+            return Err(SimError::MissingResult("empty transient result".into()));
+        }
+        let values = (0..self.len()).map(|i| self.states.at(i, u)).collect();
+        Waveform::from_samples(self.times.clone(), values)
+            .map_err(|e| SimError::BadAnalysis(e.to_string()))
     }
 }
 
 /// Relative tolerance used when merging breakpoints.
 const BP_MERGE: f64 = 1e-12;
 
-/// The most time points one transient may store. A run needing more has
-/// collapsed its step (or was given a source with more corners than this),
-/// and fails rather than filling memory.
+/// The most points one analysis may store (time points, DC or AC sweep
+/// points). A transient needing more has collapsed its step (or has a
+/// source with more corners than this) and fails rather than filling
+/// memory; a sweep asking for more fails before it runs.
 pub const MAX_TIME_POINTS: usize = 2_000_000;
 
 pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranResult, SimError> {
@@ -176,18 +164,18 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     let dt_min = spec.dt_min.unwrap_or(tstop * 1e-9).min(dt_init);
     let dt_max = spec.dt_max.unwrap_or(tstop / 50.0).max(dt_init);
     let method = spec.method.unwrap_or(Method::Trapezoidal);
-    let n_nodes = circuit.n_nodes();
-    let n = circuit.n_unknowns();
+    let layout = circuit.layout();
 
     // Initial condition: DC operating point, committed into device state.
     let op_result = circuit.op()?;
     let mut stats = op_result.stats;
-    let mut x = op_result.solution().to_vec();
-    if n == 0 {
+    let mut times = vec![0.0];
+    let mut states = Solutions::new(layout);
+    states.push(op_result.solution());
+    if layout.n_unknowns() == 0 {
         return Ok(TranResult {
-            times: vec![0.0],
-            states: vec![x],
-            n_nodes,
+            times,
+            states,
             stats,
         });
     }
@@ -216,11 +204,8 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     let mut controller = StepController::new(dt_init, dt_min, dt_max);
     controller.tol = circuit.options.tran_tol;
 
-    let mut times = vec![0.0];
-    let mut states = vec![x.clone()];
-    // Voltage history for LTE: (t, v) of the last two accepted points.
-    let mut hist_t = [0.0f64, 0.0];
-    let mut hist_x: [Vec<f64>; 2] = [x.clone(), x.clone()];
+    // The Newton iterate: the last accepted point in, the candidate out.
+    let mut x = op_result.solution().to_vec();
     let mut dt_prev = 0.0f64;
     let mut t = 0.0f64;
 
@@ -248,8 +233,10 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
             time: t + dt,
             coeffs,
         };
+        let last = times.len() - 1;
+        x.copy_from_slice(states.point(last));
         let step_span = gabm_trace::span("sim.tran.step");
-        let solved = newton_solve(circuit, mode, &x, SolveSetup::default(), &mut stats);
+        let solved = newton_solve(circuit, mode, &mut x, SolveSetup::default(), &mut stats);
         drop(step_span);
         match solved {
             Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => {
@@ -263,20 +250,15 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                     None => return Err(SimError::TimestepTooSmall { time: t }),
                 }
             }
-            Ok(out) => {
-                // Local truncation error over node voltages.
+            Ok(_) => {
+                // Local truncation error over node voltages, against the
+                // last two accepted points.
                 let mut lte_max = 0.0f64;
                 if dt_prev > 0.0 {
-                    #[allow(clippy::needless_range_loop)]
-                    for i in 0..n_nodes {
-                        let lte = local_truncation_error(
-                            method,
-                            dt,
-                            out.x[i],
-                            hist_x[0][i],
-                            hist_x[1][i],
-                            hist_t[0] - hist_t[1],
-                        );
+                    let (x1, x2) = (states.point(last), states.point(last - 1));
+                    let h_prev = times[last] - times[last - 1];
+                    for i in 0..layout.n_nodes {
+                        let lte = local_truncation_error(method, dt, x[i], x1[i], x2[i], h_prev);
                         lte_max = lte_max.max(lte);
                     }
                 }
@@ -291,8 +273,8 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                 // Accept.
                 let t_new = t + dt;
                 let sv = StateView {
-                    x: &out.x,
-                    n_nodes,
+                    x: &x,
+                    n_nodes: layout.n_nodes,
                     time: t_new,
                     mode,
                     temperature: circuit.options.temperature,
@@ -300,13 +282,8 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                 for d in circuit.devices_mut() {
                     d.accept_step(&sv);
                 }
-                hist_x.swap(0, 1);
-                hist_x[0].copy_from_slice(&out.x);
-                hist_t[1] = hist_t[0];
-                hist_t[0] = t_new;
-                x.copy_from_slice(&out.x);
                 times.push(t_new);
-                states.push(out.x);
+                states.push(&x);
                 stats.accepted_steps += 1;
                 gabm_trace::add("sim.tran.accepted", 1);
                 t = t_new;
@@ -331,7 +308,6 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     Ok(TranResult {
         times,
         states,
-        n_nodes,
         stats,
     })
 }

@@ -4,7 +4,7 @@ use crate::analysis::ac::{AcResult, AcSpec};
 use crate::analysis::dc::DcResult;
 use crate::analysis::op::OpResult;
 use crate::analysis::tran::{TranResult, TranSpec};
-use crate::device::Device;
+use crate::device::{Device, Layout, Unknown};
 use crate::devices::behavioral::{BehavioralDevice, BehavioralModel};
 use crate::devices::capacitor::Capacitor;
 use crate::devices::controlled::{Cccs, Ccvs, Vccs, Vcvs};
@@ -134,7 +134,20 @@ impl Circuit {
 
     /// Total MNA unknowns (node voltages + branch currents).
     pub fn n_unknowns(&self) -> usize {
-        self.n_nodes() + self.n_branches
+        self.layout().n_unknowns()
+    }
+
+    /// The numbering of this circuit's MNA unknowns.
+    pub(crate) fn layout(&self) -> Layout {
+        Layout::new(self.n_nodes(), self.n_branches)
+    }
+
+    /// Human-readable name of MNA row `row` for solver diagnostics.
+    pub(crate) fn unknown_name(&self, row: usize) -> String {
+        match self.layout().unknown(row) {
+            Unknown::Node(node) => format!("node '{}'", self.node_name(node)),
+            Unknown::Branch(b) => format!("branch current #{b}"),
+        }
     }
 
     /// Number of devices.
@@ -273,7 +286,7 @@ impl Circuit {
         vsource_name: &str,
         gain: f64,
     ) -> Result<(), SimError> {
-        let branch = self.branch_of_vsource(vsource_name)?;
+        let branch = self.branch_of(vsource_name)?;
         self.add_device(Box::new(Cccs::new(name, out_p, out_m, branch, gain)))
     }
 
@@ -290,7 +303,7 @@ impl Circuit {
         vsource_name: &str,
         rm: f64,
     ) -> Result<(), SimError> {
-        let branch = self.branch_of_vsource(vsource_name)?;
+        let branch = self.branch_of(vsource_name)?;
         self.add_device(Box::new(Ccvs::new(name, out_p, out_m, branch, rm)))
     }
 
@@ -359,7 +372,9 @@ impl Circuit {
         self.add_device(Box::new(BehavioralDevice::new(name, pins, model)?))
     }
 
-    fn branch_of_vsource(&self, name: &str) -> Result<usize, SimError> {
+    /// Global branch index of the named branch device (voltage source or
+    /// inductor).
+    pub(crate) fn branch_of(&self, name: &str) -> Result<usize, SimError> {
         let idx = self
             .device_index(name)
             .ok_or_else(|| SimError::UnknownDevice(name.to_string()))?;
@@ -386,7 +401,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownDevice`] for a bad source name, or solver errors.
+    /// [`SimError::BadAnalysis`] for a non-finite, inconsistent or over-budget
+    /// range, [`SimError::UnknownDevice`] for a bad source name, or solver errors.
     pub fn dc_sweep(
         &mut self,
         source: &str,
@@ -411,7 +427,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Solver errors from the OP pre-solve or the complex solves.
+    /// [`SimError::BadAnalysis`] for a bad frequency grid, [`SimError::NonFinite`]
+    /// for a non-finite solution, or errors from the OP and complex solves.
     pub fn ac(&mut self, spec: &AcSpec) -> Result<AcResult, SimError> {
         crate::analysis::ac::solve_ac(self, spec)
     }

@@ -21,6 +21,52 @@ pub enum Unknown {
     Branch(usize),
 }
 
+/// The MNA unknown numbering every assembly surface and every result reads
+/// through: ground has no row, node `k` is row `k − 1`, and branch current
+/// `b` follows the node voltages at row `n_nodes + b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    pub(crate) n_nodes: usize,
+    pub(crate) n_branches: usize,
+}
+
+impl Layout {
+    pub(crate) fn new(n_nodes: usize, n_branches: usize) -> Self {
+        Layout {
+            n_nodes,
+            n_branches,
+        }
+    }
+
+    /// Rows of the MNA system: node voltages, then branch currents.
+    pub(crate) fn n_unknowns(&self) -> usize {
+        self.n_nodes + self.n_branches
+    }
+
+    /// Row of `u`, `None` for the ground node.
+    #[inline]
+    pub(crate) fn row(&self, u: Unknown) -> Option<usize> {
+        match u {
+            Unknown::Node(n) => n.index().checked_sub(1),
+            Unknown::Branch(b) => Some(self.n_nodes + b),
+        }
+    }
+
+    /// The unknown at `row`.
+    pub(crate) fn unknown(&self, row: usize) -> Unknown {
+        match row.checked_sub(self.n_nodes) {
+            None => Unknown::Node(NodeId::from_index(row + 1)),
+            Some(b) => Unknown::Branch(b),
+        }
+    }
+
+    /// Value of `u` in the solution `x` (zero for ground).
+    #[inline]
+    pub(crate) fn value<T: Copy + Default>(&self, x: &[T], u: Unknown) -> T {
+        self.row(u).map_or_else(T::default, |r| x[r])
+    }
+}
+
 /// Analysis mode a stamp is requested for.
 ///
 /// Mirrors the FAS `mode` variable that the paper's generated code branches
@@ -104,7 +150,7 @@ impl std::ops::Index<(usize, usize)> for MatrixStore {
 /// solve.
 #[derive(Debug)]
 pub struct Stamper {
-    n_nodes: usize,
+    pub(crate) layout: Layout,
     mat: MatrixStore,
     rhs: Vec<f64>,
     x: Vec<f64>,
@@ -128,20 +174,15 @@ impl Stamper {
     /// Creates a stamper for `n_nodes` node voltages plus `n_branches`
     /// branch currents.
     pub fn new(n_nodes: usize, n_branches: usize, mode: Mode) -> Self {
-        Stamper::with_backend(n_nodes, n_branches, mode, false)
+        Stamper::with_backend(Layout::new(n_nodes, n_branches), mode, false)
     }
 
     /// Creates a stamper with an explicit matrix backend (`sparse = true`
     /// accumulates triplets for the sparse LU).
-    pub(crate) fn with_backend(
-        n_nodes: usize,
-        n_branches: usize,
-        mode: Mode,
-        sparse: bool,
-    ) -> Self {
-        let n = n_nodes + n_branches;
+    pub(crate) fn with_backend(layout: Layout, mode: Mode, sparse: bool) -> Self {
+        let n = layout.n_unknowns();
         Stamper {
-            n_nodes,
+            layout,
             mat: if sparse {
                 MatrixStore::Sparse(TripletBuilder::new(n, n))
             } else {
@@ -161,12 +202,12 @@ impl Stamper {
 
     /// Total number of unknowns.
     pub fn n_unknowns(&self) -> usize {
-        self.rhs.len()
+        self.layout.n_unknowns()
     }
 
     /// Number of node-voltage unknowns.
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.layout.n_nodes
     }
 
     /// Resets matrix, right-hand side and the limiting flag; loads the
@@ -181,44 +222,27 @@ impl Stamper {
         self.limited = false;
     }
 
-    fn row_of(&self, u: Unknown) -> Option<usize> {
-        match u {
-            Unknown::Node(n) => {
-                if n.is_ground() {
-                    None
-                } else {
-                    Some(n.index() - 1)
-                }
-            }
-            Unknown::Branch(b) => Some(self.n_nodes + b),
-        }
-    }
-
     /// Voltage of `node` in the current iterate (0 for ground).
     pub fn v(&self, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.x[node.index() - 1]
-        }
+        self.layout.value(&self.x, Unknown::Node(node))
     }
 
     /// Branch current `idx` in the current iterate.
     pub fn branch_current(&self, idx: usize) -> f64 {
-        self.x[self.n_nodes + idx]
+        self.layout.value(&self.x, Unknown::Branch(idx))
     }
 
     /// Adds `val` to the Jacobian entry `(row, col)`, silently skipping
     /// ground rows/columns.
     pub fn add(&mut self, row: Unknown, col: Unknown, val: f64) {
-        if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
+        if let (Some(r), Some(c)) = (self.layout.row(row), self.layout.row(col)) {
             self.mat.add_at(r, c, val);
         }
     }
 
     /// Adds `val` to the right-hand side at `row` (skipping ground).
     pub fn add_rhs(&mut self, row: Unknown, val: f64) {
-        if let Some(r) = self.row_of(row) {
+        if let Some(r) = self.layout.row(row) {
             self.rhs[r] += val;
         }
     }
@@ -253,7 +277,7 @@ impl Stamper {
     /// system to the linear solver.
     pub(crate) fn finish(&mut self) -> (&MatrixStore, &[f64]) {
         if self.gshunt > 0.0 {
-            for i in 0..self.n_nodes {
+            for i in 0..self.layout.n_nodes {
                 self.mat.add_at(i, i, self.gshunt);
             }
         }
@@ -264,7 +288,7 @@ impl Stamper {
 /// Assembly surface for a complex-valued AC small-signal solve.
 #[derive(Debug)]
 pub struct AcStamper {
-    n_nodes: usize,
+    layout: Layout,
     mat: DenseMatrix<Complex64>,
     rhs: Vec<Complex64>,
     /// Angular frequency ω = 2πf of the current analysis point.
@@ -275,9 +299,10 @@ impl AcStamper {
     /// Creates an AC stamper for the given unknown counts and angular
     /// frequency.
     pub fn new(n_nodes: usize, n_branches: usize, omega: f64) -> Self {
-        let n = n_nodes + n_branches;
+        let layout = Layout::new(n_nodes, n_branches);
+        let n = layout.n_unknowns();
         AcStamper {
-            n_nodes,
+            layout,
             mat: DenseMatrix::zeros(n, n),
             rhs: vec![Complex64::ZERO; n],
             omega,
@@ -293,29 +318,16 @@ impl AcStamper {
         self.omega = omega;
     }
 
-    fn row_of(&self, u: Unknown) -> Option<usize> {
-        match u {
-            Unknown::Node(n) => {
-                if n.is_ground() {
-                    None
-                } else {
-                    Some(n.index() - 1)
-                }
-            }
-            Unknown::Branch(b) => Some(self.n_nodes + b),
-        }
-    }
-
     /// Adds a complex admittance entry.
     pub fn add(&mut self, row: Unknown, col: Unknown, val: Complex64) {
-        if let (Some(r), Some(c)) = (self.row_of(row), self.row_of(col)) {
+        if let (Some(r), Some(c)) = (self.layout.row(row), self.layout.row(col)) {
             self.mat.add_at(r, c, val);
         }
     }
 
     /// Adds to the complex right-hand side.
     pub fn add_rhs(&mut self, row: Unknown, val: Complex64) {
-        if let Some(r) = self.row_of(row) {
+        if let Some(r) = self.layout.row(row) {
             self.rhs[r] += val;
         }
     }
@@ -350,18 +362,18 @@ pub struct StateView<'a> {
 }
 
 impl StateView<'_> {
+    fn layout(&self) -> Layout {
+        Layout::new(self.n_nodes, self.x.len() - self.n_nodes)
+    }
+
     /// Voltage of `node` in the accepted solution (0 for ground).
     pub fn v(&self, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.x[node.index() - 1]
-        }
+        self.layout().value(self.x, Unknown::Node(node))
     }
 
     /// Branch current `idx` in the accepted solution.
     pub fn branch_current(&self, idx: usize) -> f64 {
-        self.x[self.n_nodes + idx]
+        self.layout().value(self.x, Unknown::Branch(idx))
     }
 }
 

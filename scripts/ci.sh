@@ -30,12 +30,16 @@ echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
 # The examples drive the FAS executor end to end; cargo test only
-# compiles them. Any non-zero exit fails the gate.
+# compiles them. Any non-zero exit fails the gate. The second mini_spice
+# run takes the transistor netlist through a transient and reads a stored
+# waveform back out of the result.
 echo "==> examples"
 for ex in quickstart comparator motor model_check; do
     cargo run --release --quiet --example "$ex" > /dev/null
 done
 cargo run --release --quiet --example mini_spice -- netlists/cmos_comparator.cir > /dev/null
+cargo run --release --quiet --example mini_spice -- netlists/cmos_comparator.cir --tran 10u out \
+    > /dev/null
 
 # Drive the fixer end to end over every FAS fixture and every built-in
 # construct: exit 2 means a usage/IO failure or a panic, and unparseable
