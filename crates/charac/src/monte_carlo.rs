@@ -7,10 +7,10 @@
 //! library needs before sign-off.
 //!
 //! Samples are independent, so the extraction runs fan out over a
-//! [`ThreadPool`](gabm_par::ThreadPool). Sample `k`'s parameter set is drawn
-//! from its own RNG stream, [`Rng::split(seed, k)`](Rng::split) — a pure
-//! function of `(seed, k)` — so the distribution is **bitwise identical** at
-//! any thread count, including the serial path.
+//! [`ThreadPool`]. Sample `k`'s parameter set is drawn from its own RNG
+//! stream, [`Rng::split(seed, k)`](Rng::split) — a pure function of
+//! `(seed, k)` — so the distribution is **bitwise identical** at any thread
+//! count, including the serial path.
 
 use crate::CharacError;
 use gabm_numeric::rng::Rng;

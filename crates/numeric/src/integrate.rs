@@ -9,14 +9,14 @@
 //!
 //! each reactive element stamps `a0·C` into the Jacobian and the history term
 //! into the right-hand side. This module provides the coefficients for
-//! backward Euler, trapezoidal and Gear-2 (BDF2) methods, local truncation
-//! error estimates, and the adaptive [`StepController`] used by
-//! `gabm-sim`'s transient analysis.
+//! backward Euler, trapezoidal and Gear-2 (BDF2) methods and the local
+//! truncation error estimate from which `gabm-sim`'s transient analysis
+//! chooses its variable steps.
 //!
 //! The paper's §3.3 note — "models are simulated using electrical simulators
-//! which are time-discrete systems with *variable time intervals*" — is
-//! exactly what the controller implements; the slew-rate construct's one-step
-//! delay element reads the controller's current step.
+//! which are time-discrete systems with *variable time intervals*" — is what
+//! that step policy implements; the slew-rate construct's one-step delay
+//! element reads the step taken.
 
 /// Implicit integration method used for reactive elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -124,8 +124,8 @@ impl Coefficients {
 /// Local truncation error estimate for the value `x_new` produced over the
 /// last step, from divided differences of the recent history.
 ///
-/// Returns an estimate of the per-step error; the controller compares it with
-/// a tolerance to accept or shrink the step.
+/// Returns an estimate of the per-step error; the transient's step policy
+/// compares it with a tolerance to accept or shrink the step.
 pub fn local_truncation_error(
     method: Method,
     dt: f64,
@@ -135,7 +135,7 @@ pub fn local_truncation_error(
     dt_prev: f64,
 ) -> f64 {
     if dt_prev <= 0.0 {
-        // Not enough history: assume worst case so the controller stays
+        // Not enough history: assume worst case so the step policy stays
         // conservative on the first steps.
         return (x_new - x_prev).abs() * 0.5;
     }
@@ -150,123 +150,6 @@ pub fn local_truncation_error(
         // this keeps the classic h³ scaling without a third difference.
         Method::Trapezoidal => (dt * dt * dd2 / 6.0).abs(),
         Method::Gear2 => (dt * dt * dd2 / 3.0).abs(),
-    }
-}
-
-/// Adaptive step-size controller driven by Newton convergence and local
-/// truncation error.
-///
-/// # Example
-///
-/// ```
-/// use gabm_numeric::integrate::{StepController, StepOutcome};
-///
-/// let mut ctl = StepController::new(1e-9, 1e-12, 1e-6);
-/// let dt = ctl.current_dt();
-/// // ... run a transient step, estimate LTE ...
-/// match ctl.advance(0.0) {
-///     StepOutcome::Accept { next_dt } => assert!(next_dt >= dt),
-///     StepOutcome::Reject { retry_dt } => assert!(retry_dt < dt),
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct StepController {
-    dt: f64,
-    dt_min: f64,
-    dt_max: f64,
-    /// Target LTE per step.
-    pub tol: f64,
-    /// Maximum ratio a step may grow by (SPICE-style 2× cap keeps the
-    /// discontinuity handling of §4's note well-behaved).
-    pub max_growth: f64,
-    rejects_in_a_row: usize,
-}
-
-/// Decision returned by [`StepController::advance`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StepOutcome {
-    /// The step is accepted; continue with `next_dt`.
-    Accept {
-        /// Step to use for the next interval.
-        next_dt: f64,
-    },
-    /// The step must be redone with the smaller `retry_dt`.
-    Reject {
-        /// Step to retry the same interval with.
-        retry_dt: f64,
-    },
-}
-
-impl StepController {
-    /// Creates a controller with initial step `dt`, minimum `dt_min` and
-    /// maximum `dt_max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < dt_min <= dt <= dt_max`.
-    pub fn new(dt: f64, dt_min: f64, dt_max: f64) -> Self {
-        assert!(
-            dt_min > 0.0 && dt_min <= dt && dt <= dt_max,
-            "require 0 < dt_min <= dt <= dt_max (got {dt_min}, {dt}, {dt_max})"
-        );
-        StepController {
-            dt,
-            dt_min,
-            dt_max,
-            tol: 1e-4,
-            max_growth: 2.0,
-            rejects_in_a_row: 0,
-        }
-    }
-
-    /// Step the controller will attempt next.
-    pub fn current_dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Forces the next step (clamped to the controller's bounds) — used when
-    /// a breakpoint (source corner, strobe edge) must be hit exactly.
-    pub fn clamp_to(&mut self, dt: f64) {
-        self.dt = dt.clamp(self.dt_min, self.dt_max);
-    }
-
-    /// Judges the step from its LTE estimate: accept and possibly grow, or
-    /// reject and shrink.
-    pub fn advance(&mut self, lte: f64) -> StepOutcome {
-        if lte > self.tol && self.dt > self.dt_min {
-            // Shrink proportionally to the overshoot, at least by half.
-            let shrink = (self.tol / lte).powf(0.5).clamp(0.1, 0.5);
-            self.dt = (self.dt * shrink).max(self.dt_min);
-            self.rejects_in_a_row += 1;
-            return StepOutcome::Reject { retry_dt: self.dt };
-        }
-        self.rejects_in_a_row = 0;
-        let grow = if lte <= 0.0 {
-            self.max_growth
-        } else {
-            (self.tol / lte).powf(0.33).clamp(1.0, self.max_growth)
-        };
-        self.dt = (self.dt * grow).min(self.dt_max);
-        StepOutcome::Accept { next_dt: self.dt }
-    }
-
-    /// Reports a Newton-convergence failure: the step is halved and retried.
-    ///
-    /// Returns `None` if the controller is already at `dt_min` — the caller
-    /// should abort with a convergence error (ELDO would report
-    /// "timestep too small").
-    pub fn newton_failure(&mut self) -> Option<f64> {
-        if self.dt <= self.dt_min * (1.0 + 1e-12) {
-            return None;
-        }
-        self.dt = (self.dt / 8.0).max(self.dt_min);
-        self.rejects_in_a_row += 1;
-        Some(self.dt)
-    }
-
-    /// Number of consecutive rejected steps (diagnostic).
-    pub fn rejects_in_a_row(&self) -> usize {
-        self.rejects_in_a_row
     }
 }
 
@@ -356,58 +239,5 @@ mod tests {
         assert!(lte1 > 0.0);
         let ratio = lte1 / lte2;
         assert!((3.0..5.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn controller_accepts_and_grows() {
-        let mut c = StepController::new(1e-6, 1e-9, 1e-3);
-        match c.advance(0.0) {
-            StepOutcome::Accept { next_dt } => assert!((next_dt - 2e-6).abs() < 1e-12),
-            other => panic!("expected accept, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn controller_rejects_and_shrinks() {
-        let mut c = StepController::new(1e-6, 1e-9, 1e-3);
-        c.tol = 1e-6;
-        match c.advance(1.0) {
-            StepOutcome::Reject { retry_dt } => assert!(retry_dt < 1e-6),
-            other => panic!("expected reject, got {other:?}"),
-        }
-        assert_eq!(c.rejects_in_a_row(), 1);
-    }
-
-    #[test]
-    fn controller_growth_capped() {
-        let mut c = StepController::new(1e-6, 1e-9, 1e-3);
-        c.max_growth = 2.0;
-        if let StepOutcome::Accept { next_dt } = c.advance(1e-30) {
-            assert!(next_dt <= 2e-6 * (1.0 + 1e-12));
-        } else {
-            panic!("expected accept");
-        }
-    }
-
-    #[test]
-    fn controller_respects_dt_min_on_newton_failure() {
-        let mut c = StepController::new(8e-9, 1e-9, 1e-3);
-        assert_eq!(c.newton_failure(), Some(1e-9));
-        assert_eq!(c.newton_failure(), None);
-    }
-
-    #[test]
-    fn controller_clamp_to() {
-        let mut c = StepController::new(1e-6, 1e-9, 1e-3);
-        c.clamp_to(1e-12);
-        assert_eq!(c.current_dt(), 1e-9);
-        c.clamp_to(1.0);
-        assert_eq!(c.current_dt(), 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "require 0 < dt_min")]
-    fn controller_validates_bounds() {
-        let _ = StepController::new(1e-6, 1e-3, 1e-9);
     }
 }

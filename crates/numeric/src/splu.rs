@@ -49,6 +49,9 @@ pub struct SparseLu {
     u_values: Vec<f64>,
     /// `perm[i]` = original row placed at position `i`.
     perm: Vec<usize>,
+    /// `perm` as row interchanges: swapping `k` with `swaps[k]` for
+    /// `k = 0, 1, …` moves original row `perm[k]` to position `k` in place.
+    swaps: Vec<usize>,
     // Structural pattern of the factored input, kept so `refactor` can
     // verify the symbolic analysis still applies.
     a_col_ptr: Vec<usize>,
@@ -193,6 +196,21 @@ impl SparseLu {
                 in_pattern[r] = false;
             }
         }
+        // Interchanges realizing `perm`, in the factorization's scratch:
+        // `at[p]` is the original row now at position p, `pos[r]` the
+        // position of original row r.
+        let (at, pos) = (&mut pattern, &mut pinv);
+        at.clear();
+        at.extend(0..n);
+        pos.clone_from(at);
+        let mut swaps = vec![0; n];
+        for k in 0..n {
+            let j = pos[perm[k]];
+            swaps[k] = j;
+            at.swap(k, j);
+            pos[at[k]] = k;
+            pos[at[j]] = j;
+        }
         Ok(SparseLu {
             n,
             l_col_ptr,
@@ -202,6 +220,7 @@ impl SparseLu {
             u_row_idx,
             u_values,
             perm,
+            swaps,
             a_col_ptr: a.col_ptr().to_vec(),
             a_row_idx: a.row_indices().to_vec(),
         })
@@ -304,6 +323,18 @@ impl SparseLu {
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` in the caller's buffer: `b` holds the right-hand
+    /// side on entry and the solution on return. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::DimensionMismatch`] if `b.len() != dim()`.
+    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), NumericError> {
         if b.len() != self.n {
             return Err(NumericError::DimensionMismatch {
                 expected: self.n,
@@ -312,33 +343,34 @@ impl SparseLu {
         }
         // Forward solve L·y = b. L's column k eliminates into original row
         // indices; track the solution on original rows.
-        let mut y = b.to_vec();
         for k in 0..self.n {
-            let yk = y[self.perm[k]];
+            let yk = b[self.perm[k]];
             if yk == 0.0 {
                 continue;
             }
             let (lo, hi) = (self.l_col_ptr[k], self.l_col_ptr[k + 1]);
             for i in lo..hi {
-                y[self.l_row_idx[i]] -= self.l_values[i] * yk;
+                b[self.l_row_idx[i]] -= self.l_values[i] * yk;
             }
         }
-        // Gather into pivotal order.
-        let mut x: Vec<f64> = (0..self.n).map(|k| y[self.perm[k]]).collect();
+        // Gather into pivotal order by replaying the row interchanges.
+        for (k, &r) in self.swaps.iter().enumerate() {
+            b.swap(k, r);
+        }
         // Backward solve U·x = y. U columns have the diagonal last.
         for k in (0..self.n).rev() {
             let (lo, hi) = (self.u_col_ptr[k], self.u_col_ptr[k + 1]);
             let diag = self.u_values[hi - 1];
-            let xk = x[k] / diag;
-            x[k] = xk;
+            let xk = b[k] / diag;
+            b[k] = xk;
             if xk == 0.0 {
                 continue;
             }
             for i in lo..(hi - 1) {
-                x[self.u_row_idx[i]] -= self.u_values[i] * xk;
+                b[self.u_row_idx[i]] -= self.u_values[i] * xk;
             }
         }
-        Ok(x)
+        Ok(())
     }
 }
 

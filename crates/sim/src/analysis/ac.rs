@@ -191,6 +191,7 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
         let (mat, rhs) = stamper.finish();
         lu.refactor(mat)?;
         stats.factorizations += 1;
+        gabm_trace::add("sim.lu.full", 1);
         let x = solutions.push(rhs);
         lu.solve_in_place(x)?;
         if let Some(bad) = x

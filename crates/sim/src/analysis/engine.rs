@@ -162,29 +162,23 @@ fn newton_iterate(
             crate::device::MatrixStore::Sparse(t) => {
                 let a = t.to_csc();
                 // Numeric-only refactorization while the pattern holds; a
-                // pivot collapsing under the frozen order (or a pattern
-                // change from e.g. gmin stepping) falls back to a full
-                // re-pivoting factorization.
-                let lu = match sparse_lu.take() {
-                    Some(mut lu) if lu.pattern_matches(&a) => match lu.refactor(&a) {
-                        Ok(()) => {
-                            stats.refactorizations += 1;
-                            gabm_trace::add("sim.lu.refactor", 1);
-                            lu
-                        }
-                        Err(_) => {
-                            stats.factorizations += 1;
-                            gabm_trace::add("sim.lu.full", 1);
-                            SparseLu::new(&a).map_err(singular)?
-                        }
-                    },
+                // pattern change (e.g. from gmin stepping) or a pivot
+                // collapsing under the frozen order makes `refactor` fail,
+                // and a full re-pivoting factorization replaces the factor.
+                let lu = match sparse_lu.take().map(|mut lu| lu.refactor(&a).map(|()| lu)) {
+                    Some(Ok(lu)) => {
+                        stats.refactorizations += 1;
+                        gabm_trace::add("sim.lu.refactor", 1);
+                        lu
+                    }
                     _ => {
                         stats.factorizations += 1;
                         gabm_trace::add("sim.lu.full", 1);
                         SparseLu::new(&a).map_err(singular)?
                     }
                 };
-                x_next.copy_from_slice(&lu.solve(rhs)?);
+                x_next.copy_from_slice(rhs);
+                lu.solve_in_place(x_next)?;
                 *sparse_lu = Some(lu);
             }
         }

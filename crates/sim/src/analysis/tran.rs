@@ -3,8 +3,9 @@
 //! Implements the variable-time-interval engine the paper's §3.3 note
 //! presupposes: an implicit integration method, Newton at every candidate
 //! point, local-truncation-error step control, breakpoint handling at source
-//! corners and step-halving retries on convergence failures (the
-//! "simulation expertise" of §4's note on discontinuities).
+//! corners and shorter retries on convergence failures (the "simulation
+//! expertise" of §4's note on discontinuities). The whole step policy is
+//! the private `StepPolicy`.
 
 use crate::analysis::engine::{newton_solve, SolveSetup};
 use crate::analysis::Solutions;
@@ -12,9 +13,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::device::{Mode, StateView, Unknown};
 use crate::options::SimStats;
 use crate::SimError;
-use gabm_numeric::integrate::{
-    local_truncation_error, Coefficients, Method, StepController, StepOutcome,
-};
+use gabm_numeric::integrate::{local_truncation_error, Coefficients, Method};
 use gabm_numeric::Waveform;
 
 /// Specification of a transient run.
@@ -160,10 +159,8 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     }
     let _span = gabm_trace::span("sim.tran");
     let tstop = spec.tstop;
-    let dt_init = spec.dt_init.unwrap_or(tstop / 1000.0);
-    let dt_min = spec.dt_min.unwrap_or(tstop * 1e-9).min(dt_init);
-    let dt_max = spec.dt_max.unwrap_or(tstop / 50.0).max(dt_init);
     let method = spec.method.unwrap_or(Method::Trapezoidal);
+    let mut policy = StepPolicy::new(spec, circuit.options.tran_tol);
     let layout = circuit.layout();
 
     // Initial condition: DC operating point, committed into device state.
@@ -201,9 +198,6 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     breakpoints.dedup_by(|a, b| (*a - *b).abs() <= BP_MERGE * tstop);
     let mut bp_iter = breakpoints.into_iter().peekable();
 
-    let mut controller = StepController::new(dt_init, dt_min, dt_max);
-    controller.tol = circuit.options.tran_tol;
-
     // The Newton iterate: the last accepted point in, the candidate out.
     let mut x = op_result.solution().to_vec();
     let mut dt_prev = 0.0f64;
@@ -212,22 +206,14 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     while t < tstop * (1.0 - 1e-12) {
         // Advance past consumed breakpoints.
         while let Some(&bp) = bp_iter.peek() {
-            if bp <= t * (1.0 + BP_MERGE) + dt_min * 0.5 {
+            if bp <= t * (1.0 + BP_MERGE) + policy.dt_min * 0.5 {
                 bp_iter.next();
             } else {
                 break;
             }
         }
         let next_bp = bp_iter.peek().copied().unwrap_or(tstop);
-        let mut dt = controller.current_dt();
-        let mut hit_bp = false;
-        if t + dt >= next_bp - dt_min * 0.5 {
-            dt = next_bp - t;
-            hit_bp = true;
-        }
-        if t + dt > tstop {
-            dt = tstop - t;
-        }
+        let (dt, hit_bp) = policy.propose(t, next_bp, tstop);
         let coeffs = Coefficients::new(method, dt, dt_prev);
         let mode = Mode::Tran {
             time: t + dt,
@@ -238,17 +224,13 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         let step_span = gabm_trace::span("sim.tran.step");
         let solved = newton_solve(circuit, mode, &mut x, SolveSetup::default(), &mut stats);
         drop(step_span);
-        match solved {
+        let accepted = match solved {
             Err(e @ (SimError::SingularMatrix { .. } | SimError::NonFinite { .. })) => {
                 return Err(e);
             }
             Err(_) => {
-                stats.rejected_steps += 1;
-                gabm_trace::add("sim.tran.rejected", 1);
-                match controller.newton_failure() {
-                    Some(_) => continue,
-                    None => return Err(SimError::TimestepTooSmall { time: t }),
-                }
+                policy.newton_failed(t)?;
+                false
             }
             Ok(_) => {
                 // Local truncation error over node voltages, against the
@@ -262,39 +244,33 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                         lte_max = lte_max.max(lte);
                     }
                 }
-                match controller.advance(lte_max) {
-                    StepOutcome::Reject { .. } if dt > dt_min * 1.5 => {
-                        stats.rejected_steps += 1;
-                        gabm_trace::add("sim.tran.rejected", 1);
-                        continue;
-                    }
-                    _ => {}
-                }
-                // Accept.
-                let t_new = t + dt;
-                let sv = StateView {
-                    x: &x,
-                    n_nodes: layout.n_nodes,
-                    time: t_new,
-                    mode,
-                    temperature: circuit.options.temperature,
-                };
-                for d in circuit.devices_mut() {
-                    d.accept_step(&sv);
-                }
-                times.push(t_new);
-                states.push(&x);
-                stats.accepted_steps += 1;
-                gabm_trace::add("sim.tran.accepted", 1);
-                t = t_new;
-                dt_prev = dt;
-                if hit_bp {
-                    // Restart cautiously after a discontinuity.
-                    controller.clamp_to(dt_init);
-                    dt_prev = 0.0;
-                }
+                policy.judge(lte_max, dt, hit_bp)
             }
+        };
+        if !accepted {
+            stats.rejected_steps += 1;
+            gabm_trace::add("sim.tran.rejected", 1);
+            continue;
         }
+        let t_new = t + dt;
+        let sv = StateView {
+            x: &x,
+            n_nodes: layout.n_nodes,
+            time: t_new,
+            mode,
+            temperature: circuit.options.temperature,
+        };
+        for d in circuit.devices_mut() {
+            d.accept_step(&sv);
+        }
+        times.push(t_new);
+        states.push(&x);
+        stats.accepted_steps += 1;
+        gabm_trace::add("sim.tran.accepted", 1);
+        t = t_new;
+        // A breakpoint is a discontinuity: the next step starts without
+        // integration history.
+        dt_prev = if hit_bp { 0.0 } else { dt };
         // Runaway guard: an implausible number of points indicates a step
         // collapse; fail loudly rather than filling memory.
         if times.len() > MAX_TIME_POINTS {
@@ -310,6 +286,90 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         states,
         stats,
     })
+}
+
+/// The variable-step policy of the transient: the step each attempt starts
+/// from, whether a converged step is kept, and the step after every outcome.
+#[derive(Debug)]
+struct StepPolicy {
+    /// Step the next attempt starts from, before breakpoint clipping.
+    dt: f64,
+    dt_init: f64,
+    dt_min: f64,
+    dt_max: f64,
+    /// Largest local truncation error a kept step may carry.
+    tol: f64,
+}
+
+impl StepPolicy {
+    /// Starts at `dt_init` (default `tstop / 1000`) within
+    /// `dt_min ≤ dt_init ≤ dt_max` (defaults `tstop · 1e-9`, `tstop / 50`);
+    /// `spec` has been validated.
+    fn new(spec: &TranSpec, tol: f64) -> Self {
+        let tstop = spec.tstop;
+        let dt_init = spec.dt_init.unwrap_or(tstop / 1000.0);
+        StepPolicy {
+            dt: dt_init,
+            dt_init,
+            dt_min: spec.dt_min.unwrap_or(tstop * 1e-9).min(dt_init),
+            dt_max: spec.dt_max.unwrap_or(tstop / 50.0).max(dt_init),
+            tol,
+        }
+    }
+
+    /// The step to attempt from `t`, and whether it ends on `next_bp`: a
+    /// step reaching within `dt_min / 2` of the breakpoint is cut or
+    /// stretched to end exactly on it, and no step passes `tstop`.
+    fn propose(&self, t: f64, next_bp: f64, tstop: f64) -> (f64, bool) {
+        let mut dt = self.dt;
+        let mut hit_bp = false;
+        if t + dt >= next_bp - self.dt_min * 0.5 {
+            dt = next_bp - t;
+            hit_bp = true;
+        }
+        if t + dt > tstop {
+            dt = tstop - t;
+        }
+        (dt, hit_bp)
+    }
+
+    /// Newton failed on the step from `t`: retry with an eighth of the
+    /// step, or fail once the step is already at `dt_min`.
+    fn newton_failed(&mut self, t: f64) -> Result<(), SimError> {
+        if self.dt <= self.dt_min * (1.0 + 1e-12) {
+            return Err(SimError::TimestepTooSmall { time: t });
+        }
+        self.dt = (self.dt / 8.0).max(self.dt_min);
+        Ok(())
+    }
+
+    /// Judges the converged step `taken` by its largest local truncation
+    /// error `lte`, sets the next step and returns whether `taken` is kept.
+    /// Above `tol` (and above `dt_min`) the next step shrinks by
+    /// `√(tol/lte)`, clamped to 0.1–0.5, and `taken` is rejected unless it
+    /// was within 1.5·`dt_min`. Otherwise the next step grows by
+    /// `(tol/lte)^0.33`, clamped to 1–2, up to `dt_max`. A kept step that
+    /// ends on a breakpoint (`hit_bp`) restarts the next one at `dt_init`.
+    fn judge(&mut self, lte: f64, taken: f64, hit_bp: bool) -> bool {
+        if lte > self.tol && self.dt > self.dt_min {
+            let shrink = (self.tol / lte).powf(0.5).clamp(0.1, 0.5);
+            self.dt = (self.dt * shrink).max(self.dt_min);
+            if taken > self.dt_min * 1.5 {
+                return false;
+            }
+        } else {
+            let grow = if lte <= 0.0 {
+                2.0
+            } else {
+                (self.tol / lte).powf(0.33).clamp(1.0, 2.0)
+            };
+            self.dt = (self.dt * grow).min(self.dt_max);
+        }
+        if hit_bp {
+            self.dt = self.dt_init;
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -371,6 +431,121 @@ mod tests {
                 other => panic!("{field}: expected BadAnalysis, got {other:?}"),
             }
         }
+    }
+
+    /// A policy at `dt = dt_init = 1 µs` within [1 ns, 1 ms], `tol = 1e-4`.
+    fn policy() -> StepPolicy {
+        let spec = TranSpec {
+            dt_init: Some(1e-6),
+            dt_min: Some(1e-9),
+            dt_max: Some(1e-3),
+            ..TranSpec::new(1e-2)
+        };
+        StepPolicy::new(&spec, 1e-4)
+    }
+
+    #[test]
+    fn policy_defaults_follow_tstop() {
+        let p = StepPolicy::new(&TranSpec::new(1.0), 1e-4);
+        assert_eq!((p.dt, p.dt_init), (1e-3, 1e-3));
+        assert_eq!((p.dt_min, p.dt_max), (1e-9, 1.0 / 50.0));
+        // The bounds widen to include an explicit initial step.
+        let spec = TranSpec {
+            dt_init: Some(1.0),
+            dt_min: Some(2.0),
+            ..TranSpec::new(1.0)
+        };
+        let p = StepPolicy::new(&spec, 1e-4);
+        assert_eq!((p.dt_min, p.dt, p.dt_max), (1.0, 1.0, 1.0));
+    }
+
+    #[test]
+    fn policy_growth_is_capped_at_twice_and_dt_max() {
+        let mut p = policy();
+        assert!(p.judge(0.0, 1e-6, false));
+        assert_eq!(p.dt, 2e-6);
+        assert!(p.judge(1e-30, 2e-6, false));
+        assert_eq!(p.dt, 4e-6);
+        // (tol/lte)^0.33 below the cap.
+        assert!(p.judge(1e-4 / 8.0, 4e-6, false));
+        assert!((p.dt / 4e-6 - 8f64.powf(0.33)).abs() < 1e-12, "{}", p.dt);
+        // An error at the tolerance keeps the step.
+        let dt = p.dt;
+        assert!(p.judge(1e-4, dt, false));
+        assert_eq!(p.dt, dt);
+        p.dt = 0.8e-3;
+        assert!(p.judge(0.0, 0.8e-3, false));
+        assert_eq!(p.dt, 1e-3);
+    }
+
+    #[test]
+    fn policy_shrinks_by_a_half_to_a_tenth_and_rejects() {
+        let mut p = policy();
+        assert!(!p.judge(1e-4 * 1.01, 1e-6, false));
+        assert_eq!(p.dt, 0.5e-6);
+        assert!(!p.judge(1e-4 * 16.0, 0.5e-6, false));
+        assert_eq!(p.dt, 0.5e-6 * 0.25);
+        assert!(!p.judge(1.0, 0.125e-6, false));
+        assert_eq!(p.dt, 0.125e-6 * 0.1);
+        // The shrunken step stops at dt_min.
+        p.dt = 5e-9;
+        assert!(!p.judge(1.0, 5e-9, false));
+        assert_eq!(p.dt, 1e-9);
+    }
+
+    #[test]
+    fn policy_keeps_steps_near_dt_min_despite_their_error() {
+        // At dt_min the error is not checked: the step is kept, and the
+        // next one stays at dt_min.
+        let mut p = policy();
+        p.dt = 1e-9;
+        assert!(p.judge(1.0, 1e-9, false));
+        assert_eq!(p.dt, 1e-9);
+        // Above dt_min the next step shrinks, but a step taken within
+        // 1.5·dt_min (here cut short by a breakpoint) is kept.
+        p.dt = 1e-6;
+        assert!(p.judge(1.0, 1.4e-9, false));
+        assert_eq!(p.dt, 1e-6 * 0.1);
+        assert!(!p.judge(1.0, 1.6e-9, false));
+    }
+
+    #[test]
+    fn policy_newton_failure_cuts_by_eight_down_to_dt_min() {
+        let mut p = policy();
+        p.dt = 16e-9;
+        p.newton_failed(0.0).unwrap();
+        assert_eq!(p.dt, 2e-9);
+        p.newton_failed(0.0).unwrap();
+        assert_eq!(p.dt, 1e-9);
+        match p.newton_failed(3e-6) {
+            Err(SimError::TimestepTooSmall { time }) => assert_eq!(time, 3e-6),
+            other => panic!("expected TimestepTooSmall, got {other:?}"),
+        }
+        assert_eq!(p.dt, 1e-9);
+    }
+
+    #[test]
+    fn policy_lands_on_breakpoints_and_restarts_after_them() {
+        let mut p = policy();
+        // Far from the breakpoint the step is the policy's own.
+        assert_eq!(p.propose(0.0, 1e-3, 1e-2), (1e-6, false));
+        // A step ending within dt_min/2 of it is stretched onto it.
+        assert_eq!(p.propose(0.0, 1.0004e-6, 1e-2), (1.0004e-6, true));
+        // A longer step is cut to end on it; tstop caps every step.
+        assert_eq!(p.propose(0.0, 0.25e-6, 1e-2), (0.25e-6, true));
+        assert_eq!(p.propose(0.5e-6, 2e-6, 1e-6), (0.5e-6, false));
+        // A kept step on a breakpoint restarts at dt_init, even one kept
+        // near dt_min after its error shrank the step.
+        p.dt = 1e-4;
+        assert!(p.judge(0.0, 1e-4, true));
+        assert_eq!(p.dt, 1e-6);
+        p.dt = 1e-4;
+        assert!(p.judge(1.0, 1.2e-9, true));
+        assert_eq!(p.dt, 1e-6);
+        // A rejected one does not.
+        p.dt = 1e-4;
+        assert!(!p.judge(1.0, 1e-4, true));
+        assert_eq!(p.dt, 1e-4 * 0.1);
     }
 
     #[test]

@@ -84,11 +84,10 @@ pub struct BehavioralDevice {
     v: Vec<f64>,
     i0: Vec<f64>,
     i_pert: Vec<f64>,
-    gv0: Vec<f64>,
+    // The pin Jacobian of the last stamp, `jac[k·n + j] = ∂i_k/∂v_j`, and
+    // its per-pin gmin floor: the resistive small-signal linearization
+    // replayed by stamp_ac.
     jac: Vec<f64>,
-    // Last conductances, (row pin, col pin, g), and the per-pin gmin floor
-    // — the resistive small-signal linearization replayed by stamp_ac.
-    g_last: Vec<(usize, usize, f64)>,
     gmin_last: f64,
 }
 
@@ -126,9 +125,7 @@ impl BehavioralDevice {
             v: vec![0.0; n],
             i0: vec![0.0; n],
             i_pert: vec![0.0; n],
-            gv0: vec![0.0; n],
             jac: vec![0.0; n * n],
-            g_last: Vec::new(),
             gmin_last: 0.0,
         })
     }
@@ -170,44 +167,23 @@ impl Device for BehavioralDevice {
         for (k, pin) in self.pins.iter().enumerate() {
             self.v[k] = s.v(*pin);
         }
-        // Jacobian G[k][j] = ∂i_k/∂v_j: analytic (one AD evaluation) when
-        // the model supports it, finite differences (pins + 1 evaluations)
-        // otherwise; stamp i(v) ≈ i0 + G·(v_new − v0).
+        // Jacobian G[k][j] = ∂i_k/∂v_j in `jac`: analytic (one AD
+        // evaluation) when the model supports it, finite differences
+        // (pins + 1 evaluations) otherwise; stamp i(v) ≈ i0 + G·(v_new − v0).
         //
         // KCL: the current into the model leaves node k, so the matrix gets
         // +G and the right-hand side −(i0 − G·v0).
-        for g in &mut self.gv0 {
-            *g = 0.0;
-        }
-        let mut gv0 = std::mem::take(&mut self.gv0);
-        self.g_last.clear();
-        self.jac.resize(n * n, 0.0);
-        let mut jac = std::mem::take(&mut self.jac);
-        let mut analytic = self
+        let analytic = self
             .model
-            .eval_with_jacobian(&ctx, &self.v, &mut self.i0, &mut jac);
+            .eval_with_jacobian(&ctx, &self.v, &mut self.i0, &mut self.jac);
         // At pathological iterates (e.g. a 1/T model evaluated at T = 0)
         // exact derivative propagation can produce non-finite tangents where
         // the value itself is still benign; fall back to finite differences
         // for that iteration, which inherit the value's saturation.
-        if analytic
-            && (jac[..n * n].iter().any(|g| !g.is_finite())
-                || self.i0.iter().any(|i| !i.is_finite()))
+        if !analytic
+            || self.jac.iter().any(|g| !g.is_finite())
+            || self.i0.iter().any(|i| !i.is_finite())
         {
-            analytic = false;
-        }
-        if analytic {
-            for k in 0..n {
-                for j in 0..n {
-                    let g = jac[k * n + j];
-                    if g != 0.0 {
-                        s.add(Unknown::Node(self.pins[k]), Unknown::Node(self.pins[j]), g);
-                        gv0[k] += g * self.v[j];
-                        self.g_last.push((k, j, g));
-                    }
-                }
-            }
-        } else {
             self.model.eval(&ctx, &self.v, &mut self.i0);
             for j in 0..n {
                 let vj = self.v[j];
@@ -215,25 +191,23 @@ impl Device for BehavioralDevice {
                 self.v[j] = vj + dv;
                 self.model.eval(&ctx, &self.v, &mut self.i_pert);
                 self.v[j] = vj;
-                let col = Unknown::Node(self.pins[j]);
-                #[allow(clippy::needless_range_loop)]
                 for k in 0..n {
-                    let g = (self.i_pert[k] - self.i0[k]) / dv;
-                    if g != 0.0 {
-                        s.add(Unknown::Node(self.pins[k]), col, g);
-                        gv0[k] += g * vj;
-                        self.g_last.push((k, j, g));
-                    }
+                    self.jac[k * n + j] = (self.i_pert[k] - self.i0[k]) / dv;
                 }
             }
         }
-        self.jac = jac;
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let offset = self.i0[k] - gv0[k];
-            s.add_rhs(Unknown::Node(self.pins[k]), -offset);
+        for (k, pin) in self.pins.iter().enumerate() {
+            let node = Unknown::Node(*pin);
+            let row = &self.jac[k * n..(k + 1) * n];
+            let mut gv0 = 0.0;
+            for (j, &g) in row.iter().enumerate() {
+                if g != 0.0 {
+                    s.add(node, Unknown::Node(self.pins[j]), g);
+                    gv0 += g * self.v[j];
+                }
+            }
+            s.add_rhs(node, -(self.i0[k] - gv0));
         }
-        self.gv0 = gv0;
         // gmin floor: in saturated model regions (current limiters, clipped
         // rails) the finite-difference Jacobian is exactly zero and the pin
         // would float; the junction-conductance floor keeps the MNA matrix
@@ -252,12 +226,17 @@ impl Device for BehavioralDevice {
         // through behavioural devices sees conductances only — documented
         // limitation; use the transient frequency-response rig for full
         // dynamics.
-        for &(k, j, g) in &self.g_last {
-            s.add(
-                Unknown::Node(self.pins[k]),
-                Unknown::Node(self.pins[j]),
-                Complex64::from_real(g),
-            );
+        let n = self.pins.len();
+        for (k, pin) in self.pins.iter().enumerate() {
+            for (j, &g) in self.jac[k * n..(k + 1) * n].iter().enumerate() {
+                if g != 0.0 {
+                    s.add(
+                        Unknown::Node(*pin),
+                        Unknown::Node(self.pins[j]),
+                        Complex64::from_real(g),
+                    );
+                }
+            }
         }
         let gmin = Complex64::from_real(self.gmin_last);
         for pin in &self.pins {

@@ -1,7 +1,8 @@
 //! Trace output tests: a golden Chrome trace-event file for a fixed
 //! 3-step transient (timestamps zeroed, so the golden pins span names,
 //! ordering and nesting), a round-trip parse through the in-tree JSON
-//! parser, and thread-count invariance of the logical span structure.
+//! parser, thread-count invariance of the logical span structure, and an
+//! AC sweep's LU counter agreeing with its `SimStats`.
 //!
 //! Regenerate the golden with:
 //!
@@ -108,6 +109,49 @@ fn three_step_transient_has_expected_span_structure() {
     );
     // Four Newton solves on a small dense system: one full LU each.
     assert_eq!(counters.get("sim.lu.full"), Some(&4), "{counters:?}");
+}
+
+/// Every factorization `SimStats` counts is a `sim.lu.full` or
+/// `sim.lu.refactor` in the trace, AC sweep points included.
+#[test]
+fn traced_ac_sweep_counts_every_factorization() {
+    use gabm::sim::analysis::ac::{AcSpec, AcSweep};
+    use gabm::sim::devices::vsource::Vsource;
+
+    let _g = lock();
+    let freqs = vec![1.0, 10.0, 100.0, 1.0e3, 1.0e4];
+    let k = freqs.len();
+    gabm::trace::enable();
+    let mut c = Circuit::new();
+    let a = c.node("a");
+    let b = c.node("b");
+    c.add_device(Box::new(
+        Vsource::new("V1", a, Circuit::GROUND, SourceWave::dc(0.0)).with_ac(1.0),
+    ))
+    .unwrap();
+    c.add_resistor("R1", a, b, 1.0e3).unwrap();
+    c.add_capacitor("C1", b, Circuit::GROUND, 1.0e-6);
+    let r = c
+        .ac(&AcSpec {
+            sweep: AcSweep::List(freqs),
+        })
+        .unwrap();
+    let trace = gabm::trace::finish();
+    let counter = |name: &str| {
+        trace
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v as usize)
+    };
+    assert_eq!(r.stats.refactorizations, 0);
+    assert!(r.stats.factorizations > k, "{:?}", r.stats);
+    assert_eq!(
+        counter("sim.lu.full"),
+        r.stats.factorizations,
+        "{:?}",
+        trace.counters
+    );
 }
 
 #[test]
