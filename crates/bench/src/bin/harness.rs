@@ -13,13 +13,12 @@
 //!   table1     CPU-cost comparison (the paper's 4.9 s vs 15.2 s result)
 //!   modelcheck extracted vs assigned parameters (§2.4)
 //!   validity   range-of-validity scan (§2.4)
-//!   ablation   transient tolerance / integration-method cost sweep, and
-//!              dense vs sparse LU on RC ladders of 8–512 unknowns
+//!   ablation   transient tolerance / integration-method cost sweep
 //!   bode       open-loop Bode of the behavioural opamp vs the analytic pole
 //!   fasvm      FAS interpreter vs bytecode VM: same trajectory and output
 //!              (writes BENCH_fasvm.json)
-//!   parchar    Monte-Carlo bitwise identical on 1/2/4/8 workers + sparse-LU
-//!              refactorization counters (writes BENCH_parchar.json)
+//!   parchar    Monte-Carlo bitwise identical on 1/2/4/8 workers + LU
+//!              factorization counters (writes BENCH_parchar.json)
 //!   traceov    tracing overhead: disabled-probe cost on the comparator
 //!              transient + a fully traced all-layer run (writes
 //!              BENCH_traceov.json and TRACE_traceov.json)
@@ -29,9 +28,8 @@
 //! The rows written to `BENCH_*.json` record deterministic counters, which
 //! `scripts/ci.sh` compares exactly with the committed files. Wall time is
 //! taken only where a clock is the point: `table1` (the paper's §5
-//! timing), `traceov`'s in-process overhead gate and the LU ladder of
-//! `ablation`; every other timing claim is measured by the benchmark
-//! (`perfbench/`).
+//! timing) and `traceov`'s in-process overhead gate; every other timing
+//! claim is measured by the benchmark (`perfbench/`).
 //!
 //! The parallel characterization flows run on one worker per hardware
 //! thread. `--trace <out.json>` (or env `GABM_TRACE`) records a Chrome
@@ -610,7 +608,7 @@ fn bode() {
 /// Ablation: accuracy vs cost of the transient engine on the behavioural
 /// comparator — LTE tolerance and integration method sweeps. Quantifies the
 /// "variable time intervals" design point of §3.3 and the discontinuity
-/// handling of §4. Ends with the LU-kernel crossover ([`lu_ladder`]).
+/// handling of §4.
 fn ablation() {
     banner("Ablation — transient tolerance & integration method (behavioural comparator)");
     let stim = ComparatorStimulus::default();
@@ -653,69 +651,6 @@ fn ablation() {
         println!(
             "{label:<26} {:>8} {:>10} {:>14.4e}",
             r.stats.accepted_steps, r.stats.newton_iterations, rms
-        );
-    }
-    lu_ladder();
-}
-
-/// Dense vs sparse LU (factor + solve) on the tridiagonal MNA matrix of
-/// an n-stage RC ladder: the evidence for `Options::sparse_threshold`.
-/// The sparse left-looking LU pulls ahead as the ladder grows; a ladder
-/// is the sparsest MNA pattern, so its crossover is a lower bound.
-fn lu_ladder() {
-    use gabm_numeric::{DenseMatrix, LuFactor, SparseLu, TripletBuilder};
-    use std::hint::black_box;
-
-    const REPS: usize = 9;
-    println!(
-        "\n{:<10} {:>14} {:>14} {:>13}",
-        "LU ladder", "dense [us]", "sparse [us]", "dense/sparse"
-    );
-    for n in [8usize, 32, 128, 512] {
-        let mut dense = DenseMatrix::zeros(n, n);
-        let mut triplets = TripletBuilder::new(n, n);
-        for i in 0..n {
-            let mut set = |j: usize, v: f64| {
-                dense[(i, j)] = v;
-                triplets.push(i, j, v);
-            };
-            set(i, 2.0);
-            if i > 0 {
-                set(i - 1, -1.0);
-            }
-            if i + 1 < n {
-                set(i + 1, -1.0);
-            }
-        }
-        let sparse = triplets.to_csc();
-        let rhs = vec![1.0; n];
-        // Small systems factor in well under a microsecond, so each timed
-        // sample runs a batch.
-        let batch = (1024 / n).max(1);
-        let (t_dense, _) = best_of(
-            REPS,
-            || (),
-            |_| {
-                for _ in 0..batch {
-                    let lu = LuFactor::new(&dense).expect("factorizes");
-                    black_box(lu.solve(&rhs).expect("solves"));
-                }
-            },
-        );
-        let (t_sparse, _) = best_of(
-            REPS,
-            || (),
-            |_| {
-                for _ in 0..batch {
-                    let lu = SparseLu::new(&sparse).expect("factorizes");
-                    black_box(lu.solve(&rhs).expect("solves"));
-                }
-            },
-        );
-        let (us_dense, us_sparse) = (t_dense / batch as f64 * 1e6, t_sparse / batch as f64 * 1e6);
-        println!(
-            "n={n:<8} {us_dense:>14.2} {us_sparse:>14.2} {:>12.2}x",
-            us_dense / us_sparse
         );
     }
 }
@@ -809,16 +744,15 @@ fn fasvm() {
 
 /// Counter row for the parallel characterization engine: Monte-Carlo over
 /// the comparator's strobe-to-decision delay on pools of 1/2/4/8 workers
-/// (bitwise identical by construction, asserted here), plus the
-/// forced-sparse LU (one full factorization, then numeric
-/// refactorizations) on the 60 µs comparator transient. Writes
-/// `BENCH_parchar.json`.
+/// (bitwise identical by construction, asserted here), plus the LU
+/// counters of the 60 µs comparator transient (one factorization per
+/// Newton iteration). Writes `BENCH_parchar.json`.
 fn parchar() {
     use gabm_charac::monte_carlo::{monte_carlo_on, Scatter};
     use gabm_charac::{CharacError, ThreadPool};
     use std::collections::BTreeMap;
 
-    banner("Parallel characterization + sparse-LU refactorization");
+    banner("Parallel characterization + LU factorization counters");
 
     // --- Monte-Carlo: slew-rate scatter -> response-time distribution. ---
     const SAMPLES: usize = 24;
@@ -877,20 +811,18 @@ fn parchar() {
          min={min:016x} max={max:016x}"
     );
 
-    // --- Sparse-LU refactorization reuse on the comparator transient. ---
+    // --- LU counters of the comparator transient. ---
     let stim = ComparatorStimulus::default();
     let (mut ckt, _) = behavioural_comparator_circuit(&stim).expect("bench builds");
-    ckt.options.sparse_threshold = 1;
-    let s_sparse = ckt.tran(&TranSpec::new(60.0e-6)).expect("tran runs").stats;
+    let s_tran = ckt.tran(&TranSpec::new(60.0e-6)).expect("tran runs").stats;
     assert_eq!(
-        s_sparse.factorizations + s_sparse.refactorizations,
-        s_sparse.newton_iterations,
-        "every Newton iteration factors once, in full or numerically"
+        (s_tran.factorizations, s_tran.refactorizations),
+        (s_tran.newton_iterations, 0),
+        "every Newton iteration factors once, in full"
     );
     println!(
-        "\nsparse LU (threshold=1): {} full factorizations, {} refactorizations, \
-         {} Newton iterations",
-        s_sparse.factorizations, s_sparse.refactorizations, s_sparse.newton_iterations
+        "\ncomparator transient: {} factorizations, {} Newton iterations",
+        s_tran.factorizations, s_tran.newton_iterations
     );
 
     let json = format!(
@@ -900,11 +832,11 @@ fn parchar() {
          \"accepted_steps\": {},\n  \"rejected_steps\": {}\n}}\n",
         f64::from_bits(mean),
         f64::from_bits(std),
-        s_sparse.factorizations,
-        s_sparse.refactorizations,
-        s_sparse.newton_iterations,
-        s_sparse.accepted_steps,
-        s_sparse.rejected_steps
+        s_tran.factorizations,
+        s_tran.refactorizations,
+        s_tran.newton_iterations,
+        s_tran.accepted_steps,
+        s_tran.rejected_steps
     );
     if std::fs::write("BENCH_parchar.json", &json).is_ok() {
         println!("  [written to BENCH_parchar.json]");
@@ -960,7 +892,7 @@ fn traceov() {
     let probes_per_run = (1
         + attempts                                      // sim.tran.step spans
         + 2 * (attempts + 1)                            // sim.newton spans + iteration counters
-        + stats.factorizations + stats.refactorizations // LU counters
+        + stats.factorizations                          // LU counters
         + attempts) as f64; // accepted/rejected counters
     let overhead_disabled_pct = probes_per_run * ns_per_probe / (t_disabled * 1e9) * 100.0;
 

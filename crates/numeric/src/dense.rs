@@ -1,9 +1,9 @@
 //! Dense matrices generic over a [`Scalar`].
 //!
 //! The modified nodal analysis systems assembled by `gabm-sim` are small
-//! (tens of unknowns), so a row-major dense matrix is the default backing
-//! store; [`crate::sparse`] and [`crate::splu`] exist for the larger systems
-//! exercised by the scalability ablations.
+//! (tens of unknowns), so a row-major dense matrix is their only backing
+//! store; [`crate::sparse`] and [`crate::splu`] serve larger systems outside
+//! the simulator.
 
 use crate::{NumericError, Scalar};
 use std::fmt;

@@ -9,11 +9,12 @@
 //!   solves of AC small-signal analysis;
 //! * [`sparse`] — compressed sparse column matrices with a triplet builder;
 //! * [`splu`] — a left-looking (Gilbert–Peierls) sparse LU with partial
-//!   pivoting for larger modified-nodal-analysis systems;
+//!   pivoting and numeric refactorization, for systems larger than the
+//!   simulator builds;
 //! * [`complex`] — a self-contained [`Complex64`] (no external dependency);
 //! * [`newton`] — SPICE-style convergence criteria and damping helpers;
 //! * [`integrate`] — backward-Euler / trapezoidal / Gear-2 integration
-//!   coefficients and a local-truncation-error step controller;
+//!   coefficients and the local-truncation-error estimate;
 //! * [`interp`] — linear and monotone cubic interpolation;
 //! * [`waveform`] — sampled signals with arithmetic;
 //! * [`measure`] — waveform measurements (crossings, rise time, overshoot,

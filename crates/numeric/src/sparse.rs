@@ -210,8 +210,7 @@ impl SparseMatrix {
         Ok(y)
     }
 
-    /// Density as a fraction of a full matrix (diagnostic for the ablation
-    /// benches comparing dense vs sparse factorization).
+    /// Density as a fraction of a full matrix.
     pub fn density(&self) -> f64 {
         if self.rows == 0 || self.cols == 0 {
             0.0

@@ -1,9 +1,10 @@
 //! Left-looking (Gilbert–Peierls) sparse LU factorization with partial
 //! pivoting, plus KLU-style numeric refactorization.
 //!
-//! The simulator uses the dense solver for small systems and switches to this
-//! factorization above a node-count threshold; the `dense vs sparse` ablation
-//! bench quantifies the crossover on ladder networks.
+//! The simulator factors every system with the dense [`crate::LuFactor`]:
+//! no caller reaches the size where this factorization pays (on ladder
+//! networks the dense one costs 1.5× at 65 unknowns). It stays as library
+//! API, timed by the benchmark's numeric kernels.
 //!
 //! A Newton loop refactors the *same* sparsity pattern every iteration —
 //! only the values change. [`SparseLu::new`] therefore records the input

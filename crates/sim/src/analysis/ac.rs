@@ -4,6 +4,7 @@
 //! complex MNA system at each frequency. Sources marked with an AC magnitude
 //! (see [`crate::devices::vsource::Vsource::with_ac`]) provide the stimulus.
 
+use crate::analysis::op::solve_op;
 use crate::analysis::tran::MAX_TIME_POINTS;
 use crate::analysis::Solutions;
 use crate::circuit::{Circuit, NodeId};
@@ -175,7 +176,7 @@ pub(crate) fn solve_ac(circuit: &mut Circuit, spec: &AcSpec) -> Result<AcResult,
     let _span = gabm_trace::span("sim.ac");
     let freqs = spec.sweep.frequencies()?;
     // Linearize about the operating point (devices cache gm/gds/...).
-    let op = circuit.op()?;
+    let op = solve_op(circuit)?;
     let mut stats = op.stats;
     let mut stamper = AcStamper::new(circuit.n_nodes(), circuit.n_branches(), 0.0);
     // One factor, refactored in place at every frequency point.

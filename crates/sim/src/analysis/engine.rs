@@ -5,7 +5,7 @@ use crate::device::{Layout, Mode, Stamper};
 use crate::options::SimStats;
 use crate::SimError;
 use gabm_numeric::newton::{damp_update, Tolerances};
-use gabm_numeric::{LuFactor, SparseLu};
+use gabm_numeric::LuFactor;
 
 /// Newton iterations per solve attempt of a nonlinear circuit (SPICE `ITL1`).
 const MAX_NEWTON_ITERS: usize = 250;
@@ -33,21 +33,16 @@ impl Default for SolveSetup {
 }
 
 /// The buffers one circuit's Newton solves reuse: the assembly surface,
-/// the LU factor of the active backend and the iterate pair.
+/// the LU factor and the iterate pair.
 ///
 /// It lives on the [`Circuit`], is built by the first solve and rebuilt
-/// only when the unknown count or the dense/sparse backend changes, so a
-/// dense Newton iteration allocates nothing.
+/// only when the unknown count changes, so a Newton iteration allocates
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     stamper: Stamper,
-    sparse: bool,
     /// Dense factor, refactored in place every iteration.
-    dense_lu: LuFactor,
-    /// Sparse factor: its symbolic analysis and pivot order survive across
-    /// solves (and time steps), so iterations with an unchanged matrix
-    /// pattern only pay a numeric refactorization.
-    sparse_lu: Option<SparseLu>,
+    lu: LuFactor,
     /// Current iterate.
     x: Vec<f64>,
     /// Next iterate: the linear solve's result, then the damped update.
@@ -55,20 +50,14 @@ pub(crate) struct NewtonWorkspace {
 }
 
 impl NewtonWorkspace {
-    fn new(layout: Layout, sparse: bool) -> Self {
+    fn new(layout: Layout) -> Self {
         let n = layout.n_unknowns();
         NewtonWorkspace {
-            stamper: Stamper::with_backend(layout, Mode::Dc, sparse),
-            sparse,
-            dense_lu: LuFactor::default(),
-            sparse_lu: None,
+            stamper: Stamper::new(layout.n_nodes, layout.n_branches, Mode::Dc),
+            lu: LuFactor::default(),
             x: vec![0.0; n],
             x_next: vec![0.0; n],
         }
-    }
-
-    fn fits(&self, layout: Layout, sparse: bool) -> bool {
-        self.stamper.layout == layout && self.sparse == sparse
     }
 }
 
@@ -88,12 +77,11 @@ pub(crate) fn newton_solve(
 ) -> Result<usize, SimError> {
     let _span = gabm_trace::span("sim.newton");
     let layout = circuit.layout();
-    let sparse = layout.n_unknowns() >= circuit.options.sparse_threshold;
     // Take the workspace out for the iteration and put it back on every
     // exit path.
     let mut ws = match circuit.newton.take() {
-        Some(ws) if ws.fits(layout, sparse) => ws,
-        _ => NewtonWorkspace::new(layout, sparse),
+        Some(ws) if ws.stamper.layout == layout => ws,
+        _ => NewtonWorkspace::new(layout),
     };
     let iters_before = stats.newton_iterations;
     let result = newton_iterate(circuit, mode, solution, setup, stats, &mut ws);
@@ -118,11 +106,9 @@ fn newton_iterate(
     let nonlinear = circuit.is_nonlinear();
     let NewtonWorkspace {
         stamper,
-        dense_lu,
-        sparse_lu,
+        lu,
         x,
         x_next,
-        ..
     } = ws;
     let opts = &circuit.options;
     stamper.gmin = opts.gmin;
@@ -145,43 +131,16 @@ fn newton_iterate(
         stats.device_evals += 1;
         let limited = stamper.was_limited();
         let (mat, rhs) = stamper.finish();
-        let singular = |e: gabm_numeric::NumericError| match e {
+        lu.refactor(mat).map_err(|e| match e {
             gabm_numeric::NumericError::Singular { pivot } => SimError::SingularMatrix {
                 detail: circuit.unknown_name(pivot),
             },
             other => SimError::from(other),
-        };
-        match mat {
-            crate::device::MatrixStore::Dense(m) => {
-                dense_lu.refactor(m).map_err(singular)?;
-                stats.factorizations += 1;
-                gabm_trace::add("sim.lu.full", 1);
-                x_next.copy_from_slice(rhs);
-                dense_lu.solve_in_place(x_next)?;
-            }
-            crate::device::MatrixStore::Sparse(t) => {
-                let a = t.to_csc();
-                // Numeric-only refactorization while the pattern holds; a
-                // pattern change (e.g. from gmin stepping) or a pivot
-                // collapsing under the frozen order makes `refactor` fail,
-                // and a full re-pivoting factorization replaces the factor.
-                let lu = match sparse_lu.take().map(|mut lu| lu.refactor(&a).map(|()| lu)) {
-                    Some(Ok(lu)) => {
-                        stats.refactorizations += 1;
-                        gabm_trace::add("sim.lu.refactor", 1);
-                        lu
-                    }
-                    _ => {
-                        stats.factorizations += 1;
-                        gabm_trace::add("sim.lu.full", 1);
-                        SparseLu::new(&a).map_err(singular)?
-                    }
-                };
-                x_next.copy_from_slice(rhs);
-                lu.solve_in_place(x_next)?;
-                *sparse_lu = Some(lu);
-            }
-        }
+        })?;
+        stats.factorizations += 1;
+        gabm_trace::add("sim.lu.full", 1);
+        x_next.copy_from_slice(rhs);
+        lu.solve_in_place(x_next)?;
         stats.newton_iterations += 1;
         // A non-finite iterate never recovers (damping turns it into NaN),
         // so fail at once, naming the unknown.
@@ -319,93 +278,17 @@ mod tests {
         assert!(x.iter().all(|v| *v == 0.0));
     }
 
-    /// Nonlinear diode/resistor ladder, forced onto the sparse backend.
-    fn diode_ladder() -> Circuit {
+    #[test]
+    fn workspace_is_rebuilt_when_the_unknown_count_changes() {
         let mut c = Circuit::new();
-        c.options.sparse_threshold = 1;
         let top = c.node("top");
         c.add_vsource("V1", top, Circuit::GROUND, SourceWave::dc(5.0));
-        let mut prev = top;
-        for k in 0..6 {
-            let n = c.node(&format!("n{k}"));
-            c.add_resistor(&format!("R{k}"), prev, n, 500.0).unwrap();
-            c.add_diode(
-                &format!("D{k}"),
-                n,
-                Circuit::GROUND,
-                crate::devices::DiodeParams::default(),
-            );
-            prev = n;
-        }
-        c
-    }
-
-    #[test]
-    fn sparse_lu_reuse_is_bitwise_identical_to_full_factorization() {
-        // Only the first iteration factors in full; every later one reuses
-        // its symbolic analysis (`SparseLu::refactor`, which reproduces a
-        // fresh factorization to the ulp, see `splu::tests`).
-        let mut c = diode_ladder();
-        let mut x = vec![0.0; c.n_unknowns()];
+        c.add_resistor("R1", top, Circuit::GROUND, 1.0e3).unwrap();
         let mut stats = SimStats::default();
-        let iterations =
-            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
-        assert!(iterations > 1);
-        assert_eq!(stats.factorizations, 1);
-        assert_eq!(stats.refactorizations, iterations - 1);
-    }
-
-    #[test]
-    fn sparse_factor_survives_consecutive_solves() {
-        let mut c = diode_ladder();
         let mut x = vec![0.0; c.n_unknowns()];
-        let mut stats = SimStats::default();
-        let iterations =
-            newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
-        // Second solve from the converged point: same pattern, so no new
-        // full factorization at all.
         newton_solve(&mut c, Mode::Dc, &mut x, SolveSetup::default(), &mut stats).unwrap();
-        assert_eq!(stats.factorizations, 1);
-        assert!(stats.refactorizations >= iterations);
-    }
-
-    #[test]
-    fn workspace_follows_backend_and_size_changes() {
-        let mut c = diode_ladder();
-        c.options.sparse_threshold = usize::MAX;
-        let n = c.n_unknowns();
-        let mut stats = SimStats::default();
-        let mut dense = vec![0.0; n];
-        newton_solve(
-            &mut c,
-            Mode::Dc,
-            &mut dense,
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(stats.refactorizations, 0);
-        // Switching to the sparse backend rebuilds the workspace: one full
-        // factorization, numeric refactorizations after it, same answer.
-        c.options.sparse_threshold = 1;
-        let mut stats = SimStats::default();
-        let mut sparse = vec![0.0; n];
-        let iterations = newton_solve(
-            &mut c,
-            Mode::Dc,
-            &mut sparse,
-            SolveSetup::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(stats.factorizations, 1);
-        assert_eq!(stats.refactorizations, iterations - 1);
-        for (d, s) in dense.iter().zip(&sparse) {
-            assert!((d - s).abs() <= 1e-9 * d.abs().max(1.0), "{d} vs {s}");
-        }
         // A new node changes the unknown count: the workspace is rebuilt
         // at the new size.
-        let top = c.find_node("top").unwrap();
         let extra = c.node("extra");
         c.add_resistor("RX", top, extra, 1.0e3).unwrap();
         c.add_resistor("RY", extra, Circuit::GROUND, 1.0e3).unwrap();

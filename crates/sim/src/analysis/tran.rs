@@ -8,6 +8,7 @@
 //! the private `StepPolicy`.
 
 use crate::analysis::engine::{newton_solve, SolveSetup};
+use crate::analysis::op::solve_op;
 use crate::analysis::Solutions;
 use crate::circuit::{Circuit, NodeId};
 use crate::device::{Mode, StateView, Unknown};
@@ -164,7 +165,7 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     let layout = circuit.layout();
 
     // Initial condition: DC operating point, committed into device state.
-    let op_result = circuit.op()?;
+    let op_result = solve_op(circuit)?;
     let mut stats = op_result.stats;
     let mut times = vec![0.0];
     let mut states = Solutions::new(layout);

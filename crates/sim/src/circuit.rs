@@ -384,16 +384,19 @@ impl Circuit {
     }
 
     // ------------------------------------------------------------------
-    // Analyses (thin wrappers over the `analysis` module).
+    // Analyses (thin wrappers over the `analysis` module). Each checks
+    // the options once, before any solve.
     // ------------------------------------------------------------------
 
     /// Solves the DC operating point.
     ///
     /// # Errors
     ///
+    /// [`SimError::BadOption`] for an invalid [`Options`] field,
     /// [`SimError::NoConvergence`] or [`SimError::SingularMatrix`] on solver
     /// failure.
     pub fn op(&mut self) -> Result<OpResult, SimError> {
+        self.options.validate()?;
         crate::analysis::op::solve_op(self)
     }
 
@@ -402,7 +405,8 @@ impl Circuit {
     /// # Errors
     ///
     /// [`SimError::BadAnalysis`] for a non-finite, inconsistent or over-budget
-    /// range, [`SimError::UnknownDevice`] for a bad source name, or solver errors.
+    /// range, [`SimError::BadOption`] for an invalid [`Options`] field,
+    /// [`SimError::UnknownDevice`] for a bad source name, or solver errors.
     pub fn dc_sweep(
         &mut self,
         source: &str,
@@ -410,6 +414,7 @@ impl Circuit {
         to: f64,
         step: f64,
     ) -> Result<DcResult, SimError> {
+        self.options.validate()?;
         crate::analysis::dc::sweep(self, source, from, to, step)
     }
 
@@ -417,9 +422,11 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Solver errors, or [`SimError::TimestepTooSmall`] when the step
-    /// controller cannot recover.
+    /// [`SimError::BadOption`] for an invalid [`Options`] field, solver
+    /// errors, or [`SimError::TimestepTooSmall`] when the step controller
+    /// cannot recover.
     pub fn tran(&mut self, spec: &TranSpec) -> Result<TranResult, SimError> {
+        self.options.validate()?;
         crate::analysis::tran::solve_tran(self, spec)
     }
 
@@ -427,9 +434,11 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// [`SimError::BadAnalysis`] for a bad frequency grid, [`SimError::NonFinite`]
-    /// for a non-finite solution, or errors from the OP and complex solves.
+    /// [`SimError::BadAnalysis`] for a bad frequency grid, [`SimError::BadOption`]
+    /// for an invalid [`Options`] field, [`SimError::NonFinite`] for a
+    /// non-finite solution, or errors from the OP and complex solves.
     pub fn ac(&mut self, spec: &AcSpec) -> Result<AcResult, SimError> {
+        self.options.validate()?;
         crate::analysis::ac::solve_ac(self, spec)
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::circuit::NodeId;
 use gabm_numeric::integrate::Coefficients;
-use gabm_numeric::{Complex64, DenseMatrix, TripletBuilder};
+use gabm_numeric::{Complex64, DenseMatrix};
 use std::fmt;
 
 /// An MNA unknown: a node voltage or a branch current.
@@ -107,51 +107,12 @@ impl Mode {
     }
 }
 
-/// Backing store for the assembled Jacobian: dense for small systems,
-/// coordinate triplets (solved by the sparse LU) above the
-/// `sparse_threshold` option.
-#[derive(Debug)]
-pub(crate) enum MatrixStore {
-    /// Dense row-major storage.
-    Dense(DenseMatrix<f64>),
-    /// Sparse triplet accumulation.
-    Sparse(TripletBuilder),
-}
-
-impl MatrixStore {
-    fn add_at(&mut self, row: usize, col: usize, val: f64) {
-        match self {
-            MatrixStore::Dense(m) => m.add_at(row, col, val),
-            MatrixStore::Sparse(t) => t.push(row, col, val),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            MatrixStore::Dense(m) => m.clear(),
-            MatrixStore::Sparse(t) => t.clear(),
-        }
-    }
-}
-
-impl std::ops::Index<(usize, usize)> for MatrixStore {
-    type Output = f64;
-    fn index(&self, (row, col): (usize, usize)) -> &f64 {
-        match self {
-            MatrixStore::Dense(m) => &m[(row, col)],
-            MatrixStore::Sparse(_) => {
-                panic!("indexing a sparse store by reference is not supported")
-            }
-        }
-    }
-}
-
 /// Assembly surface for one Newton iteration of a real (DC or transient)
 /// solve.
 #[derive(Debug)]
 pub struct Stamper {
     pub(crate) layout: Layout,
-    mat: MatrixStore,
+    mat: DenseMatrix<f64>,
     rhs: Vec<f64>,
     x: Vec<f64>,
     /// Analysis mode of this solve.
@@ -174,20 +135,11 @@ impl Stamper {
     /// Creates a stamper for `n_nodes` node voltages plus `n_branches`
     /// branch currents.
     pub fn new(n_nodes: usize, n_branches: usize, mode: Mode) -> Self {
-        Stamper::with_backend(Layout::new(n_nodes, n_branches), mode, false)
-    }
-
-    /// Creates a stamper with an explicit matrix backend (`sparse = true`
-    /// accumulates triplets for the sparse LU).
-    pub(crate) fn with_backend(layout: Layout, mode: Mode, sparse: bool) -> Self {
+        let layout = Layout::new(n_nodes, n_branches);
         let n = layout.n_unknowns();
         Stamper {
             layout,
-            mat: if sparse {
-                MatrixStore::Sparse(TripletBuilder::new(n, n))
-            } else {
-                MatrixStore::Dense(DenseMatrix::zeros(n, n))
-            },
+            mat: DenseMatrix::zeros(n, n),
             rhs: vec![0.0; n],
             x: vec![0.0; n],
             mode,
@@ -275,7 +227,7 @@ impl Stamper {
 
     /// Finishes assembly: applies the gmin-stepping shunt and hands the
     /// system to the linear solver.
-    pub(crate) fn finish(&mut self) -> (&MatrixStore, &[f64]) {
+    pub(crate) fn finish(&mut self) -> (&DenseMatrix<f64>, &[f64]) {
         if self.gshunt > 0.0 {
             for i in 0..self.layout.n_nodes {
                 self.mat.add_at(i, i, self.gshunt);

@@ -97,6 +97,13 @@ pub enum SimError {
     MissingResult(String),
     /// Invalid analysis specification.
     BadAnalysis(String),
+    /// A simulator [`Options`] field holds a value no analysis can use.
+    BadOption {
+        /// The field, e.g. `tran_tol`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// A netlist card could not be parsed or built.
     Parse {
         /// 1-based source line of the offending card.
@@ -129,6 +136,9 @@ impl fmt::Display for SimError {
             }
             SimError::MissingResult(what) => write!(f, "missing result: {what}"),
             SimError::BadAnalysis(msg) => write!(f, "bad analysis spec: {msg}"),
+            SimError::BadOption { field, value } => {
+                write!(f, "bad simulator option: {field} = {value}")
+            }
             SimError::Parse { line, message } => write!(f, "line {line}: {message}"),
         }
     }

@@ -1,5 +1,7 @@
 //! Simulator options: the settings a caller changes, and the work counters.
 
+use crate::SimError;
+
 /// Global simulator options, the analogue of SPICE's `.OPTIONS` card.
 ///
 /// Only the settings callers change live here; the Newton tolerances,
@@ -15,7 +17,7 @@
 ///     gmin: 1e-12,
 ///     ..Options::default()
 /// };
-/// assert_eq!(opts.sparse_threshold, 64);
+/// assert!(opts.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
@@ -25,8 +27,6 @@ pub struct Options {
     pub tran_tol: f64,
     /// Analysis temperature in kelvin (default 300.15 K = 27 °C).
     pub temperature: f64,
-    /// Switch to the sparse matrix backend above this many unknowns.
-    pub sparse_threshold: usize,
 }
 
 impl Default for Options {
@@ -35,12 +35,31 @@ impl Default for Options {
             gmin: 1e-12,
             tran_tol: 1e-3,
             temperature: 300.15,
-            sparse_threshold: 64,
         }
     }
 }
 
 impl Options {
+    /// Checks every field, so that no analysis runs on a setting that
+    /// would silently give a wrong answer: `gmin` must be finite and
+    /// non-negative, `tran_tol` and `temperature` finite and positive.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadOption`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SimError> {
+        for (field, value, ok) in [
+            ("gmin", self.gmin, self.gmin >= 0.0),
+            ("tran_tol", self.tran_tol, self.tran_tol > 0.0),
+            ("temperature", self.temperature, self.temperature > 0.0),
+        ] {
+            if !(ok && value.is_finite()) {
+                return Err(SimError::BadOption { field, value });
+            }
+        }
+        Ok(())
+    }
+
     /// Thermal voltage `kT/q` at the configured temperature.
     pub fn thermal_voltage(&self) -> f64 {
         const K_OVER_Q: f64 = 8.617_333_262e-5; // volts per kelvin
@@ -59,10 +78,11 @@ pub struct SimStats {
     pub rejected_steps: usize,
     /// Total Newton iterations across all solves.
     pub newton_iterations: usize,
-    /// Full matrix factorizations (symbolic analysis + pivoting + numerics).
+    /// LU factorizations, one per Newton iteration and AC frequency point.
     pub factorizations: usize,
-    /// Numeric-only sparse refactorizations served from the cached
-    /// symbolic analysis while the matrix pattern is unchanged.
+    /// Numeric-only refactorizations that reuse an earlier factorization's
+    /// pivot order. The simulator factors every system in full, so this is
+    /// always 0; the field stays for readers that report it.
     pub refactorizations: usize,
     /// Total device evaluation sweeps.
     pub device_evals: usize,

@@ -114,9 +114,9 @@ check_counters BENCH_fasvm.json newton_iterations accepted_steps rejected_steps 
 
 # Parallel characterization gate: the harness asserts in-process that the
 # Monte-Carlo distribution is bitwise identical on pools of 1/2/4/8
-# workers, and that the forced-sparse LU factors once per Newton
-# iteration (full or numeric refactorization); a failed assertion aborts
-# the run and fails this step.
+# workers, and that the comparator transient factors its dense LU once
+# per Newton iteration (so `refactorizations` is 0); a failed assertion
+# aborts the run and fails this step.
 echo "==> harness parchar ($BENCH_DIR/BENCH_parchar.json)"
 (cd "$BENCH_DIR" && "$HARNESS" parchar)
 check_counters BENCH_parchar.json factorizations refactorizations newton_iterations \

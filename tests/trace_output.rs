@@ -111,8 +111,8 @@ fn three_step_transient_has_expected_span_structure() {
     assert_eq!(counters.get("sim.lu.full"), Some(&4), "{counters:?}");
 }
 
-/// Every factorization `SimStats` counts is a `sim.lu.full` or
-/// `sim.lu.refactor` in the trace, AC sweep points included.
+/// Every factorization `SimStats` counts is a `sim.lu.full` in the trace,
+/// AC sweep points included.
 #[test]
 fn traced_ac_sweep_counts_every_factorization() {
     use gabm::sim::analysis::ac::{AcSpec, AcSweep};
