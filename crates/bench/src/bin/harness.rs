@@ -13,7 +13,7 @@
 //!   table1     CPU-cost comparison (the paper's 4.9 s vs 15.2 s result)
 //!   modelcheck extracted vs assigned parameters (§2.4)
 //!   validity   range-of-validity scan (§2.4)
-//!   ablation   transient tolerance / integration-method cost sweep
+//!   ablation   transient tolerance cost sweep
 //!   bode       open-loop Bode of the behavioural opamp vs the analytic pole
 //!   fasvm      FAS interpreter vs bytecode VM: same trajectory and output
 //!              (writes BENCH_fasvm.json)
@@ -606,11 +606,10 @@ fn bode() {
 }
 
 /// Ablation: accuracy vs cost of the transient engine on the behavioural
-/// comparator — LTE tolerance and integration method sweeps. Quantifies the
-/// "variable time intervals" design point of §3.3 and the discontinuity
-/// handling of §4.
+/// comparator — an LTE tolerance sweep. Quantifies the "variable time
+/// intervals" design point of §3.3 and the discontinuity handling of §4.
 fn ablation() {
-    banner("Ablation — transient tolerance & integration method (behavioural comparator)");
+    banner("Ablation — transient tolerance (behavioural comparator)");
     let stim = ComparatorStimulus::default();
     let tstop = 60.0e-6;
     // Reference: tight tolerance.
@@ -624,28 +623,14 @@ fn ablation() {
         "{:<26} {:>8} {:>10} {:>14}",
         "configuration", "steps", "NR iters", "RMS vs ref [V]"
     );
-    for (label, tol, method) in [
-        ("tol=1e-2, trapezoidal", 1e-2, None),
-        ("tol=1e-3, trapezoidal", 1e-3, None),
-        ("tol=1e-4, trapezoidal", 1e-4, None),
-        (
-            "tol=1e-3, backward Euler",
-            1e-3,
-            Some(gabm_numeric::integrate::Method::BackwardEuler),
-        ),
-        (
-            "tol=1e-3, Gear-2",
-            1e-3,
-            Some(gabm_numeric::integrate::Method::Gear2),
-        ),
+    for (label, tol) in [
+        ("tol=1e-2, trapezoidal", 1e-2),
+        ("tol=1e-3, trapezoidal", 1e-3),
+        ("tol=1e-4, trapezoidal", 1e-4),
     ] {
         let (mut ckt, n) = behavioural_comparator_circuit(&stim).expect("bench builds");
         ckt.options.tran_tol = tol;
-        let mut spec = TranSpec::new(tstop);
-        if let Some(m) = method {
-            spec = spec.with_method(m);
-        }
-        let r = ckt.tran(&spec).expect("tran runs");
+        let r = ckt.tran(&TranSpec::new(tstop)).expect("tran runs");
         let w = r.voltage_waveform(n[3]).expect("waveform");
         let rms = w.rms_difference(&reference).unwrap_or(f64::NAN);
         println!(

@@ -128,10 +128,17 @@ impl Signature {
     ///
     /// # Errors
     ///
-    /// [`FasError::Instantiate`] for overrides of undeclared parameters.
+    /// [`FasError::Instantiate`] for overrides of undeclared parameters and
+    /// for NaN or infinite override values.
     pub fn param_values(&self, overrides: &BTreeMap<String, f64>) -> Result<Vec<f64>, FasError> {
         let mut values: Vec<f64> = self.params.iter().map(|(_, v)| *v).collect();
         for (name, value) in overrides {
+            if !value.is_finite() {
+                return Err(FasError::Instantiate(format!(
+                    "model {}: parameter '{name}' must be finite, got {value}",
+                    self.name
+                )));
+            }
             let idx = self
                 .params
                 .iter()
@@ -190,7 +197,8 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// [`FasError::Instantiate`] for overrides of undeclared parameters.
+    /// [`FasError::Instantiate`] for overrides of undeclared parameters or
+    /// non-finite override values.
     pub fn instantiate(
         &self,
         overrides: &BTreeMap<String, f64>,
@@ -723,6 +731,20 @@ mod tests {
         let mut bad = BTreeMap::new();
         bad.insert("zz".to_string(), 1.0);
         assert!(m.instantiate(&bad).is_err());
+    }
+
+    #[test]
+    fn param_values_reject_non_finite_overrides() {
+        let m = compile(&wrap("make v = volt.value(a)\nmake curr.on(a) = g * v")).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let o = BTreeMap::from([("g".to_string(), bad)]);
+            match m.signature().param_values(&o) {
+                Err(FasError::Instantiate(msg)) => assert!(msg.contains("'g'"), "{msg}"),
+                other => panic!("{bad}: expected Instantiate, got {other:?}"),
+            }
+        }
+        let o = BTreeMap::from([("g".to_string(), 2e-3)]);
+        assert_eq!(m.signature().param_values(&o).unwrap(), [2e-3]);
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub struct Spanned<'src> {
 ///
 /// # Errors
 ///
-/// [`FasError::Lex`] on malformed numbers or unexpected characters.
+/// [`FasError::Lex`] on malformed or non-finite numbers and on unexpected
+/// characters.
 pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, FasError> {
     // Typical FAS text has a token per four bytes; the comparator's model
     // has one per 3.9.
@@ -158,6 +159,13 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, FasError> {
                         pos,
                         message: format!("malformed number '{text}'"),
                     })?;
+                    // A literal past f64's range parses to infinity.
+                    if !value.is_finite() {
+                        return Err(FasError::Lex {
+                            pos,
+                            message: format!("non-finite number '{text}'"),
+                        });
+                    }
                     (Token::Number { value, text }, text.len())
                 }
                 b if b.is_ascii_alphabetic() || b == b'_' => {
@@ -347,6 +355,19 @@ mod tests {
     fn lex_errors() {
         assert!(tokenize("a ! b").is_err());
         assert!(tokenize("price: $5").is_err());
+    }
+
+    #[test]
+    fn overflowing_literal_is_a_lex_error() {
+        assert_eq!(
+            tokenize("p = 1\n  q=1e999 )"),
+            Err(FasError::Lex {
+                pos: Pos { line: 2, col: 5 },
+                message: "non-finite number '1e999'".into(),
+            })
+        );
+        // A literal near the largest finite f64 still lexes.
+        assert_eq!(toks("1.7e308")[0], num(1.7e308, "1.7e308"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 ///
 /// let z = Complex64::new(3.0, 4.0);
 /// assert_eq!(z.abs(), 5.0);
-/// assert_eq!((z * z.conj()).re, 25.0);
+/// assert_eq!(z * Complex64::J, Complex64::new(-4.0, 3.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
@@ -56,11 +56,6 @@ impl Complex64 {
         self.re.hypot(self.im)
     }
 
-    /// Squared modulus `|z|²`, cheaper than [`Complex64::abs`].
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Argument (phase) in radians, in `(-π, π]`.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
@@ -69,20 +64,6 @@ impl Complex64 {
     /// Argument (phase) in degrees.
     pub fn arg_deg(self) -> f64 {
         self.arg().to_degrees()
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
-    /// Multiplicative inverse `1/z`.
-    ///
-    /// Returns an infinite value if `z == 0`, mirroring `f64` division
-    /// semantics.
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        Complex64::new(self.re / d, -self.im / d)
     }
 
     /// Modulus expressed in decibels, `20·log10 |z|`.
@@ -260,14 +241,6 @@ mod tests {
         let q = Complex64::ONE / big;
         assert!(!q.is_nan());
         assert!(q.abs() > 0.0);
-    }
-
-    #[test]
-    fn conj_recip_identities() {
-        let z = Complex64::new(0.5, -1.5);
-        let p = z * z.recip();
-        assert!(close(p.re, 1.0) && close(p.im, 0.0));
-        assert_eq!(z.conj().conj(), z);
     }
 
     #[test]

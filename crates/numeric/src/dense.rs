@@ -135,56 +135,6 @@ impl<T: Scalar> DenseMatrix<T> {
         Ok(y)
     }
 
-    /// Matrix–matrix product `A·B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if the inner dimensions do
-    /// not agree.
-    pub fn mul_mat(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, NumericError> {
-        if self.cols != b.rows {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.cols,
-                found: b.rows,
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a_ik = self[(i, k)];
-                if a_ik == T::zero() {
-                    continue;
-                }
-                for j in 0..b.cols {
-                    out.add_at(i, j, a_ik * b[(k, j)]);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Transposed copy of the matrix.
-    pub fn transpose(&self) -> DenseMatrix<T> {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                (0..self.cols)
-                    .map(|j| self[(i, j)].magnitude())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Borrow the underlying row-major data.
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -237,28 +187,6 @@ impl<T: Scalar> fmt::Display for DenseMatrix<T> {
     }
 }
 
-/// Euclidean norm of a real vector.
-pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// Infinity norm of a real vector.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, v| m.max(v.abs()))
-}
-
-/// `y ← y + alpha·x` for real vectors.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,31 +233,6 @@ mod tests {
             a.mul_vec(&[1.0]),
             Err(NumericError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn mat_mat_and_transpose() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0][..], &[3.0, 4.0][..]]).unwrap();
-        let i: DenseMatrix<f64> = DenseMatrix::identity(2);
-        assert_eq!(a.mul_mat(&i).unwrap(), a);
-        let t = a.transpose();
-        assert_eq!(t[(0, 1)], 3.0);
-        assert_eq!(t[(1, 0)], 2.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = DenseMatrix::from_rows(&[&[1.0, -2.0][..], &[3.0, 4.0][..]]).unwrap();
-        assert_eq!(a.norm_inf(), 7.0);
-        assert_eq!(norm_inf(&[1.0, -5.0, 2.0]), 5.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Interpolation over sampled data.
 //!
 //! Transient results are sampled on the *variable* time grid the step
-//! controller produced; the measurement routines and the waveform comparison
-//! of Fig. 7 need values at arbitrary instants and on common grids, hence
-//! linear and monotone-cubic (Fritsch–Carlson) interpolation.
+//! policy produced; the measurement routines and the waveform comparison
+//! of Fig. 7 need values at arbitrary instants, hence linear interpolation.
 
 use crate::NumericError;
 
@@ -30,7 +29,9 @@ fn validate(xs: &[f64], ys: &[f64]) -> Result<(), NumericError> {
 ///
 /// # Errors
 ///
-/// See [`pchip`] — same validation rules.
+/// * [`NumericError::Empty`] for empty inputs.
+/// * [`NumericError::DimensionMismatch`] if lengths differ.
+/// * [`NumericError::InvalidInput`] if `xs` is not strictly increasing.
 pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumericError> {
     validate(xs, ys)?;
     if x <= xs[0] {
@@ -45,78 +46,6 @@ pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumericError> {
     };
     let t = (x - xs[i]) / (xs[i + 1] - xs[i]);
     Ok(ys[i] + t * (ys[i + 1] - ys[i]))
-}
-
-/// Monotone cubic (PCHIP / Fritsch–Carlson) interpolation at `x`.
-///
-/// Preserves monotonicity of the data — important when measuring rise times
-/// on waveforms with sparse samples, where a plain cubic would overshoot and
-/// produce phantom threshold crossings.
-///
-/// # Errors
-///
-/// * [`NumericError::Empty`] for empty inputs.
-/// * [`NumericError::DimensionMismatch`] if lengths differ.
-/// * [`NumericError::InvalidInput`] if `xs` is not strictly increasing.
-pub fn pchip(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, NumericError> {
-    validate(xs, ys)?;
-    let n = xs.len();
-    if n == 1 || x <= xs[0] {
-        return Ok(ys[0]);
-    }
-    if x >= xs[n - 1] {
-        return Ok(ys[n - 1]);
-    }
-    if n == 2 {
-        return linear(xs, ys, x);
-    }
-    let i = match xs.partition_point(|&v| v <= x) {
-        0 => 0,
-        p => (p - 1).min(n - 2),
-    };
-    // Secant slopes around interval i.
-    let h = xs[i + 1] - xs[i];
-    let d = |k: usize| (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]);
-    let tangent = |k: usize| -> f64 {
-        // Fritsch–Carlson limited tangents.
-        if k == 0 {
-            d(0)
-        } else if k == n - 1 {
-            d(n - 2)
-        } else {
-            let dl = d(k - 1);
-            let dr = d(k);
-            if dl * dr <= 0.0 {
-                0.0
-            } else {
-                // Weighted harmonic mean respects uneven spacing.
-                let hl = xs[k] - xs[k - 1];
-                let hr = xs[k + 1] - xs[k];
-                let w1 = 2.0 * hr + hl;
-                let w2 = hr + 2.0 * hl;
-                (w1 + w2) / (w1 / dl + w2 / dr)
-            }
-        }
-    };
-    let m0 = tangent(i);
-    let m1 = tangent(i + 1);
-    let t = (x - xs[i]) / h;
-    let t2 = t * t;
-    let t3 = t2 * t;
-    let h00 = 2.0 * t3 - 3.0 * t2 + 1.0;
-    let h10 = t3 - 2.0 * t2 + t;
-    let h01 = -2.0 * t3 + 3.0 * t2;
-    let h11 = t3 - t2;
-    Ok(h00 * ys[i] + h10 * h * m0 + h01 * ys[i + 1] + h11 * h * m1)
-}
-
-/// Resamples `(xs, ys)` onto `grid` with linear interpolation.
-///
-/// # Errors
-///
-/// Propagates the validation errors of [`linear`].
-pub fn resample(xs: &[f64], ys: &[f64], grid: &[f64]) -> Result<Vec<f64>, NumericError> {
-    grid.iter().map(|&g| linear(xs, ys, g)).collect()
 }
 
 #[cfg(test)]
@@ -147,51 +76,5 @@ mod tests {
             linear(&[0.0, 0.0], &[1.0, 2.0], 0.0),
             Err(NumericError::InvalidInput(_))
         ));
-    }
-
-    #[test]
-    fn pchip_interpolates_knots() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [0.0, 1.0, 4.0, 9.0];
-        for (x, y) in xs.iter().zip(&ys) {
-            assert!((pchip(&xs, &ys, *x).unwrap() - y).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn pchip_monotone_no_overshoot() {
-        // A step-like data set: a classic cubic spline overshoots, PCHIP must
-        // not.
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys = [0.0, 0.0, 1.0, 1.0, 1.0];
-        let mut prev = -1.0;
-        for k in 0..=400 {
-            let x = 4.0 * k as f64 / 400.0;
-            let y = pchip(&xs, &ys, x).unwrap();
-            assert!((-1e-12..=1.0 + 1e-12).contains(&y), "overshoot at {x}: {y}");
-            assert!(y >= prev - 1e-12, "non-monotone at {x}");
-            prev = y;
-        }
-    }
-
-    #[test]
-    fn pchip_two_points_is_linear() {
-        let xs = [0.0, 2.0];
-        let ys = [0.0, 4.0];
-        assert!((pchip(&xs, &ys, 1.0).unwrap() - 2.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn pchip_single_point() {
-        assert_eq!(pchip(&[1.0], &[7.0], 0.0).unwrap(), 7.0);
-        assert_eq!(pchip(&[1.0], &[7.0], 5.0).unwrap(), 7.0);
-    }
-
-    #[test]
-    fn resample_onto_grid() {
-        let xs = [0.0, 1.0];
-        let ys = [0.0, 2.0];
-        let grid = [0.0, 0.25, 0.5, 1.0];
-        assert_eq!(resample(&xs, &ys, &grid).unwrap(), vec![0.0, 0.5, 1.0, 2.0]);
     }
 }

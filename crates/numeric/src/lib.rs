@@ -13,12 +13,12 @@
 //!   simulator builds;
 //! * [`complex`] — a self-contained [`Complex64`] (no external dependency);
 //! * [`newton`] — SPICE-style convergence criteria and damping helpers;
-//! * [`integrate`] — backward-Euler / trapezoidal / Gear-2 integration
-//!   coefficients and the local-truncation-error estimate;
-//! * [`interp`] — linear and monotone cubic interpolation;
+//! * [`integrate`] — the trapezoidal rule: its coefficients, the committed
+//!   history of a reactive element and the local-truncation-error estimate;
+//! * [`interp`] — linear interpolation;
 //! * [`waveform`] — sampled signals with arithmetic;
-//! * [`measure`] — waveform measurements (crossings, rise time, overshoot,
-//!   RMS, propagation delay, …) used by the extraction rigs.
+//! * [`measure`] — waveform measurements (crossings, slew rates, RMS,
+//!   Fourier components, …) used by the extraction rigs.
 //!
 //! # Example
 //!

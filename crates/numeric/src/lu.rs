@@ -231,26 +231,6 @@ impl<T: Scalar> LuFactor<T> {
         }
         d
     }
-
-    /// Crude reciprocal condition estimate from the diagonal pivot spread.
-    ///
-    /// A value near zero signals an ill-conditioned MNA system (the simulator
-    /// uses this to diagnose convergence trouble, mirroring the paper's §4
-    /// note on discontinuities causing simulator problems).
-    pub fn rcond_estimate(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for i in 0..self.dim() {
-            let m = self.lu[(i, i)].magnitude();
-            min = min.min(m);
-            max = max.max(m);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
-    }
 }
 
 #[cfg(test)]
@@ -540,13 +520,6 @@ mod tests {
         let lu = LuFactor::new(&a).unwrap();
         let x = lu.solve(&[Complex64::from_real(2.0)]).unwrap();
         assert!((x[0] - Complex64::new(1.0, -1.0)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn rcond_sane() {
-        let a: DenseMatrix<f64> = DenseMatrix::identity(4);
-        let lu = LuFactor::new(&a).unwrap();
-        assert!((lu.rcond_estimate() - 1.0).abs() < 1e-14);
     }
 
     #[test]

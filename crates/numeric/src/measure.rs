@@ -2,8 +2,7 @@
 //!
 //! These are the primitives the characterization rigs (`gabm-charac`) use to
 //! turn simulation traces into extracted parameters: threshold crossings,
-//! rise/fall times, slew rate, overshoot, settling, RMS/average, and
-//! propagation delay. They operate on [`Waveform`]s with linear
+//! slew rate, overshoot, RMS and Fourier components. They operate on [`Waveform`]s with linear
 //! interpolation between samples, so measurements are step-size independent
 //! to first order.
 
@@ -65,67 +64,6 @@ pub fn first_crossing_after(
     Ok(crossings(w, threshold, edge)?
         .into_iter()
         .find(|&t| t >= t_after))
-}
-
-/// 10 %→90 % rise time of the first rising transition.
-///
-/// The levels are taken between the waveform's own min and max, so the
-/// measurement is amplitude-independent.
-///
-/// # Errors
-///
-/// * [`NumericError::Empty`] for a waveform with fewer than 2 samples.
-/// * [`NumericError::InvalidInput`] if no complete rising transition exists.
-pub fn rise_time(w: &Waveform) -> Result<f64, NumericError> {
-    transition_time(w, Edge::Rising)
-}
-
-/// 90 %→10 % fall time of the first falling transition.
-///
-/// # Errors
-///
-/// Same conditions as [`rise_time`].
-pub fn fall_time(w: &Waveform) -> Result<f64, NumericError> {
-    transition_time(w, Edge::Falling)
-}
-
-fn transition_time(w: &Waveform, edge: Edge) -> Result<f64, NumericError> {
-    let (lo, hi) = (w.min(), w.max());
-    let span = hi - lo;
-    if span <= 0.0 {
-        return Err(NumericError::InvalidInput(
-            "waveform has no amplitude".into(),
-        ));
-    }
-    let l10 = lo + 0.1 * span;
-    let l90 = lo + 0.9 * span;
-    match edge {
-        Edge::Rising => {
-            let t10 = crossings(w, l10, Edge::Rising)?;
-            let t90 = crossings(w, l90, Edge::Rising)?;
-            for &a in &t10 {
-                if let Some(&b) = t90.iter().find(|&&b| b > a) {
-                    return Ok(b - a);
-                }
-            }
-            Err(NumericError::InvalidInput(
-                "no complete rising transition".into(),
-            ))
-        }
-        Edge::Falling => {
-            let t90 = crossings(w, l90, Edge::Falling)?;
-            let t10 = crossings(w, l10, Edge::Falling)?;
-            for &a in &t90 {
-                if let Some(&b) = t10.iter().find(|&&b| b > a) {
-                    return Ok(b - a);
-                }
-            }
-            Err(NumericError::InvalidInput(
-                "no complete falling transition".into(),
-            ))
-        }
-        Edge::Any => unreachable!("transition_time is called with a definite edge"),
-    }
 }
 
 /// Maximum slew rate (absolute d/dt over adjacent samples), the quantity the
@@ -211,42 +149,6 @@ pub fn overshoot(w: &Waveform, initial: f64, fin: f64) -> Result<f64, NumericErr
     Ok(((peak - fin) / amp).max(0.0))
 }
 
-/// Time at which the waveform last leaves the `±band` envelope around
-/// `fin` — i.e. the settling time (relative to the waveform start).
-///
-/// Returns `None` if the signal never settles within the band.
-///
-/// # Errors
-///
-/// Returns [`NumericError::Empty`] for an empty waveform.
-pub fn settling_time(w: &Waveform, fin: f64, band: f64) -> Result<Option<f64>, NumericError> {
-    if w.is_empty() {
-        return Err(NumericError::Empty);
-    }
-    let ts = w.times();
-    let vs = w.values();
-    let mut last_outside: Option<f64> = None;
-    for (t, v) in ts.iter().zip(vs) {
-        if (v - fin).abs() > band {
-            last_outside = Some(*t);
-        }
-    }
-    match last_outside {
-        None => Ok(Some(ts[0])),
-        Some(t) if t < ts[ts.len() - 1] => Ok(Some(t)),
-        _ => Ok(None),
-    }
-}
-
-/// Time average of the waveform (trapezoidal integration over the grid).
-///
-/// # Errors
-///
-/// Returns [`NumericError::Empty`] for fewer than 2 samples.
-pub fn average(w: &Waveform) -> Result<f64, NumericError> {
-    integrate(w).map(|(integral, span)| integral / span)
-}
-
 /// RMS value of the waveform over its whole span.
 ///
 /// # Errors
@@ -265,19 +167,6 @@ pub fn rms(w: &Waveform) -> Result<f64, NumericError> {
     }
     let span = ts[ts.len() - 1] - ts[0];
     Ok((acc / span).sqrt())
-}
-
-fn integrate(w: &Waveform) -> Result<(f64, f64), NumericError> {
-    if w.len() < 2 {
-        return Err(NumericError::Empty);
-    }
-    let ts = w.times();
-    let vs = w.values();
-    let mut acc = 0.0;
-    for i in 0..ts.len() - 1 {
-        acc += 0.5 * (vs[i] + vs[i + 1]) * (ts[i + 1] - ts[i]);
-    }
-    Ok((acc, ts[ts.len() - 1] - ts[0]))
 }
 
 /// Complex Fourier component of the waveform at `freq`, evaluated from
@@ -326,29 +215,6 @@ pub fn fourier_component(
     Ok(crate::Complex64::new(re * scale, im * scale))
 }
 
-/// Propagation delay between `a` crossing `thresh_a` and the next time `b`
-/// crosses `thresh_b` (both with the given edges).
-///
-/// Returns `None` when either crossing is absent.
-///
-/// # Errors
-///
-/// Propagates [`crossings`] errors.
-pub fn propagation_delay(
-    a: &Waveform,
-    thresh_a: f64,
-    edge_a: Edge,
-    b: &Waveform,
-    thresh_b: f64,
-    edge_b: Edge,
-) -> Result<Option<f64>, NumericError> {
-    let ta = crossings(a, thresh_a, edge_a)?;
-    let Some(&t0) = ta.first() else {
-        return Ok(None);
-    };
-    Ok(first_crossing_after(b, thresh_b, edge_b, t0)?.map(|t1| t1 - t0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,26 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn rise_time_of_ramp() {
-        // 10%..90% of a unit ramp over 1 s = 0.8 s.
-        let rt = rise_time(&ramp()).unwrap();
-        assert!((rt - 0.8).abs() < 1e-6, "rt = {rt}");
-    }
-
-    #[test]
-    fn fall_time_of_inverse_ramp() {
-        let w = Waveform::from_fn(0.0, 1.0, 101, |t| 1.0 - t);
-        let ft = fall_time(&w).unwrap();
-        assert!((ft - 0.8).abs() < 1e-6, "ft = {ft}");
-    }
-
-    #[test]
-    fn rise_time_needs_transition() {
-        let flat = Waveform::from_fn(0.0, 1.0, 10, |_| 1.0);
-        assert!(rise_time(&flat).is_err());
-    }
-
-    #[test]
     fn slew_rates() {
         // Asymmetric triangle: up at 2 V/s for 0.25 s, down at -2/3 V/s.
         let w = Waveform::from_fn(0.0, 1.0, 401, |t| {
@@ -435,23 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn settling() {
-        let w = Waveform::from_fn(0.0, 10.0, 2000, |t| 1.0 - (-t).exp());
-        let ts = settling_time(&w, 1.0, 0.01).unwrap().unwrap();
-        // exp(-t) < 0.01 at t ≈ 4.6.
-        assert!((ts - 4.6).abs() < 0.1, "settling at {ts}");
-        // Never settles in a tight band that the tail still violates.
-        let w2 = Waveform::from_fn(0.0, 1.0, 100, |t| t);
-        assert_eq!(settling_time(&w2, 0.0, 0.01).unwrap(), None);
-    }
-
-    #[test]
-    fn average_and_rms() {
+    fn rms_of_dc_and_sine() {
         let dc = Waveform::from_fn(0.0, 1.0, 100, |_| 2.0);
-        assert!((average(&dc).unwrap() - 2.0).abs() < 1e-12);
         assert!((rms(&dc).unwrap() - 2.0).abs() < 1e-12);
         let sine = Waveform::from_fn(0.0, 1.0, 10_001, |t| (2.0 * std::f64::consts::PI * t).sin());
-        assert!(average(&sine).unwrap().abs() < 1e-4);
         assert!((rms(&sine).unwrap() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-4);
     }
 
@@ -492,21 +325,5 @@ mod tests {
         });
         let c = fourier_component(&w, f, 0.0).unwrap();
         assert!((c.abs() - 1.0).abs() < 0.01, "amplitude {}", c.abs());
-    }
-
-    #[test]
-    fn delay_between_waveforms() {
-        let a = Waveform::from_fn(0.0, 1.0, 101, |t| if t > 0.2 { 1.0 } else { 0.0 });
-        let b = Waveform::from_fn(0.0, 1.0, 101, |t| if t > 0.5 { 1.0 } else { 0.0 });
-        let d = propagation_delay(&a, 0.5, Edge::Rising, &b, 0.5, Edge::Rising)
-            .unwrap()
-            .unwrap();
-        assert!((d - 0.3).abs() < 0.02, "delay {d}");
-        // Missing output edge → None.
-        let flat = Waveform::from_fn(0.0, 1.0, 10, |_| 0.0);
-        assert_eq!(
-            propagation_delay(&a, 0.5, Edge::Rising, &flat, 0.5, Edge::Rising).unwrap(),
-            None
-        );
     }
 }

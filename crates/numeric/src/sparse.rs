@@ -209,15 +209,6 @@ impl SparseMatrix {
         }
         Ok(y)
     }
-
-    /// Density as a fraction of a full matrix.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,14 +274,6 @@ mod tests {
         let y = m.mul_vec(&[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(y, vec![3.0, 3.0]);
         assert!(m.mul_vec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn density() {
-        let mut b = TripletBuilder::new(2, 2);
-        b.push(0, 0, 1.0);
-        let m = b.to_csc();
-        assert_eq!(m.density(), 0.25);
     }
 
     #[test]

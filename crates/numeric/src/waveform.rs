@@ -141,32 +141,6 @@ impl Waveform {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Resamples onto a uniform grid of `n` points spanning the waveform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Empty`] for an empty waveform or
-    /// [`NumericError::InvalidInput`] for `n < 2`.
-    pub fn resample(&self, n: usize) -> Result<Waveform, NumericError> {
-        if self.is_empty() {
-            return Err(NumericError::Empty);
-        }
-        if n < 2 {
-            return Err(NumericError::InvalidInput(
-                "resampling needs at least two points".into(),
-            ));
-        }
-        let t0 = self.times[0];
-        let t1 = self.times[self.times.len() - 1];
-        let dt = (t1 - t0) / (n - 1) as f64;
-        let grid: Vec<f64> = (0..n).map(|k| t0 + k as f64 * dt).collect();
-        let values = interp::resample(&self.times, &self.values, &grid)?;
-        Ok(Waveform {
-            times: grid,
-            values,
-        })
-    }
-
     /// Pointwise combination with another waveform on this waveform's grid.
     ///
     /// # Errors
@@ -256,16 +230,6 @@ mod tests {
         let w = Waveform::from_fn(0.0, 1.0, 101, |t| (2.0 * std::f64::consts::PI * t).sin());
         assert!((w.max() - 1.0).abs() < 1e-3);
         assert!((w.min() + 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn resample_preserves_shape() {
-        let w = Waveform::from_fn(0.0, 1.0, 100, |t| t * t);
-        let r = w.resample(13).unwrap();
-        assert_eq!(r.len(), 13);
-        assert!((r.value_at(0.5).unwrap() - 0.25).abs() < 1e-3);
-        assert!(w.resample(1).is_err());
-        assert!(Waveform::new().resample(5).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Adaptive-step transient analysis.
 //!
 //! Implements the variable-time-interval engine the paper's §3.3 note
-//! presupposes: an implicit integration method, Newton at every candidate
+//! presupposes: the implicit trapezoidal rule, Newton at every candidate
 //! point, local-truncation-error step control, breakpoint handling at source
 //! corners and shorter retries on convergence failures (the "simulation
 //! expertise" of §4's note on discontinuities). The whole step policy is
@@ -14,7 +14,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::device::{Mode, StateView, Unknown};
 use crate::options::SimStats;
 use crate::SimError;
-use gabm_numeric::integrate::{local_truncation_error, Coefficients, Method};
+use gabm_numeric::integrate::{local_truncation_error, Coefficients};
 use gabm_numeric::Waveform;
 
 /// Specification of a transient run.
@@ -28,8 +28,6 @@ pub struct TranSpec {
     pub dt_min: Option<f64>,
     /// Largest allowed step (default `tstop / 50`).
     pub dt_max: Option<f64>,
-    /// Integration method (default trapezoidal).
-    pub method: Option<Method>,
 }
 
 impl TranSpec {
@@ -40,19 +38,12 @@ impl TranSpec {
             dt_init: None,
             dt_min: None,
             dt_max: None,
-            method: None,
         }
     }
 
     /// Builder-style maximum-step override.
     pub fn with_dt_max(mut self, dt_max: f64) -> Self {
         self.dt_max = Some(dt_max);
-        self
-    }
-
-    /// Builder-style method override.
-    pub fn with_method(mut self, method: Method) -> Self {
-        self.method = Some(method);
         self
     }
 }
@@ -160,7 +151,6 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
     }
     let _span = gabm_trace::span("sim.tran");
     let tstop = spec.tstop;
-    let method = spec.method.unwrap_or(Method::Trapezoidal);
     let mut policy = StepPolicy::new(spec, circuit.options.tran_tol);
     let layout = circuit.layout();
 
@@ -215,7 +205,7 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
         }
         let next_bp = bp_iter.peek().copied().unwrap_or(tstop);
         let (dt, hit_bp) = policy.propose(t, next_bp, tstop);
-        let coeffs = Coefficients::new(method, dt, dt_prev);
+        let coeffs = Coefficients::new(dt);
         let mode = Mode::Tran {
             time: t + dt,
             coeffs,
@@ -241,7 +231,7 @@ pub(crate) fn solve_tran(circuit: &mut Circuit, spec: &TranSpec) -> Result<TranR
                     let (x1, x2) = (states.point(last), states.point(last - 1));
                     let h_prev = times[last] - times[last - 1];
                     for i in 0..layout.n_nodes {
-                        let lte = local_truncation_error(method, dt, x[i], x1[i], x2[i], h_prev);
+                        let lte = local_truncation_error(dt, x[i], x1[i], x2[i], h_prev);
                         lte_max = lte_max.max(lte);
                     }
                 }

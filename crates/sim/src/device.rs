@@ -8,7 +8,7 @@
 //! companion models.
 
 use crate::circuit::NodeId;
-use gabm_numeric::integrate::Coefficients;
+use gabm_numeric::integrate::{Coefficients, History};
 use gabm_numeric::{Complex64, DenseMatrix};
 use std::fmt;
 
@@ -214,6 +214,16 @@ impl Stamper {
         self.add_rhs(Unknown::Node(b), i);
     }
 
+    /// Stamps the transient companion of a capacitance `c` from `a` to `b`
+    /// whose committed state is `h`: the conductance `c·coeff0` and the
+    /// current `c·h.term`. Stamps nothing in DC, where a capacitance is open.
+    pub fn stamp_capacitance(&mut self, a: NodeId, b: NodeId, c: f64, h: &History) {
+        if let Mode::Tran { coeffs, .. } = self.mode {
+            self.stamp_conductance(a, b, c * coeffs.coeff0);
+            self.stamp_current(a, b, c * h.term(&coeffs));
+        }
+    }
+
     /// Records that a device applied junction/FET limiting this iteration —
     /// convergence is deferred until an un-limited iteration.
     pub fn mark_limited(&mut self) {
@@ -326,6 +336,15 @@ impl StateView<'_> {
     /// Branch current `idx` in the accepted solution.
     pub fn branch_current(&self, idx: usize) -> f64 {
         self.layout().value(self.x, Unknown::Branch(idx))
+    }
+
+    /// Commits the accepted value `x` of a reactive quantity into its
+    /// history `h`: an operating point in DC, a trapezoidal step otherwise.
+    pub fn commit(&self, h: &mut History, x: f64) {
+        match self.mode {
+            Mode::Dc => h.commit_dc(x),
+            Mode::Tran { coeffs, .. } => h.commit(&coeffs, x),
+        }
     }
 }
 
@@ -475,7 +494,7 @@ mod tests {
         assert!(Mode::Dc.is_dc());
         assert_eq!(Mode::Dc.time(), 0.0);
         assert!(Mode::Dc.coeffs().is_none());
-        let c = Coefficients::new(gabm_numeric::integrate::Method::BackwardEuler, 1e-6, 0.0);
+        let c = Coefficients::new(1e-6);
         let m = Mode::Tran {
             time: 2e-6,
             coeffs: c,

@@ -5,9 +5,12 @@
 //! [`BehavioralModel`] reads its pin voltages and returns the currents it
 //! imposes on each pin — exactly the probe/generator interface-element
 //! semantics of the paper's §3.1a. The wrapping [`BehavioralDevice`]
-//! linearizes the model numerically (finite-difference Jacobian) and stamps
-//! Norton companions so the coupled behavioural/electrical system converges
-//! like any other nonlinear circuit.
+//! linearizes the model — with the exact Jacobian from
+//! [`BehavioralModel::eval_with_jacobian`] (the FAS executors' forward-mode
+//! AD), or by finite differences for a model without one or at an iterate
+//! where the exact tangents are not finite — and stamps Norton companions so
+//! the coupled behavioural/electrical system converges like any other
+//! nonlinear circuit.
 
 use crate::circuit::NodeId;
 use crate::device::{AcStamper, Device, Mode, Stamper, StateView, Unknown};
@@ -38,8 +41,9 @@ pub struct EvalCtx {
 /// voltages.
 ///
 /// Implementations must be **pure with respect to committed state** during
-/// [`BehavioralModel::eval`]: the engine calls `eval` many times per Newton
-/// iteration (for the finite-difference Jacobian) and across rejected steps.
+/// [`BehavioralModel::eval`] and [`BehavioralModel::eval_with_jacobian`]:
+/// the engine calls them once or more per Newton iteration (`pins + 1`
+/// times for a finite-difference Jacobian) and across rejected steps.
 /// State (delays, previous values) is only committed in
 /// [`BehavioralModel::accept`].
 pub trait BehavioralModel: fmt::Debug {
@@ -209,7 +213,7 @@ impl Device for BehavioralDevice {
             s.add_rhs(node, -(self.i0[k] - gv0));
         }
         // gmin floor: in saturated model regions (current limiters, clipped
-        // rails) the finite-difference Jacobian is exactly zero and the pin
+        // rails) the Jacobian row is exactly zero and the pin
         // would float; the junction-conductance floor keeps the MNA matrix
         // non-singular, exactly as ELDO's GMIN does for devices.
         let gmin = s.gmin;
@@ -221,7 +225,8 @@ impl Device for BehavioralDevice {
 
     fn stamp_ac(&mut self, s: &mut AcStamper) {
         // Resistive small-signal model from the last (operating-point)
-        // finite-difference linearization. Reactive behaviour inside the
+        // linearization: the exact Jacobian, or its finite-difference
+        // stand-in where the model has none. Reactive behaviour inside the
         // model (its `state.dt` terms) vanishes at the DC point, so AC
         // through behavioural devices sees conductances only — documented
         // limitation; use the transient frequency-response rig for full

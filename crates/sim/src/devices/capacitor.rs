@@ -2,24 +2,22 @@
 
 use crate::circuit::NodeId;
 use crate::device::{AcStamper, Device, Mode, Stamper, StateView};
+use gabm_numeric::integrate::History;
 use gabm_numeric::Complex64;
 
 /// A two-terminal linear capacitor.
 ///
 /// In DC analyses the capacitor is an open circuit (plus a tiny `gmin` leak
 /// keeping otherwise-floating nodes solvable). In transient analyses it
-/// stamps the companion model `i = C·(coeff0·v + history)` for the active
-/// integration method.
+/// stamps the trapezoidal companion model `i = C·(coeff0·v + history)`.
 #[derive(Debug, Clone)]
 pub struct Capacitor {
     name: String,
     a: NodeId,
     b: NodeId,
     farads: f64,
-    // Committed state from the last accepted time point.
-    v_prev: f64,
-    dvdt_prev: f64,
-    v_prev2: f64,
+    // Committed branch voltage from the last accepted time point.
+    history: History,
 }
 
 impl Capacitor {
@@ -31,9 +29,7 @@ impl Capacitor {
             a,
             b,
             farads: farads.max(0.0),
-            v_prev: 0.0,
-            dvdt_prev: 0.0,
-            v_prev2: 0.0,
+            history: History::default(),
         }
     }
 
@@ -44,7 +40,7 @@ impl Capacitor {
 
     /// Committed branch voltage from the last accepted point (test hook).
     pub fn committed_voltage(&self) -> f64 {
-        self.v_prev
+        self.history.x
     }
 }
 
@@ -60,13 +56,7 @@ impl Device for Capacitor {
                 let g = s.gmin;
                 s.stamp_conductance(self.a, self.b, g);
             }
-            Mode::Tran { coeffs, .. } => {
-                let geq = self.farads * coeffs.coeff0;
-                let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-                let ieq = self.farads * hist;
-                s.stamp_conductance(self.a, self.b, geq);
-                s.stamp_current(self.a, self.b, ieq);
-            }
+            Mode::Tran { .. } => s.stamp_capacitance(self.a, self.b, self.farads, &self.history),
         }
     }
 
@@ -77,27 +67,14 @@ impl Device for Capacitor {
 
     fn accept_step(&mut self, state: &StateView<'_>) {
         let v = state.v(self.a) - state.v(self.b);
-        match state.mode {
-            Mode::Dc => {
-                self.v_prev = v;
-                self.v_prev2 = v;
-                self.dvdt_prev = 0.0;
-            }
-            Mode::Tran { coeffs, .. } => {
-                let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-                let dvdt = coeffs.coeff0 * v + hist;
-                self.v_prev2 = self.v_prev;
-                self.v_prev = v;
-                self.dvdt_prev = dvdt;
-            }
-        }
+        state.commit(&mut self.history, v);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gabm_numeric::integrate::{Coefficients, Method};
+    use gabm_numeric::integrate::Coefficients;
 
     #[test]
     fn dc_stamp_is_leak_only() {
@@ -112,27 +89,28 @@ mod tests {
     }
 
     #[test]
-    fn tran_stamp_backward_euler() {
+    fn tran_stamp_trapezoidal() {
         let a = NodeId::from_index(1);
         let mut c = Capacitor::new("C1", a, NodeId::ground(), 1e-6);
-        // Committed state: 2 V across the cap.
-        c.v_prev = 2.0;
-        let coeffs = Coefficients::new(Method::BackwardEuler, 1e-3, 0.0);
+        // Committed state: 2 V across the cap, rising at 1 V/ms.
+        c.history = History { x: 2.0, dx: 1e3 };
+        let coeffs = Coefficients::new(1e-3);
         let mode = Mode::Tran { time: 1e-3, coeffs };
         let mut s = Stamper::new(1, 0, mode);
         s.reset(&[2.0], mode);
         c.stamp(&mut s);
         let (m, rhs) = s.finish();
-        // geq = C/dt = 1e-3; ieq = -C*vprev/dt = -2e-3 leaving node a.
-        assert!((m[(0, 0)] - 1e-3).abs() < 1e-15);
-        assert!((rhs[0] - 2e-3).abs() < 1e-15);
+        // geq = 2C/dt = 2e-3; ieq = C·(-2·vprev/dt - dvdt) = -5e-3 leaving
+        // node a.
+        assert!((m[(0, 0)] - 2e-3).abs() < 1e-15);
+        assert!((rhs[0] - 5e-3).abs() < 1e-15);
     }
 
     #[test]
     fn accept_rotates_history() {
         let a = NodeId::from_index(1);
         let mut c = Capacitor::new("C1", a, NodeId::ground(), 1e-6);
-        let coeffs = Coefficients::new(Method::BackwardEuler, 1.0, 0.0);
+        let coeffs = Coefficients::new(1.0);
         let x = [3.0];
         let sv = StateView {
             x: &x,
@@ -143,15 +121,15 @@ mod tests {
         };
         c.accept_step(&sv);
         assert_eq!(c.committed_voltage(), 3.0);
-        // dv/dt = (3-0)/1 = 3.
-        assert!((c.dvdt_prev - 3.0).abs() < 1e-15);
+        // Trapezoid from rest: dv/dt = 2·(3-0)/1 - 0 = 6.
+        assert!((c.history.dx - 6.0).abs() < 1e-15);
     }
 
     #[test]
     fn dc_accept_clears_derivative() {
         let a = NodeId::from_index(1);
         let mut c = Capacitor::new("C1", a, NodeId::ground(), 1e-6);
-        c.dvdt_prev = 42.0;
+        c.history.dx = 42.0;
         let x = [1.5];
         let sv = StateView {
             x: &x,
@@ -161,7 +139,7 @@ mod tests {
             temperature: 300.15,
         };
         c.accept_step(&sv);
-        assert_eq!(c.dvdt_prev, 0.0);
+        assert_eq!(c.history.dx, 0.0);
         assert_eq!(c.committed_voltage(), 1.5);
     }
 

@@ -1,7 +1,8 @@
 //! Junction diode with pn-junction voltage limiting.
 
 use crate::circuit::NodeId;
-use crate::device::{AcStamper, Device, Mode, Stamper, StateView};
+use crate::device::{AcStamper, Device, Stamper, StateView};
+use gabm_numeric::integrate::History;
 use gabm_numeric::newton::{critical_voltage, pnjlim};
 use gabm_numeric::Complex64;
 
@@ -42,10 +43,8 @@ pub struct Diode {
     v_iter: f64,
     /// Small-signal conductance at the last computed point (for AC).
     gd_last: f64,
-    // Committed capacitor state.
-    v_prev: f64,
-    dvdt_prev: f64,
-    v_prev2: f64,
+    // Committed junction voltage, for the junction capacitance.
+    history: History,
 }
 
 impl Diode {
@@ -58,9 +57,7 @@ impl Diode {
             params,
             v_iter: 0.0,
             gd_last: 0.0,
-            v_prev: 0.0,
-            dvdt_prev: 0.0,
-            v_prev2: 0.0,
+            history: History::default(),
         }
     }
 
@@ -107,12 +104,7 @@ impl Device for Diode {
         s.stamp_current(self.anode, self.cathode, i - g * v);
         // Constant junction capacitance in transient.
         if self.params.cj0 > 0.0 {
-            if let Mode::Tran { coeffs, .. } = s.mode {
-                let geq = self.params.cj0 * coeffs.coeff0;
-                let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-                s.stamp_conductance(self.anode, self.cathode, geq);
-                s.stamp_current(self.anode, self.cathode, self.params.cj0 * hist);
-            }
+            s.stamp_capacitance(self.anode, self.cathode, self.params.cj0, &self.history);
         }
     }
 
@@ -124,26 +116,14 @@ impl Device for Diode {
     fn accept_step(&mut self, state: &StateView<'_>) {
         let v = state.v(self.anode) - state.v(self.cathode);
         self.v_iter = v;
-        match state.mode {
-            Mode::Dc => {
-                self.v_prev = v;
-                self.v_prev2 = v;
-                self.dvdt_prev = 0.0;
-            }
-            Mode::Tran { coeffs, .. } => {
-                let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-                let dvdt = coeffs.coeff0 * v + hist;
-                self.v_prev2 = self.v_prev;
-                self.v_prev = v;
-                self.dvdt_prev = dvdt;
-            }
-        }
+        state.commit(&mut self.history, v);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Mode;
 
     fn stamper_at(v: f64) -> Stamper {
         let mut s = Stamper::new(1, 0, Mode::Dc);
@@ -211,6 +191,6 @@ mod tests {
         };
         d.accept_step(&sv);
         assert_eq!(d.v_iter, 0.7);
-        assert_eq!(d.v_prev, 0.7);
+        assert_eq!(d.history, History { x: 0.7, dx: 0.0 });
     }
 }

@@ -3,13 +3,14 @@
 use crate::circuit::NodeId;
 use crate::device::{AcStamper, Device, Mode, Stamper, StateView, Unknown};
 use crate::SimError;
+use gabm_numeric::integrate::History;
 use gabm_numeric::Complex64;
 
 /// A two-terminal linear inductor.
 ///
 /// Carries its current as an extra MNA unknown. DC: a short circuit
-/// (`v_a − v_b = 0`); transient: `v_a − v_b = L·di/dt` via the companion
-/// model of the active integration method.
+/// (`v_a − v_b = 0`); transient: `v_a − v_b = L·di/dt` via the trapezoidal
+/// companion model.
 #[derive(Debug, Clone)]
 pub struct Inductor {
     name: String,
@@ -17,9 +18,8 @@ pub struct Inductor {
     b: NodeId,
     henries: f64,
     branch: usize,
-    i_prev: f64,
-    didt_prev: f64,
-    i_prev2: f64,
+    // Committed branch current from the last accepted time point.
+    history: History,
 }
 
 impl Inductor {
@@ -41,9 +41,7 @@ impl Inductor {
             b,
             henries,
             branch: usize::MAX,
-            i_prev: 0.0,
-            didt_prev: 0.0,
-            i_prev2: 0.0,
+            history: History::default(),
         })
     }
 
@@ -86,9 +84,8 @@ impl Device for Inductor {
             }
             Mode::Tran { coeffs, .. } => {
                 // v_a - v_b - L(coeff0·i + hist) = 0.
-                let hist = coeffs.history(self.i_prev, self.didt_prev, self.i_prev2);
                 s.add(br, br, -self.henries * coeffs.coeff0);
-                s.add_rhs(br, self.henries * hist);
+                s.add_rhs(br, self.henries * self.history.term(&coeffs));
             }
         }
     }
@@ -106,27 +103,14 @@ impl Device for Inductor {
 
     fn accept_step(&mut self, state: &StateView<'_>) {
         let i = state.branch_current(self.branch);
-        match state.mode {
-            Mode::Dc => {
-                self.i_prev = i;
-                self.i_prev2 = i;
-                self.didt_prev = 0.0;
-            }
-            Mode::Tran { coeffs, .. } => {
-                let hist = coeffs.history(self.i_prev, self.didt_prev, self.i_prev2);
-                let didt = coeffs.coeff0 * i + hist;
-                self.i_prev2 = self.i_prev;
-                self.i_prev = i;
-                self.didt_prev = didt;
-            }
-        }
+        state.commit(&mut self.history, i);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gabm_numeric::integrate::{Coefficients, Method};
+    use gabm_numeric::integrate::Coefficients;
 
     #[test]
     fn rejects_bad_values() {
@@ -156,17 +140,17 @@ mod tests {
         let a = NodeId::from_index(1);
         let mut l = Inductor::new("L1", a, NodeId::ground(), 2e-3).unwrap();
         l.set_branch_base(0);
-        l.i_prev = 1.0;
-        let coeffs = Coefficients::new(Method::BackwardEuler, 1e-3, 0.0);
+        l.history = History { x: 1.0, dx: 0.0 };
+        let coeffs = Coefficients::new(1e-3);
         let mode = Mode::Tran { time: 1e-3, coeffs };
         let mut s = Stamper::new(1, 1, mode);
         s.reset(&[0.0, 1.0], mode);
         l.stamp(&mut s);
         let (m, rhs) = s.finish();
-        // -L/dt = -2.0 on the branch diagonal.
-        assert!((m[(1, 1)] + 2.0).abs() < 1e-12);
-        // rhs = L·(-i_prev/dt) = -2.0.
-        assert!((rhs[1] + 2.0).abs() < 1e-12);
+        // -2L/dt = -4.0 on the branch diagonal.
+        assert!((m[(1, 1)] + 4.0).abs() < 1e-12);
+        // rhs = L·(-2·i_prev/dt - di/dt) = -4.0.
+        assert!((rhs[1] + 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -183,7 +167,6 @@ mod tests {
             temperature: 300.15,
         };
         l.accept_step(&sv);
-        assert_eq!(l.i_prev, 0.5);
-        assert_eq!(l.didt_prev, 0.0);
+        assert_eq!(l.history, History { x: 0.5, dx: 0.0 });
     }
 }

@@ -94,11 +94,7 @@ mod tests {
             NodeId::ground(),
             SourceWave::Pwl(vec![(0.0, 0.0), (1.0, 1.0)]),
         );
-        let coeffs = gabm_numeric::integrate::Coefficients::new(
-            gabm_numeric::integrate::Method::BackwardEuler,
-            0.5,
-            0.0,
-        );
+        let coeffs = gabm_numeric::integrate::Coefficients::new(0.5);
         let mode = Mode::Tran { time: 0.5, coeffs };
         let mut s = Stamper::new(1, 0, mode);
         i.stamp(&mut s);

@@ -5,8 +5,9 @@
 //! body effect, plus constant gate capacitances for transient dynamics.
 
 use crate::circuit::NodeId;
-use crate::device::{AcStamper, Device, Mode, Stamper, StateView, Unknown};
+use crate::device::{AcStamper, Device, Stamper, StateView, Unknown};
 use crate::SimError;
+use gabm_numeric::integrate::History;
 use gabm_numeric::Complex64;
 
 /// Transistor polarity.
@@ -62,45 +63,6 @@ impl Default for MosfetParams {
     }
 }
 
-/// Committed state of one linear capacitance inside the transistor.
-#[derive(Debug, Clone, Copy, Default)]
-struct CapState {
-    v_prev: f64,
-    dvdt_prev: f64,
-    v_prev2: f64,
-}
-
-impl CapState {
-    fn stamp(&self, c: f64, a: NodeId, b: NodeId, s: &mut Stamper) {
-        if c <= 0.0 {
-            return;
-        }
-        if let Mode::Tran { coeffs, .. } = s.mode {
-            let geq = c * coeffs.coeff0;
-            let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-            s.stamp_conductance(a, b, geq);
-            s.stamp_current(a, b, c * hist);
-        }
-    }
-
-    fn accept(&mut self, v: f64, mode: Mode) {
-        match mode {
-            Mode::Dc => {
-                self.v_prev = v;
-                self.v_prev2 = v;
-                self.dvdt_prev = 0.0;
-            }
-            Mode::Tran { coeffs, .. } => {
-                let hist = coeffs.history(self.v_prev, self.dvdt_prev, self.v_prev2);
-                let dvdt = coeffs.coeff0 * v + hist;
-                self.v_prev2 = self.v_prev;
-                self.v_prev = v;
-                self.dvdt_prev = dvdt;
-            }
-        }
-    }
-}
-
 /// DC solution of the square-law equations at one bias point.
 #[derive(Debug, Clone, Copy, Default)]
 struct MosOp {
@@ -127,10 +89,10 @@ pub struct Mosfet {
     // Last linearization (for AC).
     op_last: MosOp,
     swapped_last: bool,
-    // Gate capacitance states.
-    cgs_state: CapState,
-    cgd_state: CapState,
-    cgb_state: CapState,
+    // Committed gate–source, gate–drain and gate–bulk voltages.
+    cgs_history: History,
+    cgd_history: History,
+    cgb_history: History,
 }
 
 /// Maximum per-iteration change of the NMOS-space gate and drain voltages
@@ -172,9 +134,9 @@ impl Mosfet {
             vds_iter: 0.0,
             op_last: MosOp::default(),
             swapped_last: false,
-            cgs_state: CapState::default(),
-            cgd_state: CapState::default(),
-            cgb_state: CapState::default(),
+            cgs_history: History::default(),
+            cgd_history: History::default(),
+            cgb_history: History::default(),
         })
     }
 
@@ -289,12 +251,16 @@ impl Device for Mosfet {
         st.add_rhs(uns, ieq);
 
         // Gate capacitances (physical terminals, not swapped).
-        let cgs_state = self.cgs_state;
-        let cgd_state = self.cgd_state;
-        let cgb_state = self.cgb_state;
-        cgs_state.stamp(self.params.cgs, self.g, self.s, st);
-        cgd_state.stamp(self.params.cgd, self.g, self.d, st);
-        cgb_state.stamp(self.params.cgb, self.g, self.b, st);
+        for (c, other, h) in [
+            (self.params.cgs, self.s, &self.cgs_history),
+            (self.params.cgd, self.d, &self.cgd_history),
+            (self.params.cgb, self.b, &self.cgb_history),
+        ] {
+            if c <= 0.0 {
+                continue;
+            }
+            st.stamp_capacitance(self.g, other, c, h);
+        }
     }
 
     fn stamp_ac(&mut self, s: &mut AcStamper) {
@@ -353,15 +319,16 @@ impl Device for Mosfet {
         let vd_e = if swapped { vs } else { vd };
         self.vgs_iter = p * (vg - vs_e);
         self.vds_iter = p * (vd_e - vs_e);
-        self.cgs_state.accept(vg - vs, state.mode);
-        self.cgd_state.accept(vg - vd, state.mode);
-        self.cgb_state.accept(vg - vb, state.mode);
+        state.commit(&mut self.cgs_history, vg - vs);
+        state.commit(&mut self.cgd_history, vg - vd);
+        state.commit(&mut self.cgb_history, vg - vb);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Mode;
 
     fn nmos() -> Mosfet {
         Mosfet::new(

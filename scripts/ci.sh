@@ -144,6 +144,22 @@ for root in sim.tran fasvm.compile charac.monte_carlo par.job; do
     esac
 done
 
+# Paper experiments: every table and figure the harness regenerates runs
+# to completion, and the figures it writes into $BENCH_DIR/figures/ equal
+# the committed figures/ byte for byte, with none missing or extra.
+echo "==> harness paper experiments ($BENCH_DIR/figures)"
+for experiment in fig2 fig3 fig4 fig5 fig6 fig7 listing42 table1 modelcheck validity \
+    ablation bode; do
+    (cd "$BENCH_DIR" && "$HARNESS" "$experiment" > "$experiment.out") || {
+        echo "FAIL: harness $experiment exited non-zero" >&2
+        exit 1
+    }
+done
+diff -rq figures "$BENCH_DIR/figures" || {
+    echo "FAIL: harness figures differ from the committed figures/" >&2
+    exit 1
+}
+
 # A traced end-to-end run through the gabm CLI round-trips its own
 # validator (the --trace plumbing is shared with the harness).
 echo "==> gabm --trace smoke"

@@ -84,6 +84,12 @@ fn compile_reports_parse_errors() {
             model("make x = 2 é 3".to_string()),
             "lex error at 3:12: unexpected character 'é'",
         ),
+        // A literal past f64's range would otherwise compile as infinity.
+        (
+            "model m pin (a) param (p=1e999)\nanalog\nmake curr.on(a) = p\nendanalog\nendmodel\n"
+                .to_string(),
+            "lex error at 1:26: non-finite number '1e999'",
+        ),
     ];
     let bad = dir.join("bad.fas");
     for (text, want) in cases {

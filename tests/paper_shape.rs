@@ -3,7 +3,13 @@
 //! every strobed decision, and must cost less to simulate.
 
 use gabm::sim::analysis::tran::TranSpec;
+use gabm::sim::devices::{BehavioralModel, EvalCtx};
+use gabm_bench::experiments::comparator_bench::{
+    behavioural_comparator_circuit_around, behavioural_comparator_spec,
+};
 use gabm_bench::{behavioural_comparator_circuit, cmos_comparator_circuit, ComparatorStimulus};
+use std::cell::Cell;
+use std::rc::Rc;
 
 #[test]
 fn fig7_decisions_agree_and_behavioural_is_cheaper() {
@@ -60,4 +66,65 @@ fn discontinuities_do_not_break_convergence() {
     let w = r.voltage_waveform(bn[3]).unwrap();
     assert!(w.values().iter().all(|v| v.is_finite()));
     assert!(r.stats.accepted_steps > 50);
+}
+
+/// Counts the calls the behavioural bridge makes into the model it wraps.
+#[derive(Debug)]
+struct Counting {
+    inner: Box<dyn BehavioralModel>,
+    /// Plain `eval` calls: the bridge's finite-difference path.
+    evals: Rc<Cell<usize>>,
+    /// `eval_with_jacobian` calls: the analytic path.
+    jacobian_evals: Rc<Cell<usize>>,
+}
+
+impl BehavioralModel for Counting {
+    fn pin_count(&self) -> usize {
+        self.inner.pin_count()
+    }
+
+    fn eval(&mut self, ctx: &EvalCtx, v: &[f64], i: &mut [f64]) {
+        self.evals.set(self.evals.get() + 1);
+        self.inner.eval(ctx, v, i);
+    }
+
+    fn eval_with_jacobian(
+        &mut self,
+        ctx: &EvalCtx,
+        v: &[f64],
+        i: &mut [f64],
+        j: &mut [f64],
+    ) -> bool {
+        self.jacobian_evals.set(self.jacobian_evals.get() + 1);
+        self.inner.eval_with_jacobian(ctx, v, i, j)
+    }
+
+    fn accept(&mut self, ctx: &EvalCtx, v: &[f64]) {
+        self.inner.accept(ctx, v);
+    }
+
+    fn begin_solve(&mut self) {
+        self.inner.begin_solve();
+    }
+}
+
+/// The Fig. 7 bench linearizes the FAS comparator analytically on every
+/// Newton iteration of its operating point and transient: the bridge's
+/// finite-difference path never runs, so deleting it costs this bench
+/// nothing.
+#[test]
+fn fig7_bench_never_takes_the_finite_difference_path() {
+    let stim = ComparatorStimulus::default();
+    let evals = Rc::new(Cell::new(0));
+    let jacobian_evals = Rc::new(Cell::new(0));
+    let model = Counting {
+        inner: behavioural_comparator_spec(&stim).machine().unwrap(),
+        evals: Rc::clone(&evals),
+        jacobian_evals: Rc::clone(&jacobian_evals),
+    };
+    let (mut ckt, _) = behavioural_comparator_circuit_around(&stim, Box::new(model)).unwrap();
+    let r = ckt.tran(&TranSpec::new(60.0e-6)).unwrap();
+    assert!(r.stats.device_evals > 0);
+    assert_eq!(evals.get(), 0, "finite-difference evaluations");
+    assert_eq!(jacobian_evals.get(), r.stats.device_evals);
 }
